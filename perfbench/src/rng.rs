@@ -1,0 +1,30 @@
+//! The benchmark's own seeded generator (SplitMix64): every input a run
+//! varies — op schedules, probe titles and edits — comes from here, so one
+//! `--seed` reproduces a run's inputs exactly.
+
+/// A SplitMix64 stream.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// The stream `stream` of a run seeded with `seed`; distinct streams of
+    /// one seed are independent.
+    pub fn new(seed: u64, stream: u64) -> Self {
+        let mut rng = Rng(seed ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        rng.next_u64();
+        rng
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
