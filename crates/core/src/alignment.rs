@@ -22,10 +22,16 @@
 //! act here, which is what the component-contribution experiments (Table 3 /
 //! Figure 3) exercise.
 
+use std::ops::Range;
+
+use wiki_corpus::Language;
+
 use crate::config::{CandidateOrdering, WikiMatchConfig};
 use crate::matches::MatchSet;
 use crate::schema::DualSchema;
-use crate::similarity::{CandidatePair, SimilarityTable};
+use crate::similarity::{
+    by_decreasing_lsi, pack_occurrence_patterns, CandidatePair, SimilarityTable,
+};
 
 /// The attribute-alignment algorithm over one dual-language schema.
 #[derive(Debug, Clone)]
@@ -84,11 +90,45 @@ impl<'a> AttributeAlignment<'a> {
         v.max(l)
     }
 
+    /// True when a pair without direct evidence can never be integrated, so
+    /// the queue may leave it out without changing the match set. The
+    /// certain phase accepts it only under a negative `Tsim` (single step
+    /// demands positive evidence), and revision integrates it only under
+    /// the −InductiveGrouping ablation, which skips revise's evidence test.
+    fn zero_evidence_is_inert(&self) -> bool {
+        let c = &self.config;
+        (c.single_step || c.t_sim >= 0.0)
+            && (c.single_step || !c.use_revise_uncertain || c.use_inductive_grouping)
+    }
+
+    /// Revise's drop test: no direct evidence at all. Queue filters negate
+    /// this test rather than asking `evidence > 0`, so a NaN evidence is
+    /// kept exactly as revise keeps it.
+    fn lacks_evidence(&self, pair: &CandidatePair) -> bool {
+        self.evidence(pair) <= 0.0
+    }
+
     /// Builds the candidate queue: pairs above `TLSI`, ordered according to
-    /// the configuration.
+    /// the configuration. Pairs without direct evidence are left out
+    /// whenever [`zero_evidence_is_inert`](Self::zero_evidence_is_inert)
+    /// holds: they would only be buffered and then dropped by revise, and
+    /// they are most of the pairs above `TLSI` (about 96% at the medium
+    /// tier).
     fn ordered_candidates(&self) -> Vec<CandidatePair> {
+        let t_lsi = self.config.t_lsi;
         match self.config.ordering {
-            CandidateOrdering::Lsi => self.table.above_lsi(self.config.t_lsi),
+            CandidateOrdering::Lsi if self.zero_evidence_is_inert() => {
+                let mut pairs: Vec<CandidatePair> = self
+                    .table
+                    .pairs()
+                    .iter()
+                    .filter(|p| p.lsi > t_lsi && !self.lacks_evidence(p))
+                    .copied()
+                    .collect();
+                pairs.sort_by(by_decreasing_lsi);
+                pairs
+            }
+            CandidateOrdering::Lsi => self.table.above_lsi(t_lsi),
             CandidateOrdering::MaxSimilarity => {
                 let mut pairs: Vec<CandidatePair> = self
                     .table
@@ -108,8 +148,13 @@ impl<'a> AttributeAlignment<'a> {
                 pairs
             }
             CandidateOrdering::Random => {
-                let mut pairs = self.table.above_lsi(self.config.t_lsi);
+                // Filter after the shuffle: the permutation is a function of
+                // the full ranked queue, so it must see every pair.
+                let mut pairs = self.table.above_lsi(t_lsi);
                 deterministic_shuffle(&mut pairs, self.config.ordering_seed);
+                if self.zero_evidence_is_inert() {
+                    pairs.retain(|p| !self.lacks_evidence(p));
+                }
                 pairs
             }
         }
@@ -165,18 +210,20 @@ impl<'a> AttributeAlignment<'a> {
         if !self.config.use_inductive_grouping {
             return uncertain.to_vec();
         }
-        let mut revised: Vec<(f64, CandidatePair)> = uncertain
+        // Revision reinforces *weak* evidence; pairs with no direct evidence
+        // at all (zero value and link similarity) stay rejected regardless
+        // of how well they co-occur with the existing matches.
+        let scored: Vec<CandidatePair> = uncertain
             .iter()
+            .filter(|pair| !self.lacks_evidence(pair))
+            .copied()
+            .collect();
+        let grouping = InductiveGrouping::new(self.schema, matches, &scored);
+        let mut revised: Vec<(f64, CandidatePair)> = scored
+            .into_iter()
             .filter_map(|pair| {
-                // Revision reinforces *weak* evidence; pairs with no direct
-                // evidence at all (zero value and link similarity) stay
-                // rejected regardless of how well they co-occur with the
-                // existing matches.
-                if self.evidence(pair) <= 0.0 {
-                    return None;
-                }
-                let score = self.inductive_grouping_score(pair, matches);
-                (score > self.config.t_eg).then_some((score, *pair))
+                let score = grouping.score(pair.p, pair.q);
+                (score > self.config.t_eg).then_some((score, pair))
             })
             .collect();
         // Integrate the strongest revisions first; `total_cmp` plus the
@@ -188,38 +235,100 @@ impl<'a> AttributeAlignment<'a> {
         });
         revised.into_iter().map(|(_, pair)| pair).collect()
     }
+}
 
-    /// The inductive grouping score `eg(a, a')` of Section 3.4: the average
-    /// product of grouping scores between each attribute and the matched
-    /// attributes it co-occurs with in its own language, restricted to
-    /// matched attribute pairs `(ca ~ c'a)` that belong to the same cluster.
-    fn inductive_grouping_score(&self, pair: &CandidatePair, matches: &MatchSet) -> f64 {
-        let a = pair.p;
-        let b = pair.q;
-        let lang_a = &self.schema.attribute(a).language;
-        let lang_b = &self.schema.attribute(b).language;
+/// The inductive grouping score `eg(a, a')` of Section 3.4 for a batch of
+/// pairs, all scored against one fixed match set.
+///
+/// The matched attributes of each language are listed cluster by cluster,
+/// in insertion order, so one cluster's members of one language are a
+/// contiguous range of that list. Each scored attribute gets one *row*: its
+/// grouping scores against every matched attribute of its own language,
+/// computed once from packed occurrence patterns and shared by every pair
+/// it appears in.
+struct InductiveGrouping {
+    /// Dense language id of every attribute.
+    language: Vec<usize>,
+    /// `members[l]`: the matched attributes of language `l`.
+    members: Vec<Vec<usize>>,
+    /// `groups[c * members.len() + l]`: cluster `c`'s members of language
+    /// `l`, as a range of `members[l]`.
+    groups: Vec<Range<usize>>,
+    /// Where attribute `p`'s row starts in `rows`, if `p` is scored.
+    row_start: Vec<Option<usize>>,
+    /// `rows[row_start[p] + i]` = `g(p, members[language[p]][i])`.
+    rows: Vec<f64>,
+}
 
+impl InductiveGrouping {
+    fn new(schema: &DualSchema, matches: &MatchSet, scored: &[CandidatePair]) -> Self {
+        let mut distinct: Vec<&Language> = Vec::new();
+        let language: Vec<usize> = schema
+            .attributes
+            .iter()
+            .map(|attr| {
+                distinct
+                    .iter()
+                    .position(|&l| *l == attr.language)
+                    .unwrap_or_else(|| {
+                        distinct.push(&attr.language);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let mut members = vec![Vec::new(); distinct.len()];
+        let mut groups = Vec::new();
+        for cluster in matches.clusters() {
+            for (l, list) in members.iter_mut().enumerate() {
+                let start = list.len();
+                list.extend(cluster.members.iter().filter(|&&m| language[m] == l));
+                groups.push(start..list.len());
+            }
+        }
+        let bits = pack_occurrence_patterns(schema);
+        let mut row_start = vec![None; schema.len()];
+        let mut rows = Vec::new();
+        for p in scored.iter().flat_map(|pair| [pair.p, pair.q]) {
+            if row_start[p].is_none() {
+                row_start[p] = Some(rows.len());
+                rows.extend(
+                    members[language[p]]
+                        .iter()
+                        .map(|&x| packed_grouping_score(schema, &bits, p, x)),
+                );
+            }
+        }
+        Self {
+            language,
+            members,
+            groups,
+            row_start,
+            rows,
+        }
+    }
+
+    /// `p`'s row: its grouping scores against `members[language[p]]`.
+    fn row(&self, p: usize) -> &[f64] {
+        let start = self.row_start[p].expect("every scored attribute has a row");
+        &self.rows[start..start + self.members[self.language[p]].len()]
+    }
+
+    /// `eg(a, b)`: the average product of grouping scores between each
+    /// attribute and the matched attributes of its own language, over the
+    /// member pairs `(x ~ y)` of one cluster. The accumulation runs the
+    /// nested loop of the direct transcription — clusters in order, x-major
+    /// — over looked-up scores, so every float op and its order are kept.
+    fn score(&self, a: usize, b: usize) -> f64 {
+        let (la, lb) = (self.language[a], self.language[b]);
+        let (row_a, row_b) = (self.row(a), self.row(b));
         let mut total = 0.0;
         let mut count = 0usize;
-        for cluster in matches.clusters() {
-            // Matched attributes of a's language and of b's language within
-            // the same cluster (i.e. ca ~ c'a holds).
-            let ca: Vec<usize> = cluster
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| &self.schema.attribute(m).language == lang_a && m != a)
-                .collect();
-            let cb: Vec<usize> = cluster
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| &self.schema.attribute(m).language == lang_b && m != b)
-                .collect();
-            for &x in &ca {
-                for &y in &cb {
-                    let ga = self.schema.grouping_score(a, x);
-                    let gb = self.schema.grouping_score(b, y);
+        for cluster in self.groups.chunks(self.members.len()) {
+            let (xs, ys) = (cluster[la].clone(), cluster[lb].clone());
+            for x in xs.filter(|&x| self.members[la][x] != a) {
+                let ga = row_a[x];
+                for y in ys.clone().filter(|&y| self.members[lb][y] != b) {
+                    let gb = row_b[y];
                     if ga > 0.0 || gb > 0.0 {
                         total += ga * gb;
                         count += 1;
@@ -233,6 +342,26 @@ impl<'a> AttributeAlignment<'a> {
             total / count as f64
         }
     }
+}
+
+/// The grouping score `g(p, q) = Opq / min(Op, Oq)` over occurrence
+/// patterns packed by [`pack_occurrence_patterns`]: the same integer count
+/// and division, so the same value bit for bit, as
+/// [`DualSchema::grouping_score`].
+fn packed_grouping_score(schema: &DualSchema, bits: &[Vec<u64>], p: usize, q: usize) -> f64 {
+    let denom = schema
+        .attribute(p)
+        .occurrences
+        .min(schema.attribute(q).occurrences);
+    if denom == 0 {
+        return 0.0;
+    }
+    let co_occurrences: usize = bits[p]
+        .iter()
+        .zip(&bits[q])
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum();
+    co_occurrences as f64 / denom as f64
 }
 
 /// Deterministic Fisher-Yates shuffle driven by a splitmix64 stream; used by
@@ -255,8 +384,10 @@ fn deterministic_shuffle<T>(items: &mut [T], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiki_corpus::{Article, AttributeValue, Corpus, Infobox, Language, Link};
+    use crate::schema::AttributeStats;
+    use wiki_corpus::{Article, AttributeValue, Corpus, Infobox, Link};
     use wiki_linalg::LsiConfig;
+    use wiki_text::TermVector;
     use wiki_translate::TitleDictionary;
 
     /// A corpus engineered so that:
@@ -435,6 +566,76 @@ mod tests {
                 // Every reported pair references attributes that exist.
                 assert!(schema.index_of(&Language::Pt, &pt).is_some());
                 assert!(schema.index_of(&Language::En, &en).is_some());
+            }
+        }
+    }
+
+    /// A hand-built schema over `dual_count` dual infoboxes: a
+    /// never-occurring attribute, an everywhere attribute, single bits on
+    /// the word boundaries and the last position, and seeded random
+    /// patterns, alternating between the two languages.
+    fn patterned_schema(dual_count: usize) -> DualSchema {
+        let mut state = dual_count as u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut patterns = vec![vec![false; dual_count], vec![true; dual_count]];
+        for bit in [0, 62, 63, 64, 65, 127, 128, dual_count - 1] {
+            if bit < dual_count {
+                let mut pattern = vec![false; dual_count];
+                pattern[bit] = true;
+                patterns.push(pattern);
+            }
+        }
+        for density in [2, 3, 5, 9] {
+            patterns.push((0..dual_count).map(|_| next() % density == 0).collect());
+        }
+        let attributes = patterns
+            .into_iter()
+            .enumerate()
+            .map(|(i, occurrence_pattern)| AttributeStats {
+                language: if i % 2 == 0 {
+                    Language::Pt
+                } else {
+                    Language::En
+                },
+                name: format!("a{i}"),
+                occurrences: occurrence_pattern.iter().filter(|&&b| b).count(),
+                values: TermVector::new(),
+                translated_values: TermVector::new(),
+                raw_values: TermVector::new(),
+                translated_raw_values: TermVector::new(),
+                links: TermVector::new(),
+                occurrence_pattern,
+            })
+            .collect();
+        DualSchema::from_parts(
+            (Language::Pt, Language::En),
+            "Ator".to_string(),
+            "Actor".to_string(),
+            attributes,
+            dual_count,
+        )
+    }
+
+    #[test]
+    fn packed_grouping_score_equals_the_boolean_zip_bit_for_bit() {
+        // A partial word, exactly one word, and multi-word tails.
+        for dual_count in [1, 63, 64, 65, 129] {
+            let schema = patterned_schema(dual_count);
+            assert!(schema.attributes.iter().any(|a| a.occurrences == 0));
+            let bits = pack_occurrence_patterns(&schema);
+            for p in 0..schema.len() {
+                for q in 0..schema.len() {
+                    assert_eq!(
+                        packed_grouping_score(&schema, &bits, p, q).to_bits(),
+                        schema.grouping_score(p, q).to_bits(),
+                        "dual_count {dual_count}, pair ({p}, {q})"
+                    );
+                }
             }
         }
     }

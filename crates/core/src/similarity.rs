@@ -738,17 +738,20 @@ impl SimilarityTable {
             .filter(|pair| pair.lsi > threshold)
             .copied()
             .collect();
-        // `total_cmp` rather than `partial_cmp`: the comparator is a total
-        // order for every possible float (NaN included), so equal-score
-        // pairs rank identically across runs and platforms, with the
-        // attribute indices as the stable secondary key.
-        out.sort_by(|a, b| {
-            b.lsi
-                .total_cmp(&a.lsi)
-                .then_with(|| (a.p, a.q).cmp(&(b.p, b.q)))
-        });
+        out.sort_by(by_decreasing_lsi);
         out
     }
+}
+
+/// The candidate-queue order of [`SimilarityTable::above_lsi`] and of the
+/// alignment's evidence-only queue: decreasing LSI score, ties broken by
+/// the attribute indices. `total_cmp` rather than `partial_cmp`: the
+/// comparator is a total order for every possible float (NaN included), so
+/// equal-score pairs rank identically across runs and platforms.
+pub(crate) fn by_decreasing_lsi(a: &CandidatePair, b: &CandidatePair) -> std::cmp::Ordering {
+    b.lsi
+        .total_cmp(&a.lsi)
+        .then_with(|| (a.p, a.q).cmp(&(b.p, b.q)))
 }
 
 /// Packs every attribute's boolean occurrence pattern into `u64` words so

@@ -14,7 +14,7 @@ use wikimatch_suite::adversarial::{adversarial_pt_en, AdversarialFlavor};
 use wikimatch_suite::{wiki_corpus, wiki_text, wikimatch};
 
 use wiki_corpus::{Dataset, SyntheticConfig};
-use wikimatch::{ComputeMode, MatchEngine, SimilarityTable};
+use wikimatch::{ComputeMode, MatchEngine, SimilarityTable, WikiMatchConfig};
 
 fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
     SyntheticConfig {
@@ -159,6 +159,116 @@ fn table_bits_match_the_pre_interning_golden_values() {
             "{name}: table bits diverged from the string-keyed seed \
              (found {found:#018x}, golden {expected:#018x})"
         );
+    }
+}
+
+/// FNV-1a over the match clusters of every type `align_all` returns, in
+/// dataset type order: per type the cluster count, per cluster the member
+/// count and then the member indices in insertion order. One u64 that moves
+/// if any cluster gains, loses or reorders a member, or if clusters reorder.
+fn alignment_hash(engine: &MatchEngine) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for alignment in engine.align_all() {
+        let clusters = alignment.matches.clusters();
+        fold(clusters.len() as u64);
+        for cluster in clusters {
+            fold(cluster.members.len() as u64);
+            for &member in &cluster.members {
+                fold(member as u64);
+            }
+        }
+    }
+    h
+}
+
+/// The default configuration and every ablation of Table 3 / Figure 3.
+fn alignment_configs() -> [(&'static str, WikiMatchConfig); 9] {
+    let base = WikiMatchConfig::default();
+    [
+        ("default", base),
+        ("-vsim", base.without_vsim()),
+        ("-lsim", base.without_lsim()),
+        ("-LSI", base.without_lsi()),
+        ("-IntegrateMatches", base.without_integrate_constraint()),
+        ("-ReviseUncertain", base.without_revise_uncertain()),
+        ("-InductiveGrouping", base.without_inductive_grouping()),
+        ("single step", base.single_step()),
+        ("random", base.with_random_ordering()),
+    ]
+}
+
+/// The alignment output is pinned as well as the tables: these golden
+/// hashes were captured from the nested-loop `ReviseUncertain` over the
+/// full `above_lsi` queue, before the evidence-only queue and the packed
+/// grouping scores landed. Any change to the queue, the integration order
+/// or one grouping-score bit that alters a cluster moves a hash.
+#[test]
+fn alignment_clusters_match_the_golden_values() {
+    // One row per dataset, one column per `alignment_configs()` entry.
+    let cases: [(&str, Dataset, [u64; 9]); 3] = [
+        (
+            "pt_tiny",
+            Dataset::pt_en(&SyntheticConfig::tiny()),
+            [
+                0x56eb34d0f88fe212,
+                0x9f17c1397365dac4,
+                0x027869de59c69b38,
+                0xf6c83a0003d3d22b,
+                0x62f1a529756aaa16,
+                0x2be9c932daa8c30c,
+                0x2a6e299a5645a471,
+                0x4dd9ab1da0e6e0b9,
+                0xc9cd9615f2782e2f,
+            ],
+        ),
+        (
+            "vn_tiny",
+            Dataset::vn_en(&SyntheticConfig::tiny()),
+            [
+                0x2a838247e19a379a,
+                0xe84f625d9ac65133,
+                0x2a838247e19a379a,
+                0xd36753002e51e9cc,
+                0xdc810826ac789b28,
+                0xbf470c55f8f6de73,
+                0x75d7b8b11809864d,
+                0xfa7c431da4f2beb9,
+                0x85f2ac380a8d8494,
+            ],
+        ),
+        (
+            "vn_seeded",
+            Dataset::vn_en(&config_with(7, 6)),
+            [
+                0xb3843f42747855ca,
+                0x5a4aaf793b8f9db4,
+                0xb3843f42747855ca,
+                0x10fea14bed23f6d0,
+                0xae7784f335c809e0,
+                0xb20eef9bdb564cb2,
+                0xe8bc77ddb3ec7747,
+                0xde5e2419d1eeddfc,
+                0xf027601b71ee234a,
+            ],
+        ),
+    ];
+    for (name, dataset, expected) in cases {
+        let dataset = std::sync::Arc::new(dataset);
+        for ((label, config), golden) in alignment_configs().into_iter().zip(expected) {
+            let engine = MatchEngine::builder(dataset.clone()).config(config).build();
+            let found = alignment_hash(&engine);
+            assert_eq!(
+                found, golden,
+                "{name} {label}: alignment clusters diverged from the captured seed \
+                 (found {found:#018x}, golden {golden:#018x})"
+            );
+        }
     }
 }
 
