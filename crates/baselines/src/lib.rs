@@ -58,12 +58,3 @@ pub use correlation::{ranked_candidates, CorrelationMatcher, CorrelationMeasure}
 pub use lsi_topk::LsiTopKMatcher;
 
 pub use wikimatch::SchemaMatcher;
-
-/// Deprecated alias of [`wikimatch::SchemaMatcher`].
-///
-/// The baselines' private `Matcher` trait was absorbed into the core crate
-/// as `SchemaMatcher` so WikiMatch itself and the baselines share one
-/// plugin interface; this re-export keeps old `use wiki_baselines::Matcher`
-/// imports compiling for one release.
-#[deprecated(since = "0.2.0", note = "renamed to wikimatch::SchemaMatcher")]
-pub use wikimatch::SchemaMatcher as Matcher;

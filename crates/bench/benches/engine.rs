@@ -15,24 +15,35 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wiki_corpus::{Dataset, SyntheticConfig};
-use wikimatch::{AttributeAlignment, MatchEngine, WikiMatch, WikiMatchConfig};
+use wiki_translate::TitleDictionary;
+use wikimatch::{AttributeAlignment, DualSchema, MatchEngine, SimilarityTable, WikiMatchConfig};
 
-#[allow(deprecated)] // the deprecated shim IS the legacy per-type code path
 fn bench_engine_amortization(c: &mut Criterion) {
     // One Arc built up front: per-iteration Arc clones are free, so the
     // engine variants measure session work, not corpus copying.
     let dataset: Arc<Dataset> = Arc::new(Dataset::pt_en(&SyntheticConfig::tiny()));
     let config = WikiMatchConfig::default();
-    let matcher = WikiMatch::new(config);
 
     c.bench_function("align_all/legacy_rebuild_per_type", |b| {
         b.iter(|| {
             let dataset = std::hint::black_box(&dataset);
             let mut alignments = 0usize;
             for pairing in &dataset.types {
-                // prepare_type rebuilds the title dictionary per type —
-                // exactly the pre-0.2 align_all body.
-                let (schema, table) = matcher.prepare_type(dataset, pairing);
+                // The title dictionary is rebuilt per type — exactly the
+                // pre-0.2 align_all body.
+                let dictionary = TitleDictionary::from_corpus(
+                    &dataset.corpus,
+                    dataset.other_language(),
+                    dataset.english(),
+                );
+                let schema = DualSchema::build(
+                    &dataset.corpus,
+                    dataset.other_language(),
+                    &pairing.label_other,
+                    &pairing.label_en,
+                    &dictionary,
+                );
+                let table = SimilarityTable::compute(&schema, config.lsi);
                 let matches = AttributeAlignment::new(&schema, &table, config).run();
                 alignments += matches.len();
             }

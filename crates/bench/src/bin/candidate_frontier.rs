@@ -1,9 +1,9 @@
-//! Candidate-frontier experiment — exhaustive versus bound-filtered versus
-//! banded-LSH similarity builds across the synthetic scale tiers, the
-//! record behind `BENCH_7.json`.
+//! Candidate-frontier experiment — exhaustive versus bound-filtered
+//! similarity builds across the synthetic scale tiers, the record behind
+//! `BENCH_7.json`.
 //!
 //! For each tier the Pt-En film schema is built once, then the full
-//! `SimilarityTable` construction is timed in three compute modes:
+//! `SimilarityTable` construction is timed in two compute modes:
 //!
 //! * **pruned** — the exact baseline: every non-certified-zero channel
 //!   cosine plus the full triangular LSI pass (the quadratic frontier this
@@ -11,10 +11,7 @@
 //! * **filtered** — prefix-mass / shared-count upper bounds skip every pair
 //!   that provably cannot reach the score threshold, and LSI is computed
 //!   only for stored pairs. Surviving scores are bit-identical to the
-//!   exact table (asserted in-run against the pruned oracle);
-//! * **lsh** — banded-SimHash candidate generation: explicitly
-//!   approximate, so the run also reports its recall of at-threshold
-//!   pairs against the exact oracle.
+//!   exact table (asserted in-run against the pruned oracle).
 //!
 //! Each mode's [`PairCounts`] (channel cosines scored versus pruned) is
 //! recorded per tier — the same gauges `matchd` exposes on `/stats`.
@@ -40,7 +37,7 @@ use wiki_corpus::synthetic::SyntheticGenerator;
 use wiki_corpus::Language;
 use wiki_linalg::LsiConfig;
 use wiki_translate::TitleDictionary;
-use wikimatch::{candidate_recall, ComputeMode, DualSchema, PairCounts, SimilarityTable};
+use wikimatch::{ComputeMode, DualSchema, PairCounts, SimilarityTable};
 
 /// One compute mode's measurements at one tier.
 #[derive(serde::Serialize)]
@@ -61,9 +58,7 @@ struct TierResult {
     threshold: f64,
     pruned: ModeResult,
     filtered: ModeResult,
-    lsh: ModeResult,
     filtered_speedup: f64,
-    lsh_recall: f64,
 }
 
 /// The whole run, as checked in at the repo root.
@@ -121,10 +116,6 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
 
     let threshold = ComputeMode::DEFAULT_FILTER_THRESHOLD;
     let filtered_mode = ComputeMode::filtered(threshold);
-    let lsh_mode = ComputeMode::lsh(
-        ComputeMode::DEFAULT_LSH_BANDS,
-        ComputeMode::DEFAULT_LSH_ROWS,
-    );
     let lsi = LsiConfig::default();
 
     let (pruned_ms, (oracle, oracle_counts)) = time_best(runs, || {
@@ -132,9 +123,6 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
     });
     let (filtered_ms, (filtered, filtered_counts)) = time_best(runs, || {
         SimilarityTable::compute_counted(&schema, lsi, filtered_mode)
-    });
-    let (lsh_ms, (lsh, lsh_counts)) = time_best(runs, || {
-        SimilarityTable::compute_counted(&schema, lsi, lsh_mode)
     });
 
     // The filtered table must be a *correct* shortcut: every stored pair
@@ -147,17 +135,14 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
         assert_eq!(pair.lsim.to_bits(), exact.lsim.to_bits(), "lsim diverged");
         assert_eq!(pair.lsi.to_bits(), exact.lsi.to_bits(), "lsi diverged");
     }
-    let lsh_recall = candidate_recall(&oracle, &lsh, threshold);
 
     TierResult {
         tier: tier.to_string(),
         attribute_groups: n,
         threshold,
         filtered_speedup: pruned_ms / filtered_ms.max(1e-9),
-        lsh_recall,
         pruned: mode_result(ComputeMode::Pruned, pruned_ms, oracle_counts, &oracle),
         filtered: mode_result(filtered_mode, filtered_ms, filtered_counts, &filtered),
-        lsh: mode_result(lsh_mode, lsh_ms, lsh_counts, &lsh),
     }
 }
 
@@ -222,10 +207,8 @@ fn main() {
         "attrs",
         "pruned ms",
         "filtered ms",
-        "lsh ms",
         "speedup",
         "pruned %",
-        "lsh recall",
     ]
     .iter()
     .map(ToString::to_string)
@@ -239,17 +222,15 @@ fn main() {
                 r.attribute_groups.to_string(),
                 f2(r.pruned.build_ms),
                 f2(r.filtered.build_ms),
-                f2(r.lsh.build_ms),
                 format!("{}x", f2(r.filtered_speedup)),
                 format!(
                     "{:.1}",
                     100.0 * r.filtered.pairs_pruned as f64 / total as f64
                 ),
-                f2(r.lsh_recall),
             ]
         })
         .collect();
-    println!("=== Candidate frontier — exact vs filtered vs LSH builds (Pt-En film) ===");
+    println!("=== Candidate frontier — exact vs filtered builds (Pt-En film) ===");
     println!("{}", format_table(&header, &rows));
 
     let report = Report {
@@ -258,8 +239,7 @@ fn main() {
         note: "single-core (taskset -c 0) full SimilarityTable builds of the Pt-En film \
                schema; filtered = bound-filtered sparse table at the default threshold \
                (surviving scores asserted bit-identical to the exact oracle in-run); \
-               lsh = banded-SimHash candidates with recall of at-threshold pairs vs the \
-               oracle; pairs_scored/pairs_pruned are the /stats gauges"
+               pairs_scored/pairs_pruned are the /stats gauges"
             .to_string(),
         runs,
         tiers: results,

@@ -1,11 +1,9 @@
 //! The corpus-scoped matching session: [`MatchEngine`] and the pluggable
 //! [`SchemaMatcher`] trait.
 //!
-//! The one-shot entry points on [`WikiMatch`] rebuild the
-//! bilingual [`TitleDictionary`] from the whole corpus for *every* entity
-//! type they touch. [`MatchEngine`] inverts that: it is built **once per
-//! dataset**, precomputing the title dictionary up front (and the
-//! entity-type correspondences on first access), and caches the per-type
+//! [`MatchEngine`] is built **once per dataset**: it precomputes the
+//! bilingual [`TitleDictionary`] up front (and the entity-type
+//! correspondences on first access), and caches the per-type
 //! [`DualSchema`] / [`SimilarityTable`] artifacts the first time a type is
 //! requested. Every subsequent request — another alignment of the same
 //! type, a different matcher over the same type, an evaluation sweep —
@@ -137,8 +135,8 @@ pub struct PreparedType {
     /// The inverted candidate index over the schema's value and link terms
     /// (the pruning structure of [`ComputeMode::Pruned`]); persisted with
     /// the other artifacts by [`crate::snapshot`]. `None` when the table
-    /// was built by a sparse mode (`Filtered` / `Lsh`), which probes its
-    /// own transient structures and never patches or snapshots.
+    /// was built by the sparse `Filtered` mode, which probes its own
+    /// transient structures and never patches or snapshots.
     pub index: Option<Arc<CandidateIndex>>,
     /// The type's interned vocabulary (shared with
     /// [`DualSchema::arena`](crate::DualSchema::arena) — exposed here so
@@ -211,7 +209,7 @@ pub struct EngineStats {
     pub rows_recomputed: u64,
     /// Direct-channel cosine evaluations performed by full table builds,
     /// cumulatively across the session (two per unordered pair under
-    /// [`ComputeMode::Dense`]; fewer under the pruned / filtered / LSH
+    /// [`ComputeMode::Dense`]; fewer under the pruned / filtered
     /// candidate generators). Together with
     /// [`pairs_pruned`](Self::pairs_pruned) this measures how much of the
     /// quadratic frontier the active mode actually walks.
@@ -316,12 +314,11 @@ impl MatchEngineBuilder {
     /// single-threaded all-pairs reference pass, which produces
     /// bit-identical tables (and is pinned to do so by tests).
     ///
-    /// [`ComputeMode::Filtered`] and [`ComputeMode::Lsh`] build **sparse**
-    /// tables (see [`crate::filter`] and [`crate::lsh`]): stored scores
-    /// stay bit-identical to the dense pass, but sub-threshold (or, under
-    /// LSH, missed) pairs are absent. Sparse sessions trade the exactness
-    /// contracts away: snapshot capture is refused and corpus deltas drop
-    /// the caches for lazy rebuild instead of patching.
+    /// [`ComputeMode::Filtered`] builds **sparse** tables (see
+    /// [`crate::filter`]): stored scores stay bit-identical to the dense
+    /// pass, but sub-threshold pairs are absent. Sparse sessions trade the
+    /// exactness contracts away: snapshot capture is refused and corpus
+    /// deltas drop the caches for lazy rebuild instead of patching.
     pub fn compute_mode(mut self, mode: ComputeMode) -> Self {
         self.compute_mode = mode;
         self
@@ -382,7 +379,7 @@ impl MatchEngineBuilder {
     ) -> Result<MatchEngine, SnapshotError> {
         // A snapshot holds exact-mode artifacts; adopting them into a
         // sparse-mode session would serve dense tables where the session
-        // contract promises filtered / LSH ones.
+        // contract promises filtered ones.
         if !self.compute_mode.is_exact() {
             return Err(SnapshotError::InexactMode(self.compute_mode.to_string()));
         }
@@ -747,7 +744,7 @@ impl MatchEngine {
         );
         dictionary_span.finish();
         if !self.compute_mode.is_exact() {
-            // Sparse tables (filtered / LSH) cannot be patched: the patch
+            // Sparse (filtered) tables cannot be patched: the patch
             // contract is "bit-identical to a cold rebuild", and a sparse
             // table's membership depends on global state a row-level patch
             // does not see. Swap in the mutated corpus and drop the caches —

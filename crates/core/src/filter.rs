@@ -121,7 +121,7 @@ impl VariantStats {
 /// dense); `terms_of` must push each of attribute `a`'s distinct ids once.
 ///
 /// Returns the surviving `(p, q)` pairs, `p < q`, unsorted.
-pub(crate) fn probe_channel(
+fn probe_channel(
     n: usize,
     n_terms: usize,
     mut terms_of: impl FnMut(usize, &mut Vec<u32>),
@@ -160,7 +160,7 @@ pub(crate) fn probe_channel(
 
 /// Merges two `(p, q)`-pair lists into the sorted union, tagging each pair
 /// with which list(s) it came from.
-pub(crate) fn merge_pair_lists(
+fn merge_pair_lists(
     mut first: Vec<(u32, u32)>,
     mut second: Vec<(u32, u32)>,
 ) -> Vec<(u32, u32, bool, bool)> {

@@ -66,17 +66,6 @@
 //! assert!(!pairs.is_empty());
 //! ```
 //!
-//! ## Deprecation path
-//!
-//! Before 0.2 the crate exposed one-shot calls on [`WikiMatch`]
-//! (`align_type`, `align_all`, `prepare_type`, `match_types`) that rebuilt
-//! the title dictionary from the whole corpus on every call. They remain as
-//! deprecated shims — `align_all` routes through a throwaway
-//! [`MatchEngine`] (so it already amortizes the dictionary across types);
-//! the single-type calls keep the old per-call behavior — and will be
-//! removed one release after 0.2; migrate by holding a `MatchEngine`
-//! wherever a `Dataset` is repeatedly matched.
-//!
 //! ## Module map
 //!
 //! * [`engine`] — the [`MatchEngine`] session and the [`SchemaMatcher`]
@@ -90,15 +79,12 @@
 //! * [`filter`] — threshold-filtered sparse similarity build behind
 //!   `ComputeMode::Filtered` (provable weight-mass upper bounds in the
 //!   style of the similarity-join prefix/length filters).
-//! * [`lsh`] — banded SimHash candidate generation behind
-//!   `ComputeMode::Lsh` (explicitly approximate; recall is measured
-//!   against the exact oracle, never assumed).
 //! * [`mod@matches`] — match clusters (synonym sets spanning both languages).
 //! * [`alignment`] — the `AttributeAlignment`, `IntegrateMatches` and
 //!   `ReviseUncertain` algorithms (Algorithms 1 and 2 of the paper).
 //! * [`types`] — cross-language entity-type matching (Section 3.1).
 //! * [`pipeline`] — [`TypeAlignment`] results and the [`WikiMatch`]
-//!   configuration holder (plus the deprecated one-shot entry points).
+//!   configuration holder.
 //! * [`snapshot`] — versioned binary persistence of engine artifacts
 //!   ([`EngineSnapshot`]), enabling zero-rebuild warm starts, plus the
 //!   journaled delta log ([`DeltaJournal`]) that lets mutated corpora
@@ -122,7 +108,6 @@ pub mod delta;
 pub mod direct;
 pub mod engine;
 pub mod filter;
-pub mod lsh;
 pub mod matches;
 pub mod mmap;
 pub mod pipeline;
@@ -141,7 +126,6 @@ pub use pipeline::{TypeAlignment, WikiMatch};
 // `schema::CandidateIndex` / `schema::PairSet` are deliberately not
 // re-exported here: they are pruning machinery consumed by the similarity
 // build, reachable for the curious but outside the headline API surface.
-pub use lsh::candidate_recall;
 pub use mmap::MappedRegion;
 pub use schema::{AttributeStats, DualSchema};
 pub use similarity::{

@@ -1,26 +1,21 @@
-//! The WikiMatch matcher configuration holder and the legacy one-shot
-//! pipeline entry points.
+//! The WikiMatch matcher configuration holder and the per-type alignment
+//! result.
 //!
 //! [`WikiMatch`] carries the configuration and implements
 //! [`SchemaMatcher`](crate::SchemaMatcher), which makes it one plugin among
 //! the baselines. Sessions over a dataset — including the precomputation of
 //! the title dictionary and the per-type schema caches — live in
-//! [`MatchEngine`]; the one-shot methods on `WikiMatch`
-//! (`align_type`, `align_all`, `prepare_type`, `match_types`) are kept as
-//! deprecated shims that build a throwaway engine per call.
+//! [`MatchEngine`](crate::MatchEngine), which returns a [`TypeAlignment`]
+//! per aligned type.
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
-use wiki_corpus::{Dataset, Language, TypePairing};
+use wiki_corpus::Language;
 
 use crate::config::WikiMatchConfig;
-use crate::engine::MatchEngine;
 use crate::matches::MatchSet;
 use crate::schema::DualSchema;
 use crate::similarity::SimilarityTable;
-use crate::types::TypeMatch;
 
 /// The result of aligning one entity type.
 ///
@@ -61,34 +56,6 @@ impl TypeAlignment {
     }
 }
 
-/// A serialisable summary of a type alignment (used by the experiment
-/// harness to persist results).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AlignmentSummary {
-    /// Type identifier.
-    pub type_id: String,
-    /// Number of dual-language infoboxes.
-    pub dual_infoboxes: usize,
-    /// Number of attribute groups in the dual schema.
-    pub attributes: usize,
-    /// Number of match clusters.
-    pub clusters: usize,
-    /// Derived cross-language pairs.
-    pub cross_pairs: Vec<(String, String)>,
-}
-
-impl From<&TypeAlignment> for AlignmentSummary {
-    fn from(alignment: &TypeAlignment) -> Self {
-        Self {
-            type_id: alignment.type_id.clone(),
-            dual_infoboxes: alignment.schema.dual_count,
-            attributes: alignment.schema.len(),
-            clusters: alignment.matches.len(),
-            cross_pairs: alignment.cross_pairs(),
-        }
-    }
-}
-
 /// The WikiMatch matcher: the paper's configuration plus the
 /// [`SchemaMatcher`](crate::SchemaMatcher) implementation.
 ///
@@ -111,102 +78,24 @@ impl WikiMatch {
     pub fn config(&self) -> &WikiMatchConfig {
         &self.config
     }
-
-    /// Step 1: discover the entity-type correspondences of the dataset's
-    /// language pair from cross-language links.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a MatchEngine and use MatchEngine::type_matches, which computes them once per dataset"
-    )]
-    pub fn match_types(&self, dataset: &Dataset) -> Vec<TypeMatch> {
-        // Type matching needs neither the dictionary nor the caches, so the
-        // shim skips the engine and calls the discovery step directly.
-        crate::types::match_entity_types(
-            &dataset.corpus,
-            dataset.other_language(),
-            dataset.english(),
-        )
-    }
-
-    /// Builds the dual-language schema and similarity table for one type
-    /// pairing, from the pairing's own labels — the pre-0.2 code path,
-    /// kept verbatim (including the per-call dictionary rebuild, which is
-    /// why it is deprecated).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MatchEngine::schema / MatchEngine::similarity, which share one title dictionary across all types"
-    )]
-    pub fn prepare_type(
-        &self,
-        dataset: &Dataset,
-        pairing: &TypePairing,
-    ) -> (DualSchema, SimilarityTable) {
-        let dictionary = wiki_translate::TitleDictionary::from_corpus(
-            &dataset.corpus,
-            dataset.other_language(),
-            dataset.english(),
-        );
-        let schema = DualSchema::build(
-            &dataset.corpus,
-            dataset.other_language(),
-            &pairing.label_other,
-            &pairing.label_en,
-            &dictionary,
-        );
-        let table = SimilarityTable::compute(&schema, self.config.lsi);
-        (schema, table)
-    }
-
-    /// Aligns the attributes of one entity type (one-shot, clone-free).
-    #[deprecated(since = "0.2.0", note = "use MatchEngine::align")]
-    pub fn align_type(&self, dataset: &Dataset, pairing: &TypePairing) -> TypeAlignment {
-        #[allow(deprecated)]
-        let (schema, table) = self.prepare_type(dataset, pairing);
-        let matches = crate::alignment::AttributeAlignment::new(&schema, &table, self.config).run();
-        TypeAlignment {
-            type_id: pairing.type_id.clone(),
-            schema: Arc::new(schema),
-            table: Arc::new(table),
-            matches,
-            languages: dataset.languages.clone(),
-        }
-    }
-
-    /// Aligns every entity type of the dataset.
-    ///
-    /// Routes through a throwaway [`MatchEngine`] session: the one dataset
-    /// clone buys a single dictionary build shared by all types plus
-    /// parallel per-type alignment — strictly cheaper than the pre-0.2
-    /// body, which rebuilt the dictionary for every type.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MatchEngine::align_all, which amortizes the dictionary and parallelizes per-type alignment"
-    )]
-    pub fn align_all(&self, dataset: &Dataset) -> Vec<TypeAlignment> {
-        MatchEngine::builder(dataset.clone())
-            .config(self.config)
-            .build()
-            .align_all()
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must stay behavior-identical for one release
 mod tests {
     use super::*;
-    use wiki_corpus::SyntheticConfig;
+    use crate::engine::MatchEngine;
+    use wiki_corpus::{Dataset, SyntheticConfig};
 
-    fn dataset() -> Dataset {
-        Dataset::pt_en(&SyntheticConfig::tiny())
+    fn engine() -> MatchEngine {
+        MatchEngine::builder(Dataset::pt_en(&SyntheticConfig::tiny())).build()
     }
 
     #[test]
     fn type_matching_recovers_the_catalog_pairings() {
-        let dataset = dataset();
-        let matcher = WikiMatch::default();
-        let type_matches = matcher.match_types(&dataset);
+        let engine = engine();
+        let type_matches = engine.type_matches();
         // Every catalog pairing should be recovered by majority voting.
-        for pairing in &dataset.types {
+        for pairing in &engine.dataset().types {
             let found = type_matches
                 .iter()
                 .find(|m| m.label_a == pairing.label_other)
@@ -221,10 +110,7 @@ mod tests {
 
     #[test]
     fn film_alignment_contains_expected_pairs() {
-        let dataset = dataset();
-        let matcher = WikiMatch::default();
-        let pairing = dataset.type_pairing("film").unwrap();
-        let alignment = matcher.align_type(&dataset, pairing);
+        let alignment = engine().align("film").unwrap();
         let pairs = alignment.cross_pairs();
         assert!(
             pairs.contains(&("direcao".to_string(), "directed by".to_string())),
@@ -238,49 +124,6 @@ mod tests {
         for (pt, en) in &pairs {
             assert!(alignment.schema.index_of(&Language::Pt, pt).is_some());
             assert!(alignment.schema.index_of(&Language::En, en).is_some());
-        }
-    }
-
-    #[test]
-    fn prepare_type_honours_caller_constructed_pairings() {
-        let dataset = dataset();
-        let matcher = WikiMatch::default();
-        // A pairing the dataset does not list: same labels, custom type id.
-        let film = dataset.type_pairing("film").unwrap();
-        let custom = TypePairing {
-            type_id: "my custom film".to_string(),
-            label_other: film.label_other.clone(),
-            label_en: film.label_en.clone(),
-        };
-        let (custom_schema, _) = matcher.prepare_type(&dataset, &custom);
-        let (dataset_schema, _) = matcher.prepare_type(&dataset, film);
-        // Built from the pairing's own labels, not looked up by id.
-        assert_eq!(custom_schema, dataset_schema);
-        let alignment = matcher.align_type(&dataset, &custom);
-        assert_eq!(alignment.type_id, "my custom film");
-        assert!(!alignment.cross_pairs().is_empty());
-    }
-
-    #[test]
-    fn alignment_summary_serialises() {
-        let dataset = dataset();
-        let matcher = WikiMatch::default();
-        let alignment = matcher.align_type(&dataset, dataset.type_pairing("actor").unwrap());
-        let summary = AlignmentSummary::from(&alignment);
-        assert_eq!(summary.type_id, "actor");
-        assert!(summary.dual_infoboxes > 0);
-        let json = serde_json::to_string(&summary).unwrap();
-        assert!(json.contains("cross_pairs"));
-    }
-
-    #[test]
-    fn align_all_covers_every_type() {
-        let dataset = Dataset::vn_en(&SyntheticConfig::tiny());
-        let matcher = WikiMatch::default();
-        let alignments = matcher.align_all(&dataset);
-        assert_eq!(alignments.len(), 4);
-        for alignment in &alignments {
-            assert!(alignment.schema.dual_count > 0, "{}", alignment.type_id);
         }
     }
 }

@@ -30,11 +30,11 @@ use crate::schema::{CandidateIndex, DualSchema};
 ///
 /// The two *exact* modes (`Pruned`, `Dense`) produce **bit-identical**
 /// tables (pinned by the `pruned_table_is_byte_identical_to_dense` tests);
-/// they differ only in how much work they do per pair. The two additional
-/// modes relax completeness — not accuracy — for scale: every score they
-/// *do* store is still produced by the exact same float operations as the
-/// dense pass, but sub-threshold (`Filtered`) or un-generated (`Lsh`) pairs
-/// are dropped from the table.
+/// they differ only in how much work they do per pair. The sparse
+/// `Filtered` mode relaxes completeness — not accuracy — for scale: every
+/// score it *does* store is still produced by the exact same float
+/// operations as the dense pass, but sub-threshold pairs are dropped from
+/// the table.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ComputeMode {
     /// Candidate-pruned, parallel build (the default): a
@@ -61,19 +61,6 @@ pub enum ComputeMode {
         /// validated finite and in `(0, 1]` by every public constructor.
         threshold: f64,
     },
-    /// Banded SimHash LSH candidate generation (see [`crate::lsh`]):
-    /// **explicitly approximate**. Value-channel candidates come from
-    /// signature banding and can miss true pairs (recall is measured, not
-    /// guaranteed); the pairs that are generated carry exact,
-    /// bit-identical scores. Rejected wherever exactness is contractual
-    /// (snapshot capture, delta patching).
-    Lsh {
-        /// Number of signature bands compared independently.
-        bands: u32,
-        /// Signature bits per band; `bands * rows` must not exceed the
-        /// 64-bit signature width.
-        rows: u32,
-    },
 }
 
 // `PartialEq` is derived, so `Eq` only needs the no-NaN promise for the
@@ -84,10 +71,6 @@ impl Eq for ComputeMode {}
 impl ComputeMode {
     /// Threshold used by a bare `"filtered"` mode string.
     pub const DEFAULT_FILTER_THRESHOLD: f64 = 0.6;
-    /// Band count used by a bare `"lsh"` mode string.
-    pub const DEFAULT_LSH_BANDS: u32 = 16;
-    /// Rows (signature bits) per band used by a bare `"lsh"` mode string.
-    pub const DEFAULT_LSH_ROWS: u32 = 4;
 
     /// The threshold-filtered mode.
     ///
@@ -103,22 +86,9 @@ impl ComputeMode {
         ComputeMode::Filtered { threshold }
     }
 
-    /// The banded-LSH mode.
-    ///
-    /// # Panics
-    /// When either parameter is zero or `bands * rows` exceeds the 64-bit
-    /// signature width.
-    pub fn lsh(bands: u32, rows: u32) -> Self {
-        assert!(
-            bands >= 1 && rows >= 1 && bands.saturating_mul(rows) <= 64,
-            "lsh needs bands, rows >= 1 and bands * rows <= 64, got {bands}x{rows}"
-        );
-        ComputeMode::Lsh { bands, rows }
-    }
-
     /// True for the modes whose tables are bit-identical to `Dense` on
     /// **every** pair. Snapshot capture and delta patching require an
-    /// exact mode; the sparse modes trade completeness for scale.
+    /// exact mode; the sparse mode trades completeness for scale.
     pub fn is_exact(self) -> bool {
         matches!(self, ComputeMode::Pruned | ComputeMode::Dense)
     }
@@ -130,7 +100,6 @@ impl std::fmt::Display for ComputeMode {
             ComputeMode::Pruned => f.write_str("pruned"),
             ComputeMode::Dense => f.write_str("dense"),
             ComputeMode::Filtered { threshold } => write!(f, "filtered:{threshold}"),
-            ComputeMode::Lsh { bands, rows } => write!(f, "lsh:{bands}x{rows}"),
         }
     }
 }
@@ -143,9 +112,8 @@ impl std::fmt::Display for ParseComputeModeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown compute mode {:?}; expected \"pruned\", \"dense\", \
-             \"filtered[:T]\" with T finite in (0, 1], or \"lsh[:BxR]\" \
-             with B, R >= 1 and B*R <= 64",
+            "unknown compute mode {:?}; expected \"pruned\", \"dense\" \
+             or \"filtered[:T]\" with T finite in (0, 1]",
             self.0
         )
     }
@@ -156,10 +124,10 @@ impl std::error::Error for ParseComputeModeError {}
 impl std::str::FromStr for ComputeMode {
     type Err = ParseComputeModeError;
 
-    /// Parses `"pruned"` / `"dense"` / `"filtered[:T]"` / `"lsh[:BxR]"`
-    /// (case-insensitive, also accepting the capitalised variant names),
-    /// so the mode can be set from `matchd` configuration and bench CLI
-    /// flags. Bare `"filtered"` and `"lsh"` use the `DEFAULT_*` constants.
+    /// Parses `"pruned"` / `"dense"` / `"filtered[:T]"` (case-insensitive,
+    /// also accepting the capitalised variant names), so the mode can be
+    /// set from `matchd` configuration and bench CLI flags. Bare
+    /// `"filtered"` uses [`DEFAULT_FILTER_THRESHOLD`](Self::DEFAULT_FILTER_THRESHOLD).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.trim().to_ascii_lowercase();
         let err = || ParseComputeModeError(s.to_string());
@@ -173,23 +141,6 @@ impl std::str::FromStr for ComputeMode {
                 return Err(err());
             }
             return Ok(ComputeMode::Filtered { threshold });
-        }
-        if let Some(rest) = lower.strip_prefix("lsh") {
-            let (bands, rows) = match rest.strip_prefix(':') {
-                Some(spec) => {
-                    let (bands, rows) = spec.split_once('x').ok_or_else(err)?;
-                    (
-                        bands.parse::<u32>().map_err(|_| err())?,
-                        rows.parse::<u32>().map_err(|_| err())?,
-                    )
-                }
-                None if rest.is_empty() => (Self::DEFAULT_LSH_BANDS, Self::DEFAULT_LSH_ROWS),
-                None => return Err(err()),
-            };
-            if bands == 0 || rows == 0 || bands.saturating_mul(rows) > 64 {
-                return Err(err());
-            }
-            return Ok(ComputeMode::Lsh { bands, rows });
         }
         match lower.as_str() {
             "pruned" => Ok(ComputeMode::Pruned),
@@ -220,7 +171,7 @@ impl Deserialize for ComputeMode {
 }
 
 /// Tally of direct-channel cosine evaluations a similarity-table build
-/// performed versus provably (or, under LSH, heuristically) avoided.
+/// performed versus provably avoided.
 ///
 /// The dense pass evaluates `n·(n-1)` channel cosines for `n` attributes
 /// (one value + one link cosine per unordered pair); `scored + pruned`
@@ -229,8 +180,8 @@ impl Deserialize for ComputeMode {
 pub struct PairCounts {
     /// Channel cosines actually evaluated.
     pub scored: u64,
-    /// Channel cosines skipped — via an exact zero certificate (`Pruned`),
-    /// a sound upper bound (`Filtered`), or absent candidates (`Lsh`).
+    /// Channel cosines skipped — via an exact zero certificate (`Pruned`)
+    /// or a sound upper bound (`Filtered`).
     pub pruned: u64,
 }
 
@@ -316,7 +267,7 @@ pub struct SimilarityTable {
     len: usize,
     /// True when the store holds **every** unordered pair in lexicographic
     /// order, so [`pair`](Self::pair) can use O(1) index arithmetic;
-    /// sparse (filtered / LSH) tables binary-search instead. Mapped tables
+    /// sparse (filtered) tables binary-search instead. Mapped tables
     /// are always dense — only exact-mode artifacts are persisted.
     dense_layout: bool,
 }
@@ -355,10 +306,6 @@ impl SimilarityTable {
             ComputeMode::Filtered { threshold } => {
                 let _span = wiki_obs::Span::enter("similarity_filtered");
                 crate::filter::compute_filtered(schema, lsi_config, threshold)
-            }
-            ComputeMode::Lsh { bands, rows } => {
-                let _span = wiki_obs::Span::enter("similarity_lsh");
-                crate::lsh::compute_lsh(schema, lsi_config, bands, rows)
             }
         }
     }
@@ -702,8 +649,8 @@ impl SimilarityTable {
     }
 
     /// The candidate pair for `(p, q)` (order-insensitive). In a sparse
-    /// table `None` means the pair was filtered out (or, under LSH, never
-    /// generated) — no evidence, not evidence of zero.
+    /// table `None` means the pair was filtered out — no evidence, not
+    /// evidence of zero.
     pub fn pair(&self, p: usize, q: usize) -> Option<&CandidatePair> {
         if p == q {
             return None;
@@ -1089,37 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn lsh_table_scores_are_bit_identical_where_present() {
-        let (schema, _) = schema_and_table();
-        let dense = SimilarityTable::compute_dense(&schema, LsiConfig::default());
-        let (lsh, counts) = SimilarityTable::compute_counted(
-            &schema,
-            LsiConfig::default(),
-            ComputeMode::lsh(16, 4),
-        );
-        assert_eq!(
-            counts.scored + counts.pruned,
-            (schema.len() * (schema.len() - 1)) as u64
-        );
-        // Approximate *candidate generation*, exact scoring: whatever LSH
-        // stores must carry the oracle's bits.
-        assert!(!lsh.pairs().is_empty());
-        for pair in lsh.pairs() {
-            let d = dense.pair(pair.p, pair.q).unwrap();
-            assert_eq!(pair.vsim.to_bits(), d.vsim.to_bits());
-            assert_eq!(pair.lsim.to_bits(), d.lsim.to_bits());
-            assert_eq!(pair.lsi.to_bits(), d.lsi.to_bits());
-        }
-        // The link channel uses an exact shared-term probe, so no pair
-        // with non-zero lsim can be missing.
-        for d in dense.pairs() {
-            if d.lsim > 0.0 {
-                assert!(lsh.pair(d.p, d.q).is_some(), "lsim pair ({}, {})", d.p, d.q);
-            }
-        }
-    }
-
-    #[test]
     fn packed_patterns_match_boolean_co_occurrence() {
         let (schema, _) = schema_and_table();
         let bits = pack_occurrence_patterns(&schema);
@@ -1138,8 +1054,6 @@ mod tests {
             (ComputeMode::Dense, "dense"),
             (ComputeMode::filtered(0.6), "filtered:0.6"),
             (ComputeMode::filtered(0.25), "filtered:0.25"),
-            (ComputeMode::lsh(16, 4), "lsh:16x4"),
-            (ComputeMode::lsh(8, 8), "lsh:8x8"),
         ] {
             // Display / FromStr.
             assert_eq!(mode.to_string(), text);
@@ -1164,13 +1078,6 @@ mod tests {
             "filtered".parse::<ComputeMode>().unwrap(),
             ComputeMode::filtered(ComputeMode::DEFAULT_FILTER_THRESHOLD)
         );
-        assert_eq!(
-            "lsh".parse::<ComputeMode>().unwrap(),
-            ComputeMode::lsh(
-                ComputeMode::DEFAULT_LSH_BANDS,
-                ComputeMode::DEFAULT_LSH_ROWS
-            )
-        );
         // Invalid parameters are rejected, never constructed.
         for bad in [
             "filtered:0",
@@ -1179,13 +1086,9 @@ mod tests {
             "filtered:nan",
             "filtered:inf",
             "filtered:",
-            "lsh:0x4",
-            "lsh:16x0",
-            "lsh:16x5", // 80 signature bits > 64
-            "lsh:16",
-            "lsh:",
             "filteredx",
-            "lshy",
+            "lsh",
+            "lsh:16x4",
         ] {
             assert!(
                 bad.parse::<ComputeMode>().is_err(),
@@ -1196,7 +1099,6 @@ mod tests {
         assert!(ComputeMode::Pruned.is_exact());
         assert!(ComputeMode::Dense.is_exact());
         assert!(!ComputeMode::filtered(0.6).is_exact());
-        assert!(!ComputeMode::lsh(16, 4).is_exact());
     }
 
     #[test]

@@ -138,11 +138,10 @@ pub enum SnapshotError {
         /// Checksum recorded in the header.
         expected: u64,
     },
-    /// The engine runs a sparse / approximate compute mode
-    /// (`filtered` / `lsh`) whose artifacts do not satisfy the snapshot
-    /// contract — a restored snapshot must be bit-identical to a cold
-    /// rebuild, and a sparse table's membership is not. The payload names
-    /// the offending mode.
+    /// The engine runs the sparse compute mode (`filtered`), whose
+    /// artifacts do not satisfy the snapshot contract — a restored
+    /// snapshot must be bit-identical to a cold rebuild, and a sparse
+    /// table's membership is not. The payload names the offending mode.
     InexactMode(String),
     /// The file ends before the length its header (or a length prefix
     /// inside the payload) promises.
@@ -870,7 +869,7 @@ impl EngineSnapshot {
     /// a fully warmed session.
     ///
     /// Fails with [`SnapshotError::InexactMode`] when the engine runs a
-    /// sparse compute mode (`filtered` / `lsh`): those tables drop pairs by
+    /// sparse compute mode (`filtered`): those tables drop pairs by
     /// design, so a snapshot of them could never honor the
     /// bit-identical-to-a-cold-rebuild restore contract.
     pub fn capture(engine: &MatchEngine) -> Result<Self, SnapshotError> {
@@ -1670,39 +1669,26 @@ mod tests {
     fn sparse_mode_engines_are_refused_by_capture_and_restore() {
         use crate::similarity::ComputeMode;
         let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
-        for mode in [
-            ComputeMode::filtered(0.5),
-            ComputeMode::lsh(
-                ComputeMode::DEFAULT_LSH_BANDS,
-                ComputeMode::DEFAULT_LSH_ROWS,
-            ),
-        ] {
-            let engine = MatchEngine::builder(dataset.clone())
+        let mode = ComputeMode::filtered(0.5);
+        let engine = MatchEngine::builder(dataset.clone())
+            .compute_mode(mode)
+            .build();
+        engine.align("film").unwrap();
+        assert!(matches!(
+            EngineSnapshot::capture(&engine),
+            Err(SnapshotError::InexactMode(_))
+        ));
+        // Restoring an exact snapshot into a sparse-mode session is
+        // refused for the same reason.
+        let exact = MatchEngine::new(dataset.clone());
+        exact.align("film").unwrap();
+        let snapshot = EngineSnapshot::capture(&exact).unwrap();
+        assert!(matches!(
+            MatchEngine::builder(dataset)
                 .compute_mode(mode)
-                .build();
-            engine.align("film").unwrap();
-            assert!(
-                matches!(
-                    EngineSnapshot::capture(&engine),
-                    Err(SnapshotError::InexactMode(_))
-                ),
-                "capture must refuse {mode}"
-            );
-            // Restoring an exact snapshot into a sparse-mode session is
-            // refused for the same reason.
-            let exact = MatchEngine::new(dataset.clone());
-            exact.align("film").unwrap();
-            let snapshot = EngineSnapshot::capture(&exact).unwrap();
-            assert!(
-                matches!(
-                    MatchEngine::builder(dataset.clone())
-                        .compute_mode(mode)
-                        .build_from_snapshot(snapshot),
-                    Err(SnapshotError::InexactMode(_))
-                ),
-                "restore must refuse {mode}"
-            );
-        }
+                .build_from_snapshot(snapshot),
+            Err(SnapshotError::InexactMode(_))
+        ));
     }
 
     #[test]

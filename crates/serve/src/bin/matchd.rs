@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! matchd [--addr 127.0.0.1:8743] [--workers N] [--queue N] [--capacity N]
-//!        [--mode pruned|dense|filtered[:T]|lsh[:BxR]]
+//!        [--mode pruned|filtered[:T]]
 //!        [--tiers tiny,small,medium,large,xlarge]
 //!        [--warm corpus[,corpus...]] [--snapshot-dir DIR] [--persist]
 //!        [--max-resident-mb N]
@@ -35,13 +35,12 @@ OPTIONS:
     --queue N          pending-connection queue bound (default 256)
     --capacity N       resident engine sessions in the LRU (default 4)
     --mode MODE        similarity compute mode (default pruned):
-                         pruned | dense           exact, snapshot-capable
+                         pruned                   exact, snapshot-capable
                          filtered[:T]             sparse table at score
                                                   threshold T (default 0.6);
                                                   exact scores, no snapshots
-                         lsh[:BxR]                approximate banded-SimHash
-                                                  candidates, B bands x R rows
-                                                  (default 16x4); no snapshots
+                       (dense, the all-pairs reference pass, is the test
+                       oracle and is refused here)
     --tiers LIST       comma-separated scale tiers to register
                        (default tiny,small,medium,large; xlarge available)
     --warm LIST        comma-separated corpus names to warm at startup
@@ -143,10 +142,15 @@ fn main() -> ExitCode {
                     .map(|n| capacity = n)
                     .map_err(|_| format!("bad --capacity {v:?}"))
             }),
-            "--mode" => value("--mode").and_then(|v| {
-                v.parse::<ComputeMode>()
-                    .map(|m| mode = m)
-                    .map_err(|e| e.to_string())
+            "--mode" => value("--mode").and_then(|v| match v.parse::<ComputeMode>() {
+                Ok(ComputeMode::Dense) => Err("--mode dense is the test oracle, not a serving \
+                                               mode; pruned builds the same exact tables"
+                    .to_string()),
+                Ok(m) => {
+                    mode = m;
+                    Ok(())
+                }
+                Err(e) => Err(e.to_string()),
             }),
             "--tiers" => value("--tiers").map(|v| tiers = v),
             "--warm" => value("--warm").map(|v| {

@@ -198,7 +198,7 @@ fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine, format: Snap
         if attempt > 1 {
             std::thread::sleep(backoff.next_delay());
         }
-        // Sparse-mode engines (`--mode filtered` / `--mode lsh`) refuse
+        // Sparse-mode engines (`--mode filtered`) refuse
         // capture: their registries simply run without a disk tier.
         let result = wiki_fault::check_io("registry.spill")
             .map_err(SnapshotError::Io)
@@ -1067,21 +1067,16 @@ impl Registry {
                 }
             }
         };
-        let mut built_here = false;
         let cached = Arc::clone(slot.get_or_init(|| {
-            built_here = true;
             entry.builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(self.build_corpus(&entry))
         }));
         self.touch(name);
-        if built_here {
-            self.enforce_capacity();
-        }
-        // The budget is enforced on every access, not just on builds:
-        // mapped sessions grow their materialized working set lazily as
-        // channels are touched, so a hit can tip the total over as surely
-        // as a build can.
-        self.enforce_budget();
+        // Limits are enforced on every access, not just on builds: mapped
+        // sessions grow their materialized working set lazily as channels
+        // are touched, so a hit can tip the total over as surely as a
+        // build can.
+        self.enforce_limits();
         Ok(cached)
     }
 
@@ -1336,85 +1331,47 @@ impl Registry {
         lru.last_used.insert(name.to_string(), tick);
     }
 
-    /// Evicts least-recently-used sessions until at most `capacity` are
-    /// resident. The victim is always the *global* oldest entry (ties
-    /// broken by name) — concurrent enforcers therefore agree on the same
-    /// victim instead of mutually evicting each other's fresh builds, and
-    /// the loop stops as soon as the count is back under capacity.
-    fn enforce_capacity(&self) {
-        loop {
-            let victim = {
-                let lru = recover(self.lru.lock());
-                if lru.last_used.len() <= self.capacity {
-                    return;
-                }
-                lru.last_used
-                    .iter()
-                    .min_by_key(|(name, &tick)| (tick, (*name).clone()))
-                    .map(|(name, _)| name.clone())
+    /// Evicts least-recently-used sessions while the registry is over a
+    /// limit. A resident session costs one LRU slot plus its materialized
+    /// `resident_bytes`: eviction runs while more than `capacity` slots are
+    /// taken, or, under a resident budget, while more than one session is
+    /// resident and their bytes exceed the budget (the floor of one keeps
+    /// the corpus just served). The victim is always the *global* oldest
+    /// slot by `(tick, name)`, so concurrent enforcers agree on it instead
+    /// of evicting each other's fresh builds; a slot whose session is gone
+    /// is just cleared. Spills run in the background: eviction happens on
+    /// a request worker serving some unrelated corpus.
+    fn enforce_limits(&self) {
+        let over_budget = || {
+            let Some(budget) = self.resident_budget else {
+                return false;
             };
-            match victim {
-                Some(name) => {
-                    // `evict_spilling` removes the LRU slot even when the
-                    // session is already gone, so every iteration shrinks
-                    // `last_used` — but drop the slot by hand if the corpus
-                    // itself has been unregistered, or the loop would never
-                    // progress. Spills run in the background: capacity
-                    // enforcement happens on a request worker serving some
-                    // unrelated corpus.
-                    if self.evict_spilling(&name, SpillMode::Background).is_err() {
-                        let mut lru = recover(self.lru.lock());
-                        lru.last_used.remove(&name);
-                    }
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Evicts least-recently-used sessions (dropping their maps — the disk
-    /// file already holds their artifacts) while the total *materialized*
-    /// bytes across resident sessions exceed the resident budget, keeping a
-    /// floor of one resident session so the corpus just served always
-    /// survives. No-op without a budget.
-    fn enforce_budget(&self) {
-        let Some(budget) = self.resident_budget else {
-            return;
+            let entries: Vec<Arc<CorpusEntry>> = recover(self.entries.read()).clone();
+            let bytes: Vec<u64> = entries
+                .iter()
+                .filter_map(|entry| entry.resident())
+                .map(|cached| cached.engine().stats().resident_bytes)
+                .collect();
+            bytes.len() > 1 && bytes.iter().sum::<u64>() > budget
         };
         loop {
-            let entries: Vec<Arc<CorpusEntry>> = recover(self.entries.read()).clone();
-            let mut resident: Vec<(String, u64)> = Vec::new();
-            for entry in &entries {
-                if let Some(cached) = entry.resident() {
-                    resident.push((
-                        entry.spec.name.clone(),
-                        cached.engine().stats().resident_bytes,
-                    ));
-                }
-            }
-            let total: u64 = resident.iter().map(|(_, bytes)| bytes).sum();
-            if resident.len() <= 1 || total <= budget {
+            let over_capacity = recover(self.lru.lock()).last_used.len() > self.capacity;
+            if !over_capacity && !over_budget() {
                 return;
             }
-            // Same victim rule as `enforce_capacity`: the global-oldest
-            // entry by (tick, name), so concurrent enforcers agree.
-            let victim = {
-                let lru = recover(self.lru.lock());
-                resident
-                    .iter()
-                    .min_by_key(|(name, _)| {
-                        (lru.last_used.get(name).copied().unwrap_or(0), name.clone())
-                    })
-                    .map(|(name, _)| name.clone())
+            let victim = recover(self.lru.lock())
+                .last_used
+                .iter()
+                .min_by_key(|&(name, &tick)| (tick, name))
+                .map(|(name, _)| name.clone());
+            let Some(name) = victim else {
+                return;
             };
-            match victim {
-                Some(name) => {
-                    if self.evict_spilling(&name, SpillMode::Background).is_err() {
-                        let mut lru = recover(self.lru.lock());
-                        lru.last_used.remove(&name);
-                    }
-                }
-                None => return,
+            // `evict_spilling` clears the slot even when no session is
+            // resident; a corpus that has since been unregistered is
+            // cleared by hand, so every iteration shrinks `last_used`.
+            if self.evict_spilling(&name, SpillMode::Background).is_err() {
+                recover(self.lru.lock()).last_used.remove(&name);
             }
         }
     }
@@ -2061,6 +2018,68 @@ mod tests {
         let restored = registry.corpus("a").unwrap();
         assert_eq!(restored.engine().stats().artifact_builds, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_budgeted_registry_whose_capacity_binds_evicts_the_global_oldest() {
+        let dir = snapshot_dir("capacity-binds");
+        // A budget no tiny corpus can reach: only the slot count binds.
+        let registry = registry_with(&["a", "b", "c"], 2)
+            .with_snapshot_dir(&dir)
+            .with_resident_budget_mb(1024);
+        let residents = |registry: &Registry| -> Vec<(String, bool, u64)> {
+            registry
+                .stats()
+                .corpora
+                .into_iter()
+                .map(|c| (c.name, c.resident, c.evictions))
+                .collect()
+        };
+        registry.corpus("a").unwrap();
+        registry.corpus("b").unwrap();
+        registry.corpus("a").unwrap(); // refresh "a"; "b" is now oldest
+        registry.corpus("c").unwrap(); // evicts "b"
+        assert_eq!(
+            residents(&registry),
+            [
+                ("a".to_string(), true, 0),
+                ("b".to_string(), false, 1),
+                ("c".to_string(), true, 0),
+            ]
+        );
+        registry.corpus("b").unwrap(); // evicts "a", now the oldest
+        assert_eq!(
+            residents(&registry),
+            [
+                ("a".to_string(), false, 1),
+                ("b".to_string(), true, 1),
+                ("c".to_string(), true, 0),
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cache_hit_clears_a_stale_lru_slot_and_evicts_no_resident() {
+        let registry = registry_with(&["a", "b", "c"], 2);
+        registry.corpus("a").unwrap();
+        registry.corpus("b").unwrap();
+        // A slot with no resident session behind it (a touch racing an
+        // evict can leave one), at the oldest tick: three slots now count
+        // against a capacity of two.
+        recover(registry.lru.lock())
+            .last_used
+            .insert("c".to_string(), 0);
+        registry.corpus("b").unwrap(); // a cache hit, no build
+        let stats = registry.stats();
+        assert_eq!(stats.resident, 2);
+        assert!(
+            stats.corpora.iter().all(|c| c.evictions == 0),
+            "a resident session was evicted: {stats:?}"
+        );
+        let lru = recover(registry.lru.lock());
+        assert!(!lru.last_used.contains_key("c"), "the stale slot survived");
+        assert_eq!(lru.last_used.len(), 2);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! with more bad requests than it has workers; if any of them killed a
 //! thread, the healthy requests at the end would hang or fail.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use wiki_corpus::{Language, SyntheticConfig};
@@ -156,4 +157,37 @@ fn broken_framing_is_rejected_without_hanging_the_pool() {
     assert_eq!(health.status, "ok");
     drop(stream);
     server.shutdown();
+}
+
+/// `matchd --mode` serves only `pruned` and `filtered[:T]`: `dense` is the
+/// test oracle and `lsh` is no compute mode. Both are refused while the
+/// flags are parsed, so the daemon exits non-zero before binding a port.
+#[test]
+fn matchd_refuses_dense_and_lsh_modes_before_binding() {
+    for (mode, reason) in [
+        ("dense", "--mode dense is the test oracle"),
+        ("lsh", "unknown compute mode \"lsh\""),
+        ("lsh:16x4", "unknown compute mode \"lsh:16x4\""),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_matchd"))
+            .args(["--addr", "127.0.0.1:0", "--tiers", "tiny", "--mode", mode])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("matchd spawns");
+        let mut stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+        let mut first = String::new();
+        stderr.read_line(&mut first).expect("stderr reads");
+        if first.contains("listening on") {
+            child.kill().expect("a serving matchd can be killed");
+            child.wait().expect("matchd is reaped");
+            panic!("--mode {mode} was served: {first}");
+        }
+        stderr
+            .read_to_string(&mut String::new())
+            .expect("stderr drains");
+        let status = child.wait().expect("matchd exits");
+        assert!(!status.success(), "--mode {mode} exited 0");
+        assert!(first.contains(reason), "--mode {mode}: {first}");
+    }
 }

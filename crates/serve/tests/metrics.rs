@@ -301,6 +301,12 @@ fn access_log_lines_carry_endpoint_corpus_and_segments() {
         )
         .expect("align request");
     assert!(response.is_success(), "{}", response.body);
+    // The worker writes the response before it logs the request, so the
+    // align line may not exist yet. A second request on the same
+    // keep-alive connection is served by the same worker only after it
+    // has finished logging the align.
+    let livez = client.get("/livez").expect("livez request");
+    assert_eq!(livez.status, 200, "{}", livez.body);
 
     let lines = log.captured();
     let line = lines

@@ -26,10 +26,7 @@
 //! Matchers — WikiMatch itself and every baseline — implement
 //! [`wikimatch::SchemaMatcher`] and are interchangeable plugins:
 //! `engine.align_with(&matcher, "film")` runs any of them over the same
-//! cached artifacts. The pre-0.2 one-shot calls on `WikiMatch`
-//! (`align_type` / `align_all` / `prepare_type` / `match_types`) are
-//! deprecated shims around a throwaway engine and will be removed one
-//! release after 0.2.
+//! cached artifacts.
 //!
 //! ## The individual crates
 //!

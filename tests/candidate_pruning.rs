@@ -10,10 +10,8 @@
 //!   threshold on both direct channels under the `Dense` reference pass;
 //! * every stored pair's at-threshold channels and LSI score are
 //!   bit-identical (`f64::to_bits`) to the dense table's;
-//! * the `Lsh` mode is explicitly approximate — its recall of
-//!   at-threshold pairs is measured against the oracle, and the modes
-//!   that contractually require exactness (snapshot capture/restore)
-//!   refuse sparse engines outright.
+//! * the operations that contractually require exactness (snapshot
+//!   capture/restore) refuse sparse engines outright.
 //!
 //! The proptests run over random synthetic corpora *and* the adversarial
 //! generators (Zipf skew, empty/singleton vectors, all-shared-term
@@ -26,7 +24,7 @@ use wikimatch_suite::adversarial::{adversarial_pt_en, AdversarialFlavor};
 use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Dataset, ScaleTier, SyntheticConfig};
-use wikimatch::{candidate_recall, ComputeMode, MatchEngine, SnapshotError};
+use wikimatch::{ComputeMode, MatchEngine, SnapshotError};
 use wikimatch::{EngineSnapshot, SimilarityTable};
 
 fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
@@ -160,40 +158,8 @@ fn filter_is_sound_on_the_pt_en_pair() {
     );
 }
 
-/// Banded-SimHash candidate generation is explicitly approximate, but it
-/// must stay *usefully* approximate: at the default band/row shape its
-/// recall of at-threshold film pairs on the medium tier is ≥ 0.95 against
-/// the dense oracle (deterministic generator seed — this is a regression
-/// bar, not a statistical estimate).
-#[test]
-fn lsh_recall_on_the_medium_tier_clears_the_bar() {
-    let dataset = Dataset::pt_en(&ScaleTier::Medium.config());
-    let dense = MatchEngine::builder(dataset.clone())
-        .compute_mode(ComputeMode::Dense)
-        .build();
-    let lsh = MatchEngine::builder(dataset)
-        .compute_mode(ComputeMode::lsh(
-            ComputeMode::DEFAULT_LSH_BANDS,
-            ComputeMode::DEFAULT_LSH_ROWS,
-        ))
-        .build();
-    let oracle = dense.similarity("film").unwrap();
-    let approx = lsh.similarity("film").unwrap();
-    let recall = candidate_recall(&oracle, &approx, ComputeMode::DEFAULT_FILTER_THRESHOLD);
-    assert!(
-        recall >= 0.95,
-        "medium-tier film LSH recall {recall} < 0.95"
-    );
-    // And every candidate the LSH pass did score carries exact bits.
-    for pair in approx.pairs() {
-        let exact = oracle.pair(pair.p, pair.q).expect("oracle is dense");
-        assert_eq!(pair.vsim.to_bits(), exact.vsim.to_bits());
-        assert_eq!(pair.lsim.to_bits(), exact.lsim.to_bits());
-    }
-}
-
-/// Sparse modes are rejected wherever the engine contract requires
-/// exactness: snapshot capture refuses them, and restoring an exact
+/// The sparse mode is rejected wherever the engine contract requires
+/// exactness: snapshot capture refuses it, and restoring an exact
 /// snapshot into a sparse-mode engine is refused symmetrically.
 #[test]
 fn exactness_contracts_reject_sparse_modes() {
@@ -202,29 +168,28 @@ fn exactness_contracts_reject_sparse_modes() {
     exact.prepare_all();
     let snapshot = EngineSnapshot::capture(&exact).expect("exact-mode engine captures");
 
-    for mode in [ComputeMode::filtered(0.5), ComputeMode::lsh(8, 4)] {
-        let sparse = MatchEngine::builder(dataset.clone())
-            .compute_mode(mode)
-            .build();
-        sparse.prepare_all();
-        assert!(
-            matches!(
-                EngineSnapshot::capture(&sparse),
-                Err(SnapshotError::InexactMode(_))
-            ),
-            "{mode}: capture accepted a sparse engine"
-        );
-        let roundtrip = EngineSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-        assert!(
-            matches!(
-                MatchEngine::builder(dataset.clone())
-                    .compute_mode(mode)
-                    .build_from_snapshot(roundtrip),
-                Err(SnapshotError::InexactMode(_))
-            ),
-            "{mode}: restore accepted a sparse-mode builder"
-        );
-    }
+    let mode = ComputeMode::filtered(0.5);
+    let sparse = MatchEngine::builder(dataset.clone())
+        .compute_mode(mode)
+        .build();
+    sparse.prepare_all();
+    assert!(
+        matches!(
+            EngineSnapshot::capture(&sparse),
+            Err(SnapshotError::InexactMode(_))
+        ),
+        "capture accepted a sparse engine"
+    );
+    let roundtrip = EngineSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
+    assert!(
+        matches!(
+            MatchEngine::builder(dataset)
+                .compute_mode(mode)
+                .build_from_snapshot(roundtrip),
+            Err(SnapshotError::InexactMode(_))
+        ),
+        "restore accepted a sparse-mode builder"
+    );
 }
 
 /// `ScaleTier` is the single tier-name authority threaded through matchd,
@@ -255,7 +220,6 @@ fn pair_counts_partition_the_channel_work() {
         ComputeMode::Dense,
         ComputeMode::Pruned,
         ComputeMode::filtered(0.6),
-        ComputeMode::lsh(16, 4),
     ] {
         let (_, counts) =
             SimilarityTable::compute_counted(&prepared.schema, engine.config().lsi, mode);

@@ -1,38 +1,62 @@
-//! The `MatchEngine` session API must be a pure refactoring of the legacy
-//! one-shot path: identical inputs produce byte-identical outputs.
+//! The `MatchEngine` session API must be a pure refactoring of the
+//! per-type path: identical inputs produce byte-identical outputs.
 //!
-//! The legacy `WikiMatch::align_all` rebuilt the title dictionary per type;
-//! the engine builds it once. Because the dictionary is a deterministic
+//! The per-type path rebuilds the title dictionary for every type; the
+//! engine builds it once. Because the dictionary is a deterministic
 //! function of the corpus, the derived correspondences must match exactly —
 //! this test pins that equivalence on both standard datasets.
 
-#![allow(deprecated)] // exercising the legacy shims is the point
+use std::sync::Arc;
 
-use wikimatch_suite::{wiki_corpus, wikimatch};
+use wikimatch_suite::{wiki_corpus, wiki_translate, wikimatch};
 
 use wiki_corpus::{Dataset, SyntheticConfig};
-use wikimatch::{MatchEngine, TypeAlignment, WikiMatch, WikiMatchConfig};
+use wiki_translate::TitleDictionary;
+use wikimatch::{
+    AttributeAlignment, DualSchema, MatchEngine, SimilarityTable, TypeAlignment, WikiMatchConfig,
+};
 
-/// The pre-0.2 `align_all` shape: a fresh title dictionary per entity type
-/// (that is what the deprecated `align_type` shim still does), sequential
-/// iteration.
-fn legacy_align_all(dataset: &Dataset, config: WikiMatchConfig) -> Vec<TypeAlignment> {
-    let matcher = WikiMatch::new(config);
+/// The oracle: a fresh title dictionary per entity type, then the schema,
+/// the similarity table and the alignment built directly from the
+/// pairing's labels, types in dataset order.
+fn per_type_align_all(dataset: &Dataset, config: WikiMatchConfig) -> Vec<TypeAlignment> {
     dataset
         .types
         .iter()
-        .map(|pairing| matcher.align_type(dataset, pairing))
+        .map(|pairing| {
+            let dictionary = TitleDictionary::from_corpus(
+                &dataset.corpus,
+                dataset.other_language(),
+                dataset.english(),
+            );
+            let schema = DualSchema::build(
+                &dataset.corpus,
+                dataset.other_language(),
+                &pairing.label_other,
+                &pairing.label_en,
+                &dictionary,
+            );
+            let table = SimilarityTable::compute(&schema, config.lsi);
+            let matches = AttributeAlignment::new(&schema, &table, config).run();
+            TypeAlignment {
+                type_id: pairing.type_id.clone(),
+                schema: Arc::new(schema),
+                table: Arc::new(table),
+                matches,
+                languages: dataset.languages.clone(),
+            }
+        })
         .collect()
 }
 
 fn assert_byte_identical(dataset: Dataset) {
     let config = WikiMatchConfig::default();
-    let legacy = legacy_align_all(&dataset, config);
+    let oracle = per_type_align_all(&dataset, config);
     let engine = MatchEngine::builder(dataset).config(config).build();
-    let modern = engine.align_all();
+    let session = engine.align_all();
 
-    assert_eq!(legacy.len(), modern.len());
-    for (old, new) in legacy.iter().zip(&modern) {
+    assert_eq!(oracle.len(), session.len());
+    for (old, new) in oracle.iter().zip(&session) {
         assert_eq!(old.type_id, new.type_id);
         // Byte-identical derived correspondences...
         assert_eq!(
@@ -55,32 +79,4 @@ fn engine_align_all_matches_legacy_path_pt_en() {
 #[test]
 fn engine_align_all_matches_legacy_path_vn_en() {
     assert_byte_identical(Dataset::vn_en(&SyntheticConfig::tiny()));
-}
-
-#[test]
-fn deprecated_shims_delegate_to_the_engine() {
-    let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
-    let matcher = WikiMatch::default();
-    let engine = MatchEngine::builder(dataset.clone()).build();
-
-    // One-shot align_type == engine align.
-    let pairing = dataset.type_pairing("film").unwrap();
-    let shim = matcher.align_type(&dataset, pairing);
-    let session = engine.align("film").unwrap();
-    assert_eq!(shim.cross_pairs(), session.cross_pairs());
-
-    // One-shot prepare_type == engine artifacts.
-    let (schema, _table) = matcher.prepare_type(&dataset, pairing);
-    assert_eq!(schema, *engine.schema("film").unwrap());
-
-    // One-shot match_types == session type matches.
-    let shim_types = matcher.match_types(&dataset);
-    assert_eq!(shim_types.len(), engine.type_matches().len());
-
-    // One-shot align_all == parallel session align_all.
-    let shim_all = matcher.align_all(&dataset);
-    for (a, b) in shim_all.iter().zip(engine.align_all().iter()) {
-        assert_eq!(a.type_id, b.type_id);
-        assert_eq!(a.cross_pairs(), b.cross_pairs());
-    }
 }
