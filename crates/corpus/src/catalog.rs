@@ -15,6 +15,10 @@
 //! fictional character) of which four (film, show, actor, artist) also exist
 //! in the Vietnamese-English pair.
 
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
 use crate::entities::EntityKind;
 use crate::lang::Language;
 
@@ -186,9 +190,20 @@ impl Catalog {
         if extra_concepts_per_type == 0 {
             return catalog;
         }
+        let mut interner = Interner::lock();
+        // A generated concept's surface names depend on its index alone,
+        // so every type shares one set.
+        let names: Vec<GeneratedNames> = (0..extra_concepts_per_type)
+            .map(|i| GeneratedNames::new(i, &mut interner))
+            .collect();
+        let mut id = String::new();
         for ty in &mut catalog.types {
-            for i in 0..extra_concepts_per_type {
-                ty.concepts.push(scaled_concept(ty.id, i));
+            ty.concepts.reserve(extra_concepts_per_type);
+            for (i, names) in names.iter().enumerate() {
+                id.clear();
+                write!(id, "x_{}_{i}", ty.id).expect("writing to a String");
+                ty.concepts
+                    .push(scaled_concept(i, interner.str(&id), names));
             }
         }
         catalog
@@ -208,45 +223,65 @@ impl Catalog {
     }
 }
 
-/// Interns a generated string, returning a `'static` reference.
+/// The intern tables of generated concept names.
 ///
 /// [`ConceptSpec`] stores `&'static str` names because the hand-written
 /// catalog is entirely literal; generated scale-tier concepts go through
-/// this intern table so repeated catalog constructions reuse one allocation
-/// per distinct name instead of leaking a fresh one each time.
-fn intern(s: String) -> &'static str {
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("intern cache poisoned");
-    if let Some(&interned) = cache.get(s.as_str()) {
-        return interned;
-    }
-    let leaked: &'static str = Box::leak(s.into_boxed_str());
-    cache.insert(leaked);
-    leaked
+/// these tables so repeated catalog constructions reuse one allocation per
+/// distinct name instead of leaking a fresh one each time. A catalog build
+/// takes the lock once for all its names.
+#[derive(Default)]
+struct Interner {
+    strs: HashSet<&'static str>,
+    /// One-element name slices (the per-language surface-name list of a
+    /// generated concept), by their name.
+    names: HashMap<&'static str, &'static [&'static str]>,
 }
 
-/// Interns a one-element name slice (the per-language surface-name list of
-/// a generated concept).
-fn intern_names(name: String) -> &'static [&'static str] {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<&'static str, &'static [&'static str]>>> = OnceLock::new();
-    let name = intern(name);
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("intern cache poisoned");
-    if let Some(&slice) = cache.get(name) {
-        return slice;
+impl Interner {
+    fn lock() -> MutexGuard<'static, Interner> {
+        static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
+        INTERNER
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
-    let leaked: &'static [&'static str] = Box::leak(vec![name].into_boxed_slice());
-    cache.insert(name, leaked);
-    leaked
+
+    /// Interns a string, returning a `'static` reference.
+    fn str(&mut self, s: &str) -> &'static str {
+        if let Some(&interned) = self.strs.get(s) {
+            return interned;
+        }
+        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        self.strs.insert(leaked);
+        leaked
+    }
+
+    /// Interns a one-element name slice.
+    fn names(&mut self, name: &str) -> &'static [&'static str] {
+        let name = self.str(name);
+        self.names
+            .entry(name)
+            .or_insert_with(|| Box::leak(vec![name].into_boxed_slice()))
+    }
+}
+
+/// The per-language surface names of the `i`-th generated concept.
+struct GeneratedNames {
+    en: &'static [&'static str],
+    pt: &'static [&'static str],
+    vn: &'static [&'static str],
+}
+
+impl GeneratedNames {
+    fn new(i: usize, interner: &mut Interner) -> Self {
+        let suffix = letter_suffix(i);
+        Self {
+            en: interner.names(&format!("metric {suffix}")),
+            pt: interner.names(&format!("métrica {suffix}")),
+            vn: interner.names(&format!("chỉ số {suffix}")),
+        }
+    }
 }
 
 /// Spells `i` in positional base 26 with `'a'` as digit zero
@@ -273,9 +308,9 @@ pub(crate) fn letter_suffix(mut i: usize) -> String {
 /// Names are deterministic and unique per `(type, i)` so ground truth stays
 /// exact; kinds and commonness cycle so the extra attributes exercise every
 /// cheap value shape with realistic (sparse) occurrence patterns.
-fn scaled_concept(type_id: &'static str, i: usize) -> ConceptSpec {
+fn scaled_concept(i: usize, id: &'static str, names: &GeneratedNames) -> ConceptSpec {
     if i >= LONG_TAIL_START {
-        return long_tail_concept(type_id, i);
+        return long_tail_concept(i, id, names);
     }
     let kind = match i % 5 {
         0 => ValueKind::Year,
@@ -292,12 +327,11 @@ fn scaled_concept(type_id: &'static str, i: usize) -> ConceptSpec {
     // enough that nearly every generated concept forms an English
     // attribute group, rare enough that infoboxes stay bounded.
     let commonness = 0.05 + 0.025 * ((i * 7) % 9) as f64;
-    let suffix = letter_suffix(i);
     ConceptSpec {
-        id: intern(format!("x_{type_id}_{i}")),
-        en: intern_names(format!("metric {suffix}")),
-        pt: intern_names(format!("métrica {suffix}")),
-        vn: intern_names(format!("chỉ số {suffix}")),
+        id,
+        en: names.en,
+        pt: names.pt,
+        vn: names.vn,
         kind,
         commonness,
     }
@@ -322,7 +356,7 @@ const LONG_TAIL_START: usize = 2400;
 /// slide with `i`: numbers drawn from a per-concept 60-wide window over a
 /// 9973-value ring, plus dates and years. Commonness stays low
 /// (0.02..=0.08) so infobox sizes grow sub-linearly.
-fn long_tail_concept(type_id: &'static str, i: usize) -> ConceptSpec {
+fn long_tail_concept(i: usize, id: &'static str, names: &GeneratedNames) -> ConceptSpec {
     let kind = match i % 8 {
         0..=4 => {
             let lo = ((i * 53) % 9973) as f64;
@@ -336,12 +370,11 @@ fn long_tail_concept(type_id: &'static str, i: usize) -> ConceptSpec {
         _ => ValueKind::Year,
     };
     let commonness = 0.02 + 0.01 * ((i * 11) % 7) as f64;
-    let suffix = letter_suffix(i);
     ConceptSpec {
-        id: intern(format!("x_{type_id}_{i}")),
-        en: intern_names(format!("metric {suffix}")),
-        pt: intern_names(format!("métrica {suffix}")),
-        vn: intern_names(format!("chỉ số {suffix}")),
+        id,
+        en: names.en,
+        pt: names.pt,
+        vn: names.vn,
         kind,
         commonness,
     }

@@ -9,7 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::catalog::Catalog;
 use crate::ground_truth::GroundTruth;
 use crate::lang::Language;
 use crate::store::Corpus;
@@ -55,8 +54,8 @@ impl Dataset {
     pub fn generate(other: Language, config: &SyntheticConfig) -> Self {
         let generator = SyntheticGenerator::new(*config);
         let (corpus, ground_truth) = generator.generate_pair(other.clone());
-        let catalog = Catalog::standard();
-        let types = catalog
+        let types = generator
+            .catalog()
             .types_for(&other)
             .into_iter()
             .map(|t| TypePairing {

@@ -9,7 +9,7 @@
 //! One-to-many gold alignments arise naturally from intra-language synonyms
 //! (e.g. *died* ↔ *falecimento* and *died* ↔ *morte*).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -153,6 +153,33 @@ impl GroundTruth {
             .add_sense(language, name, concept);
     }
 
+    /// Takes one type's senses out for indexed recording (see
+    /// [`SenseIndex`]); hand them back with [`Self::restore`].
+    pub(crate) fn take_indexed(&mut self, type_id: &str) -> SenseIndex {
+        let truth = self
+            .types
+            .remove(type_id)
+            .unwrap_or_else(|| TypeGroundTruth {
+                type_id: type_id.to_string(),
+                ..Default::default()
+            });
+        let mut position = HashMap::with_capacity(truth.senses.len());
+        for (i, sense) in truth.senses.iter().enumerate() {
+            position
+                .entry((sense.language.clone(), sense.name.clone()))
+                .or_insert(i);
+        }
+        SenseIndex { truth, position }
+    }
+
+    /// Puts back senses taken by [`Self::take_indexed`]. A type is listed
+    /// only once a sense is recorded for it, as with [`Self::add_sense`].
+    pub(crate) fn restore(&mut self, index: SenseIndex) {
+        if !index.truth.senses.is_empty() {
+            self.types.insert(index.truth.type_id.clone(), index.truth);
+        }
+    }
+
     /// The per-type gold alignments, if the type is known.
     pub fn for_type(&self, type_id: &str) -> Option<&TypeGroundTruth> {
         self.types.get(type_id)
@@ -169,6 +196,38 @@ impl GroundTruth {
             .values()
             .map(|t| t.gold_cross_pairs(l1, l2).len())
             .sum()
+    }
+}
+
+/// One type's senses with a `(language, name)` index over them.
+///
+/// [`SenseIndex::add`] records exactly what [`TypeGroundTruth::add_sense`]
+/// records, in the same order, but finds the sense by a hash lookup instead
+/// of a scan of every sense so far — the scan made recording quadratic in a
+/// type's attribute count.
+pub(crate) struct SenseIndex {
+    truth: TypeGroundTruth,
+    position: HashMap<(Language, String), usize>,
+}
+
+impl SenseIndex {
+    /// Registers that the sense `name` (in `language`) was used for
+    /// `concept`. `name` is already normalised: `add(language,
+    /// &normalize_label(raw), concept)` is `add_sense(language, raw,
+    /// concept)`.
+    pub(crate) fn add(&mut self, language: &Language, name: &str, concept: &str) {
+        let key = (language.clone(), name.to_string());
+        if let Some(&i) = self.position.get(&key) {
+            self.truth.senses[i].concepts.insert(concept.to_string());
+            return;
+        }
+        self.position.insert(key.clone(), self.truth.senses.len());
+        let (language, name) = key;
+        self.truth.senses.push(AttributeSense {
+            language,
+            name,
+            concepts: BTreeSet::from([concept.to_string()]),
+        });
     }
 }
 
@@ -239,5 +298,45 @@ mod tests {
             .collect();
         assert_eq!(born.len(), 1);
         assert_eq!(born[0].concepts.len(), 2);
+    }
+
+    #[test]
+    fn indexed_recording_matches_add_sense() {
+        // Repeats, polysemy, synonyms that normalise alike, and a type that
+        // already holds senses when it is taken for indexing.
+        let senses = [
+            ("actor", Language::En, "Born", "birth_date"),
+            ("actor", Language::Pt, "nascimento", "birth_date"),
+            ("actor", Language::En, "born", "birth_place"),
+            ("film", Language::En, "directed by", "directed_by"),
+            ("actor", Language::En, "born", "birth_date"),
+            ("actor", Language::Pt, "Nascimento 2", "birth_place"),
+            ("actor", Language::Vn, "born", "birth_date"),
+        ];
+        let mut plain = GroundTruth::new();
+        let mut indexed = GroundTruth::new();
+        plain.add_sense("actor", Language::En, "died", "death_date");
+        indexed.add_sense("actor", Language::En, "died", "death_date");
+        for (type_id, language, name, concept) in senses {
+            plain.add_sense(type_id, language.clone(), name, concept);
+            let mut index = indexed.take_indexed(type_id);
+            index.add(&language, &wiki_text::normalize_label(name), concept);
+            indexed.restore(index);
+        }
+        assert_eq!(
+            indexed.type_ids().collect::<Vec<_>>(),
+            plain.type_ids().collect::<Vec<_>>()
+        );
+        for type_id in plain.type_ids() {
+            assert_eq!(
+                indexed.for_type(type_id).unwrap().senses,
+                plain.for_type(type_id).unwrap().senses,
+                "{type_id}"
+            );
+        }
+        // A type nothing was recorded for stays unlisted.
+        let untouched = indexed.take_indexed("book");
+        indexed.restore(untouched);
+        assert!(indexed.for_type("book").is_none());
     }
 }

@@ -16,6 +16,19 @@
 //! what makes the matching problem non-trivial: value vectors only partially
 //! agree, LSI sees non-parallel occurrence patterns, and some concepts are
 //! simply absent from one of the languages.
+//!
+//! # The RNG stream is the output
+//!
+//! One seeded generator drives a whole pair, so every draw shifts every
+//! draw after it. For each entity, the facts of *all* the type's concepts
+//! are drawn, then the notability of all of them, in catalog concept
+//! order, whether or not the entity ends up rendering them; the rendering
+//! pass then draws in catalog order again. A speed-up may cache, index or
+//! defer work that consumes no draw (the ground-truth recording, the
+//! template lookups, formatting a fact nobody renders), but it may not
+//! skip, reorder or batch a draw: any of those moves every corpus,
+//! snapshot fingerprint and pinned score downstream. `tests/corpus_golden.rs`
+//! pins the output of every tier up to `large`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::catalog::{Catalog, ConceptSpec, EntityTypeSpec, ValueKind};
 use crate::entities::{EntityKind, EntityPool, EntityRef};
-use crate::ground_truth::GroundTruth;
+use crate::ground_truth::{GroundTruth, SenseIndex};
 use crate::lang::Language;
 use crate::model::{Article, AttributeValue, Infobox, Link};
 use crate::store::Corpus;
@@ -253,12 +266,24 @@ impl std::str::FromStr for ScaleTier {
 /// A language-independent fact an infobox may record.
 #[derive(Debug, Clone)]
 enum Fact {
-    Date { year: i32, month: u32, day: u32 },
+    Date {
+        year: i32,
+        month: u32,
+        day: u32,
+    },
     Year(i32),
     Entities(Vec<EntityRef>),
-    Number { value: f64, unit: &'static str },
-    Money { millions: f64 },
-    Alias(Vec<String>),
+    Number {
+        value: f64,
+        unit: &'static str,
+    },
+    Money {
+        millions: f64,
+    },
+    /// One or two aliases, each an index into [`ALIAS_WORDS`] and a number.
+    /// Most facts are never rendered, so the alias strings are formatted
+    /// only when an edition records the fact.
+    Alias([Option<(usize, i32)>; 2]),
     FreeText,
 }
 
@@ -301,6 +326,7 @@ impl SyntheticGenerator {
         let mut corpus = Corpus::new();
         let mut ground_truth = GroundTruth::new();
         let mut created_entities: HashSet<EntityRef> = HashSet::new();
+        let mut sense_names = SenseNames::new();
 
         let pairs = self.config.pairs_for(&other);
         for ty in self.catalog.types_for(&other) {
@@ -313,6 +339,7 @@ impl SyntheticGenerator {
                 &mut corpus,
                 &mut ground_truth,
                 &mut created_entities,
+                &mut sense_names,
             );
         }
         (corpus, ground_truth)
@@ -330,6 +357,7 @@ impl SyntheticGenerator {
         corpus: &mut Corpus,
         ground_truth: &mut GroundTruth,
         created_entities: &mut HashSet<EntityRef>,
+        sense_names: &mut SenseNames,
     ) {
         let target_overlap = ty.target_overlap(other).unwrap_or(0.5);
         // Schema drift is template-level, not per-infobox: a concept either
@@ -344,13 +372,23 @@ impl SyntheticGenerator {
             MARGINAL_COVERAGE,
             target_overlap,
         );
-        let coverage_for = |concept: &ConceptSpec| -> f64 {
-            if template.contains(&concept.id) {
-                self.config.english_coverage
-            } else {
-                MARGINAL_COVERAGE
-            }
-        };
+        // Per concept, the foreign edition's coverage: the template lookup
+        // happens once per type, not once per entity.
+        let other_coverage: Vec<f64> = ty
+            .concepts
+            .iter()
+            .map(|concept| {
+                if template.contains(&concept.id) {
+                    self.config.english_coverage
+                } else {
+                    MARGINAL_COVERAGE
+                }
+            })
+            .collect();
+        let mut senses = SurfaceSenses::new(&ty.concepts, other, ground_truth.take_indexed(ty.id));
+        // Per-entity facts and notability, by concept index.
+        let mut facts: Vec<Fact> = Vec::with_capacity(ty.concepts.len());
+        let mut notable: Vec<bool> = Vec::with_capacity(ty.concepts.len());
 
         for i in 0..pairs {
             // 1. Draw the language-independent facts for this entity, and
@@ -360,16 +398,18 @@ impl SyntheticGenerator {
             //    likely to mention it. This is what gives cross-language
             //    synonyms correlated occurrence patterns over the dual
             //    infoboxes — the signal LSI exploits.
-            let facts: HashMap<&str, Fact> = ty
-                .concepts
-                .iter()
-                .map(|concept| (concept.id, self.draw_fact(concept, pool, rng)))
-                .collect();
-            let notable: HashMap<&str, bool> = ty
-                .concepts
-                .iter()
-                .map(|concept| (concept.id, rng.gen_bool(concept.commonness)))
-                .collect();
+            facts.clear();
+            facts.extend(
+                ty.concepts
+                    .iter()
+                    .map(|concept| self.draw_fact(concept, pool, rng)),
+            );
+            notable.clear();
+            notable.extend(
+                ty.concepts
+                    .iter()
+                    .map(|concept| rng.gen_bool(concept.commonness)),
+            );
 
             // 2. Titles per language.
             let title_en = make_title(ty, &Language::En, i, pool, rng);
@@ -382,14 +422,21 @@ impl SyntheticGenerator {
                 ty.label(other).unwrap_or(ty.label_en)
             ));
 
-            for concept in &ty.concepts {
-                let fact = &facts[concept.id];
-                for (language, coverage, infobox) in [
-                    (&Language::En, self.config.english_coverage, &mut infobox_en),
-                    (other, coverage_for(concept), &mut infobox_other),
+            for (c, concept) in ty.concepts.iter().enumerate() {
+                if !notable[c] {
+                    continue;
+                }
+                for (side, language, coverage, infobox) in [
+                    (
+                        EN,
+                        &Language::En,
+                        self.config.english_coverage,
+                        &mut infobox_en,
+                    ),
+                    (OTHER, other, other_coverage[c], &mut infobox_other),
                 ] {
                     let names = concept.names(language);
-                    if names.is_empty() || !notable[concept.id] {
+                    if names.is_empty() {
                         continue;
                     }
                     // Given that the concept is notable for this entity,
@@ -399,9 +446,8 @@ impl SyntheticGenerator {
                     }
                     let surface = pick_surface(names, rng);
                     let attribute = self.render_attribute(
-                        surface,
-                        concept,
-                        fact,
+                        names[surface],
+                        &facts[c],
                         language,
                         other,
                         pool,
@@ -410,25 +456,21 @@ impl SyntheticGenerator {
                         created_entities,
                     );
                     infobox.push(attribute);
-                    ground_truth.add_sense(
-                        ty.id,
-                        language.clone(),
-                        &normalize_label(surface),
-                        concept.id,
-                    );
+                    senses.record(c, side, surface, sense_names);
                 }
             }
 
             // Guarantee a minimal schema so no infobox is empty.
-            for (language, infobox) in [
-                (&Language::En, &mut infobox_en),
-                (other, &mut infobox_other),
+            for (side, language, infobox) in [
+                (EN, &Language::En, &mut infobox_en),
+                (OTHER, other, &mut infobox_other),
             ] {
                 if infobox.len() < 2 {
-                    for concept in ty
+                    for (c, concept) in ty
                         .concepts
                         .iter()
-                        .filter(|c| !c.names(language).is_empty())
+                        .enumerate()
+                        .filter(|(_, concept)| !concept.names(language).is_empty())
                         .take(3)
                     {
                         let surface = concept.names(language)[0];
@@ -437,8 +479,7 @@ impl SyntheticGenerator {
                         }
                         let attribute = self.render_attribute(
                             surface,
-                            concept,
-                            &facts[concept.id],
+                            &facts[c],
                             language,
                             other,
                             pool,
@@ -447,12 +488,7 @@ impl SyntheticGenerator {
                             created_entities,
                         );
                         infobox.push(attribute);
-                        ground_truth.add_sense(
-                            ty.id,
-                            language.clone(),
-                            &normalize_label(surface),
-                            concept.id,
-                        );
+                        senses.record(c, side, 0, sense_names);
                     }
                 }
             }
@@ -473,6 +509,7 @@ impl SyntheticGenerator {
             corpus.insert(article_en);
             corpus.insert(article_other);
         }
+        ground_truth.restore(senses.index);
     }
 
     /// Draws a language-independent fact for a concept.
@@ -501,15 +538,10 @@ impl SyntheticGenerator {
             },
             ValueKind::Alias => {
                 let count = rng.gen_range(1..=2);
-                let aliases = (0..count)
-                    .map(|_| {
-                        format!(
-                            "{} {}",
-                            ALIAS_WORDS[rng.gen_range(0..ALIAS_WORDS.len())],
-                            rng.gen_range(1..=999)
-                        )
-                    })
-                    .collect();
+                let mut aliases = [None; 2];
+                for alias in &mut aliases[..count] {
+                    *alias = Some((rng.gen_range(0..ALIAS_WORDS.len()), rng.gen_range(1..=999)));
+                }
                 Fact::Alias(aliases)
             }
             ValueKind::FreeText => Fact::FreeText,
@@ -522,7 +554,6 @@ impl SyntheticGenerator {
     fn render_attribute(
         &self,
         surface: &str,
-        concept: &ConceptSpec,
         fact: &Fact,
         language: &Language,
         other: &Language,
@@ -572,14 +603,20 @@ impl SyntheticGenerator {
                 };
                 AttributeValue::text(surface, format_money(language, millions))
             }
-            Fact::Alias(aliases) => AttributeValue::text(surface, aliases.join(", ")),
+            Fact::Alias(aliases) => {
+                let aliases: Vec<String> = aliases
+                    .iter()
+                    .flatten()
+                    .map(|&(word, number)| format!("{} {number}", ALIAS_WORDS[word]))
+                    .collect();
+                AttributeValue::text(surface, aliases.join(", "))
+            }
             Fact::FreeText => {
                 let words = free_text_words(language);
                 let count = rng.gen_range(1..=3);
                 let text: Vec<&str> = (0..count)
                     .map(|_| words[rng.gen_range(0..words.len())])
                     .collect();
-                let _ = concept; // concept only used for documentation purposes here
                 AttributeValue::text(surface, text.join(", "))
             }
         }
@@ -618,13 +655,85 @@ fn ensure_entity_articles(
     corpus.insert(article_other);
 }
 
-/// Picks a surface name: the primary one with probability 0.7, otherwise one
-/// of the synonyms uniformly.
-fn pick_surface<'a>(names: &'a [&'a str], rng: &mut StdRng) -> &'a str {
+/// Picks the index of a surface name: the primary one with probability
+/// 0.7, otherwise one of the synonyms uniformly.
+fn pick_surface(names: &[&str], rng: &mut StdRng) -> usize {
     if names.len() == 1 || rng.gen_bool(0.7) {
-        names[0]
+        0
     } else {
-        names[rng.gen_range(1..names.len())]
+        rng.gen_range(1..names.len())
+    }
+}
+
+/// Side of a dual-language entity: the English edition.
+const EN: usize = 0;
+/// Side of a dual-language entity: the foreign edition.
+const OTHER: usize = 1;
+
+/// Sense names by surface name, shared by every type of a pair: the
+/// generated concepts of a scaled catalog give each type the same surface
+/// names, so each is normalised once per pair instead of once per type.
+type SenseNames = HashMap<&'static str, String>;
+
+/// Records one type's ground truth as its attributes are rendered.
+///
+/// Every rendered attribute registers its (language, surface, concept)
+/// sense, and after the first few entities nearly every registration
+/// repeats a triple already recorded, which would change nothing. Each
+/// surface name of each concept therefore has a slot that remembers
+/// whether it was recorded, and only a first occurrence reaches the
+/// ground truth, through the indexed [`SenseIndex::add`].
+struct SurfaceSenses<'a> {
+    concepts: &'a [ConceptSpec],
+    /// The languages of the [`EN`] and [`OTHER`] sides.
+    languages: [&'a Language; 2],
+    /// Per concept and side, the slot of the concept's first surface name
+    /// in that side's language.
+    first_slot: Vec<[usize; 2]>,
+    recorded: Vec<bool>,
+    index: SenseIndex,
+}
+
+impl<'a> SurfaceSenses<'a> {
+    fn new(concepts: &'a [ConceptSpec], other: &'a Language, index: SenseIndex) -> Self {
+        let languages = [&Language::En, other];
+        let mut slots = 0;
+        let first_slot = concepts
+            .iter()
+            .map(|concept| {
+                languages.map(|language| {
+                    let first = slots;
+                    slots += concept.names(language).len();
+                    first
+                })
+            })
+            .collect();
+        Self {
+            concepts,
+            languages,
+            first_slot,
+            recorded: vec![false; slots],
+            index,
+        }
+    }
+
+    /// Registers that surface name `surface` of concept `concept` was
+    /// rendered on `side`.
+    fn record(&mut self, concept: usize, side: usize, surface: usize, names: &mut SenseNames) {
+        let slot = self.first_slot[concept][side] + surface;
+        if std::mem::replace(&mut self.recorded[slot], true) {
+            return;
+        }
+        let spec = &self.concepts[concept];
+        let language = self.languages[side];
+        let surface = spec.names(language)[surface];
+        // Normalised twice, as the sense names have always been: a label
+        // that still ends in a counter after one pass ("a 2 3") changes
+        // on the second.
+        let name = names
+            .entry(surface)
+            .or_insert_with(|| normalize_label(&normalize_label(surface)));
+        self.index.add(language, name, spec.id);
     }
 }
 
@@ -674,37 +783,38 @@ fn select_template_concepts<'a>(
     english_coverage: f64,
     marginal_coverage: f64,
     target: f64,
-) -> std::collections::HashSet<&'a str> {
-    let mut order: Vec<&ConceptSpec> = concepts
+) -> HashSet<&'a str> {
+    let mut order: Vec<(usize, &ConceptSpec)> = concepts
         .iter()
-        .filter(|c| !c.names(other).is_empty())
+        .enumerate()
+        .filter(|(_, c)| !c.names(other).is_empty())
         .collect();
-    order.sort_by(|a, b| {
+    order.sort_by(|(_, a), (_, b)| {
         b.commonness
             .partial_cmp(&a.commonness)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.id.cmp(b.id))
     });
 
-    // Memoised sort positions: scaled catalogs have thousands of concepts
-    // per type, and a linear `position` scan inside the prediction loop
-    // would make template selection cubic in the concept count. The lookup
-    // result is identical, so predicted overlaps (and thus the selected
-    // template) are unchanged for every configuration.
-    let position_of: HashMap<&str, usize> =
-        order.iter().enumerate().map(|(p, c)| (c.id, p)).collect();
+    // Sort positions by concept index: scaled catalogs have thousands of
+    // concepts per type, and the prediction loop looks one up per concept
+    // for every prefix size.
+    let mut position_of: Vec<Option<usize>> = vec![None; concepts.len()];
+    for (p, &(c, _)) in order.iter().enumerate() {
+        position_of[c] = Some(p);
+    }
     let predicted = |included: usize| -> f64 {
         let mut intersection = 0.0;
         let mut union = 0.0;
-        for concept in concepts {
+        for (concept, position) in concepts.iter().zip(&position_of) {
             let ce = if concept.en.is_empty() {
                 0.0
             } else {
                 english_coverage
             };
-            let cl = match position_of.get(concept.id) {
+            let cl = match *position {
                 None => 0.0,
-                Some(&p) if p < included => english_coverage,
+                Some(p) if p < included => english_coverage,
                 Some(_) => marginal_coverage,
             };
             let c = concept.commonness;
@@ -725,7 +835,7 @@ fn select_template_concepts<'a>(
             best = (included, error);
         }
     }
-    order.iter().take(best.0).map(|c| c.id).collect()
+    order.iter().take(best.0).map(|(_, c)| c.id).collect()
 }
 
 /// English/Portuguese month names used when rendering dates.

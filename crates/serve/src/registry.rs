@@ -774,15 +774,23 @@ impl Registry {
     /// the checksummed, chain-validated journal format makes practically
     /// unreachable; the surviving prefix is still exact (divergence is
     /// detected *after* the bad record, so the returned dataset is rebuilt
-    /// from the prefix alone).
-    fn replay_prefix(pristine: &Dataset, journal: &DeltaJournal, upto: usize) -> (Dataset, usize) {
-        let mut dataset = pristine.clone();
+    /// from the prefix alone). With nothing to replay — every cold hit of
+    /// an unmutated corpus — the pristine itself is returned, uncopied.
+    fn replay_prefix(
+        pristine: &Arc<Dataset>,
+        journal: &DeltaJournal,
+        upto: usize,
+    ) -> (Arc<Dataset>, usize) {
+        if upto == 0 {
+            return (Arc::clone(pristine), 0);
+        }
+        let mut dataset = Dataset::clone(pristine);
         let mut verified = 0;
         for record in &journal.records[..upto] {
             record.delta.apply_to(&mut dataset.corpus);
             if corpus_fingerprint(&dataset) != record.post_fingerprint {
                 // Roll back to the verified prefix by replaying it afresh.
-                dataset = pristine.clone();
+                dataset = Dataset::clone(pristine);
                 for good in &journal.records[..verified] {
                     good.delta.apply_to(&mut dataset.corpus);
                 }
@@ -790,7 +798,7 @@ impl Registry {
             }
             verified += 1;
         }
-        (dataset, verified)
+        (Arc::new(dataset), verified)
     }
 
     /// Builds (or disk-loads) the session of one corpus. Runs inside the
@@ -804,7 +812,9 @@ impl Registry {
     /// incremental patcher — a corpus that has moved past its snapshot
     /// falls back to base + replay, never to a cold rebuild.
     fn build_corpus(&self, entry: &CorpusEntry) -> CachedCorpus {
-        let pristine = entry.spec.dataset();
+        // Shared, not copied: a session restored or built over the pristine
+        // itself keeps it, and the fallback below still reads it.
+        let pristine = Arc::new(entry.spec.dataset());
         let base_fingerprint = corpus_fingerprint(&pristine);
         let mut journal = self.resident_journal(entry, base_fingerprint);
 
@@ -872,7 +882,7 @@ impl Registry {
             if verified < at {
                 self.truncate_journal(entry, &mut journal, verified);
             } else {
-                let restored = MatchEngine::builder(Arc::new(dataset))
+                let restored = MatchEngine::builder(dataset)
                     .compute_mode(self.mode)
                     .build_from_snapshot(snapshot);
                 match restored {
@@ -915,7 +925,7 @@ impl Registry {
             self.truncate_journal(entry, &mut journal, verified);
         }
         CachedCorpus::from_engine(
-            MatchEngine::builder(Arc::new(dataset))
+            MatchEngine::builder(dataset)
                 .compute_mode(self.mode)
                 .build(),
         )
@@ -1767,6 +1777,28 @@ mod tests {
             "Filme",
             infobox,
         ))
+    }
+
+    #[test]
+    fn replay_shares_the_pristine_only_when_nothing_is_replayed() {
+        let pristine = Arc::new(test_spec("a").dataset());
+        let base = corpus_fingerprint(&pristine);
+        let mut journal = DeltaJournal::new(base);
+        let (dataset, verified) = Registry::replay_prefix(&pristine, &journal, 0);
+        assert!(Arc::ptr_eq(&dataset, &pristine), "a zero replay copied");
+        assert_eq!(verified, 0);
+
+        let mut mutated = Dataset::clone(&pristine);
+        probe_delta(0).apply_to(&mut mutated.corpus);
+        journal.append(probe_delta(0), corpus_fingerprint(&mutated));
+        let (dataset, verified) = Registry::replay_prefix(&pristine, &journal, 1);
+        assert_eq!(verified, 1);
+        assert_eq!(corpus_fingerprint(&dataset), corpus_fingerprint(&mutated));
+        assert_eq!(
+            corpus_fingerprint(&pristine),
+            base,
+            "the replay wrote through"
+        );
     }
 
     #[test]
