@@ -5,13 +5,14 @@
 //! For each tier the Pt-En film schema is built once, then the full
 //! `SimilarityTable` construction is timed in two compute modes:
 //!
-//! * **pruned** — the exact baseline: every non-certified-zero channel
-//!   cosine plus the full triangular LSI pass (the quadratic frontier this
-//!   PR attacks);
+//! * **pruned** — the exact baseline: the candidate index, every
+//!   non-certified-zero channel cosine and the LSI fit (scores are then
+//!   answered on demand from the factors);
 //! * **filtered** — prefix-mass / shared-count upper bounds skip every pair
-//!   that provably cannot reach the score threshold, and LSI is computed
-//!   only for stored pairs. Surviving scores are bit-identical to the
-//!   exact table (asserted in-run against the pruned oracle).
+//!   that provably cannot reach the score threshold, without building the
+//!   candidate index's all-pairs bitsets. Surviving scores are
+//!   bit-identical to the exact table (asserted in-run against the pruned
+//!   oracle).
 //!
 //! Each mode's [`PairCounts`] (channel cosines scored versus pruned) is
 //! recorded per tier — the same gauges `matchd` exposes on `/stats`.

@@ -24,14 +24,10 @@
 
 use std::ops::Range;
 
-use wiki_corpus::Language;
-
 use crate::config::{CandidateOrdering, WikiMatchConfig};
 use crate::matches::MatchSet;
 use crate::schema::DualSchema;
-use crate::similarity::{
-    by_decreasing_lsi, pack_occurrence_patterns, CandidatePair, SimilarityTable,
-};
+use crate::similarity::{by_decreasing_lsi, CandidatePair, PackedPatterns, SimilarityTable};
 
 /// The attribute-alignment algorithm over one dual-language schema.
 #[derive(Debug, Clone)]
@@ -113,17 +109,18 @@ impl<'a> AttributeAlignment<'a> {
     /// whenever [`zero_evidence_is_inert`](Self::zero_evidence_is_inert)
     /// holds: they would only be buffered and then dropped by revise, and
     /// they are most of the pairs above `TLSI` (about 96% at the medium
-    /// tier).
+    /// tier). That queue, like the MaxSimilarity one, is read off the
+    /// table's evidence pairs, so it costs O(evidence pairs), not O(n²);
+    /// only the Random ordering and a configuration that can integrate a
+    /// pair without evidence walk every pair through `above_lsi`.
     fn ordered_candidates(&self) -> Vec<CandidatePair> {
         let t_lsi = self.config.t_lsi;
         match self.config.ordering {
             CandidateOrdering::Lsi if self.zero_evidence_is_inert() => {
                 let mut pairs: Vec<CandidatePair> = self
                     .table
-                    .pairs()
-                    .iter()
+                    .evidence_pairs()
                     .filter(|p| p.lsi > t_lsi && !self.lacks_evidence(p))
-                    .copied()
                     .collect();
                 pairs.sort_by(by_decreasing_lsi);
                 pairs
@@ -132,10 +129,8 @@ impl<'a> AttributeAlignment<'a> {
             CandidateOrdering::MaxSimilarity => {
                 let mut pairs: Vec<CandidatePair> = self
                     .table
-                    .pairs()
-                    .iter()
+                    .evidence_pairs()
                     .filter(|p| self.evidence(p) > 0.0)
-                    .copied()
                     .collect();
                 // `total_cmp` for a NaN-safe total order: equal-evidence
                 // pairs fall through to the attribute indices, so the queue
@@ -262,21 +257,8 @@ struct InductiveGrouping {
 
 impl InductiveGrouping {
     fn new(schema: &DualSchema, matches: &MatchSet, scored: &[CandidatePair]) -> Self {
-        let mut distinct: Vec<&Language> = Vec::new();
-        let language: Vec<usize> = schema
-            .attributes
-            .iter()
-            .map(|attr| {
-                distinct
-                    .iter()
-                    .position(|&l| *l == attr.language)
-                    .unwrap_or_else(|| {
-                        distinct.push(&attr.language);
-                        distinct.len() - 1
-                    })
-            })
-            .collect();
-        let mut members = vec![Vec::new(); distinct.len()];
+        let (language, languages) = schema.language_ids();
+        let mut members = vec![Vec::new(); languages];
         let mut groups = Vec::new();
         for cluster in matches.clusters() {
             for (l, list) in members.iter_mut().enumerate() {
@@ -285,7 +267,7 @@ impl InductiveGrouping {
                 groups.push(start..list.len());
             }
         }
-        let bits = pack_occurrence_patterns(schema);
+        let bits = PackedPatterns::pack(schema);
         let mut row_start = vec![None; schema.len()];
         let mut rows = Vec::new();
         for p in scored.iter().flat_map(|pair| [pair.p, pair.q]) {
@@ -344,11 +326,10 @@ impl InductiveGrouping {
     }
 }
 
-/// The grouping score `g(p, q) = Opq / min(Op, Oq)` over occurrence
-/// patterns packed by [`pack_occurrence_patterns`]: the same integer count
-/// and division, so the same value bit for bit, as
-/// [`DualSchema::grouping_score`].
-fn packed_grouping_score(schema: &DualSchema, bits: &[Vec<u64>], p: usize, q: usize) -> f64 {
+/// The grouping score `g(p, q) = Opq / min(Op, Oq)` over packed occurrence
+/// patterns: the same integer count and division, so the same value bit
+/// for bit, as [`DualSchema::grouping_score`].
+fn packed_grouping_score(schema: &DualSchema, bits: &PackedPatterns, p: usize, q: usize) -> f64 {
     let denom = schema
         .attribute(p)
         .occurrences
@@ -356,9 +337,10 @@ fn packed_grouping_score(schema: &DualSchema, bits: &[Vec<u64>], p: usize, q: us
     if denom == 0 {
         return 0.0;
     }
-    let co_occurrences: usize = bits[p]
+    let co_occurrences: usize = bits
+        .row(p)
         .iter()
-        .zip(&bits[q])
+        .zip(bits.row(q))
         .map(|(x, y)| (x & y).count_ones() as usize)
         .sum();
     co_occurrences as f64 / denom as f64
@@ -385,7 +367,7 @@ fn deterministic_shuffle<T>(items: &mut [T], seed: u64) {
 mod tests {
     use super::*;
     use crate::schema::AttributeStats;
-    use wiki_corpus::{Article, AttributeValue, Corpus, Infobox, Link};
+    use wiki_corpus::{Article, AttributeValue, Corpus, Infobox, Language, Link};
     use wiki_linalg::LsiConfig;
     use wiki_text::TermVector;
     use wiki_translate::TitleDictionary;
@@ -627,7 +609,7 @@ mod tests {
         for dual_count in [1, 63, 64, 65, 129] {
             let schema = patterned_schema(dual_count);
             assert!(schema.attributes.iter().any(|a| a.occurrences == 0));
-            let bits = pack_occurrence_patterns(&schema);
+            let bits = PackedPatterns::pack(&schema);
             for p in 0..schema.len() {
                 for q in 0..schema.len() {
                     assert_eq!(

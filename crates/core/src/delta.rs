@@ -14,22 +14,20 @@
 //!   ([`wiki_text::TermVector::remapped`]);
 //! * only *dirty* attributes — those whose token streams may differ under
 //!   the mutated corpus — are re-collected from the corpus walk, and only
-//!   similarity rows touching a dirty attribute are recomputed; every other
-//!   row keeps its exact bits (clean pairs are copied from the old table,
+//!   evidence pairs touching a dirty attribute are recomputed; every other
+//!   pair keeps its exact bits (clean pairs are copied from the old table,
 //!   which is sound because a clean attribute's vectors are bit-identical
 //!   and candidacy depends on nothing else);
 //! * the LSI model is only refitted when the schema *skeleton* (the
 //!   attribute sequence with its occurrence patterns) changed — a
-//!   value-only edit keeps the occurrence matrix bit-identical, so every
-//!   LSI score is reused.
+//!   value-only edit keeps the occurrence matrix bit-identical, so the old
+//!   table's LSI source is shared and every LSI score is reused.
 //!
 //! The result is pinned bit-identical to a cold rebuild of the mutated
 //! corpus by the `delta_equivalence` proptest suite.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use wiki_corpus::store::EntityClusters;
 use wiki_corpus::{Article, ArticleId, Corpus, Language, TypePairing};
@@ -40,9 +38,7 @@ use wiki_translate::TitleDictionary;
 
 use crate::engine::PreparedType;
 use crate::schema::{AttributeStats, CandidateIndex, DualSchema};
-use crate::similarity::{
-    lsim, pack_occurrence_patterns, packed_patterns_intersect, vsim, CandidatePair, SimilarityTable,
-};
+use crate::similarity::{lsim, vsim, Evidence, SimilarityTable};
 
 /// One entity mutation of a [`CorpusDelta`].
 #[derive(Debug, Clone, PartialEq)]
@@ -237,8 +233,9 @@ pub struct DeltaReport {
     /// counted; uncached types stay lazy and simply build against the
     /// mutated corpus on first use.
     pub types_patched: usize,
-    /// Similarity pairs whose cosines were recomputed across all patched
-    /// types; every other pair kept its exact bits.
+    /// Similarity pairs with a dirty endpoint across all patched types —
+    /// the pairs a patch re-derives (computing the cosines of those that
+    /// are candidates); every other pair kept its exact bits.
     pub rows_recomputed: u64,
     /// Corpus fingerprint before the delta.
     pub fingerprint_before: u64,
@@ -484,8 +481,8 @@ fn is_dirty(
 }
 
 /// Patches one cached type's artifacts against the mutated corpus,
-/// returning the new artifacts, the number of similarity pairs whose
-/// cosines were actually recomputed, and whether the type was patched at
+/// returning the new artifacts, the number of similarity pairs with a
+/// dirty endpoint, and whether the type was patched at
 /// all (a type the delta provably cannot reach short-circuits to the old
 /// artifacts without walking the corpus). Everything else — clean vectors,
 /// clean-pair scores, and (when the schema skeleton is unchanged) every LSI
@@ -722,85 +719,42 @@ pub(crate) fn patch_prepared_type(
     );
     let index = CandidateIndex::build(&schema);
 
-    let lsi_refit = (!skeleton_same).then(|| {
-        (
-            SimilarityTable::fit_lsi(&schema, lsi_config),
-            pack_occurrence_patterns(&schema),
-        )
-    });
-
-    // Row pass, mirroring `compute_pruned_with`: same interleaved row
-    // distribution, same gating, same assembly order — but pairs whose two
-    // endpoints are clean copy their cosines from the old table.
+    // Evidence pass over the new index's candidates, under the gating of a
+    // cold build — but a pair whose two endpoints are clean copies its
+    // cosines from the old table.
     let n = schema.len();
     let old_table = &old.table;
-    let mut row_order: Vec<usize> = Vec::with_capacity(n);
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        row_order.push(lo);
-        lo += 1;
-        if lo < hi {
-            hi -= 1;
-            row_order.push(hi);
-        }
-    }
-    let mut rows: Vec<(usize, Vec<CandidatePair>, u64)> = row_order
-        .par_iter()
-        .map(|&p| {
-            let mut recomputed = 0u64;
-            let row: Vec<CandidatePair> = ((p + 1)..n)
-                .map(|q| {
-                    let reusable = !dirty[p] && !dirty[q];
-                    let (vsim_score, lsim_score) = if reusable {
-                        let old_pair = old_table
-                            .pair(old_of[p].expect("clean"), old_of[q].expect("clean"))
-                            .expect("old table covers clean pairs");
-                        (old_pair.vsim, old_pair.lsim)
-                    } else {
-                        recomputed += 1;
-                        (
-                            if index.value_candidate(p, q) {
-                                vsim(&schema, p, q)
-                            } else {
-                                0.0
-                            },
-                            if index.link_candidate(p, q) {
-                                lsim(&schema, p, q)
-                            } else {
-                                0.0
-                            },
-                        )
-                    };
-                    let lsi = match &lsi_refit {
-                        Some((model, bits)) => {
-                            SimilarityTable::lsi_score_with(&schema, model, p, q, || {
-                                packed_patterns_intersect(&bits[p], &bits[q])
-                            })
-                        }
-                        // Skeleton unchanged ⇒ indices coincide with the
-                        // old table's.
-                        None => old_table.pair(p, q).expect("same skeleton").lsi,
-                    };
-                    CandidatePair {
-                        p,
-                        q,
-                        vsim: vsim_score,
-                        lsim: lsim_score,
-                        lsi,
-                    }
-                })
-                .collect();
-            (p, row, recomputed)
-        })
-        .collect();
-    rows.sort_by_key(|(p, _, _)| *p);
-    let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
-    let mut rows_recomputed = 0u64;
-    for (_, row, recomputed) in rows {
-        pairs.extend(row);
-        rows_recomputed += recomputed;
-    }
-    let table = SimilarityTable::from_raw_parts(pairs, n);
+    let mut evidence = Evidence::builder();
+    index.for_each_candidate(|p, q, value, link| {
+        let (vsim_score, lsim_score) = if !dirty[p] && !dirty[q] {
+            old_table.evidence_of(
+                old_of[p].expect("clean attrs map to the old schema"),
+                old_of[q].expect("clean attrs map to the old schema"),
+            )
+        } else {
+            (
+                if value { vsim(&schema, p, q) } else { 0.0 },
+                if link { lsim(&schema, p, q) } else { 0.0 },
+            )
+        };
+        evidence.push(p, q, vsim_score, lsim_score);
+    });
+    // Every pair with a dirty endpoint counts as recomputed, candidate or
+    // not; all other pairs keep their exact bits.
+    let pair_count = |k: u64| k * k.saturating_sub(1) / 2;
+    let clean = dirty.iter().filter(|&&d| !d).count() as u64;
+    let rows_recomputed = pair_count(n as u64) - pair_count(clean);
+
+    // The LSI scores only depend on the occurrence matrix: an identical
+    // skeleton (attribute sequence + patterns + pair count) means identical
+    // scores at identical indices, so the old table's LSI source — factors,
+    // restored channel or mapped section — is shared as is.
+    let (lsi, region) = if skeleton_same {
+        (Arc::clone(old_table.lsi_source()), old.region.clone())
+    } else {
+        (SimilarityTable::fit_factors(&schema, lsi_config), None)
+    };
+    let table = SimilarityTable::exact(n, evidence.finish(n), lsi);
 
     let arena = Arc::clone(schema.arena());
     let vector_entries = schema.vector_entry_count();
@@ -811,7 +765,7 @@ pub(crate) fn patch_prepared_type(
             index: Some(Arc::new(index)),
             arena,
             vector_entries,
-            region: None,
+            region,
         },
         rows_recomputed,
         true,

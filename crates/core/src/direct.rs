@@ -42,7 +42,9 @@
 //! schema metadata (labels, attribute names), occurrence patterns and the
 //! candidate-index bitsets — all small, all needed eagerly. The arena text,
 //! the five per-attribute vector channels and the three similarity channels
-//! — the bytes that dominate a snapshot — are borrowed from the region.
+//! — the bytes that dominate a snapshot — are borrowed from the region: a
+//! mapped table reads its LSI section in place and, on first touch, reads
+//! the `vsim`/`lsim` sections into its heap-owned evidence rows.
 
 use std::ops::Range;
 use std::path::Path;
@@ -55,7 +57,7 @@ use wiki_translate::TitleDictionary;
 use crate::engine::PreparedType;
 use crate::mmap::MappedRegion;
 use crate::schema::{AttributeStats, CandidateIndex, DualSchema};
-use crate::similarity::{CandidatePair, SimilarityTable};
+use crate::similarity::{Evidence, SimilarityTable};
 use crate::snapshot::{
     checksum, decode_pair_set, decode_pattern, encode_pair_set, encode_pattern, write_atomically,
     Dec, Enc, EngineSnapshot, SnapshotError, HEADER_LEN, MAGIC,
@@ -154,18 +156,30 @@ fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
         }
         vector_layouts.push(five);
     }
-    // Similarity channels, canonical pair order, stride 8.
-    let pairs = prepared.table.pairs();
-    let mut channel = |field: fn(&CandidatePair) -> f64| {
-        let rel = sections.len();
-        for pair in pairs {
-            sections.extend_from_slice(&field(pair).to_bits().to_le_bytes());
+    // Similarity channels, canonical pair order, stride 8: the three
+    // sections are laid out first, then filled in one walk over the pairs.
+    let table = &prepared.table;
+    assert!(
+        table.stores_every_pair(),
+        "snapshots only hold exact-mode tables"
+    );
+    let n = table.attribute_count();
+    let section_len = n * n.saturating_sub(1) / 2 * 8;
+    let lsi_rel = sections.len();
+    let vsim_rel = lsi_rel + section_len;
+    let lsim_rel = vsim_rel + section_len;
+    sections.resize(lsim_rel + section_len, 0);
+    let mut at = 0usize;
+    table.for_each_pair(|pair| {
+        for (rel, value) in [
+            (lsi_rel, pair.lsi),
+            (vsim_rel, pair.vsim),
+            (lsim_rel, pair.lsim),
+        ] {
+            sections[rel + at..rel + at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
         }
-        rel
-    };
-    let lsi_rel = channel(|p| p.lsi);
-    let vsim_rel = channel(|p| p.vsim);
-    let lsim_rel = channel(|p| p.lsim);
+        at += 8;
+    });
 
     let mut meta = Enc::new();
     meta.str(type_id);
@@ -190,7 +204,7 @@ fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
         }
         encode_pattern(&mut meta, &attr.occurrence_pattern);
     }
-    meta.u64(prepared.table.attribute_count() as u64);
+    meta.u64(n as u64);
     meta.u64(lsi_rel as u64);
     meta.u64(vsim_rel as u64);
     meta.u64(lsim_rel as u64);
@@ -615,22 +629,23 @@ pub(crate) fn decode_owned(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError
         );
 
         let n = t.attrs.len();
-        let n_pairs = n * n.saturating_sub(1) / 2;
-        let mut pairs = Vec::with_capacity(n_pairs);
+        let lsi = (0..n * n.saturating_sub(1) / 2)
+            .map(|i| read_f64_bits(bytes, t.lsi.start + i * 8))
+            .collect();
+        let mut evidence = Evidence::builder();
         let mut i = 0usize;
         for p in 0..n {
             for q in (p + 1)..n {
-                pairs.push(CandidatePair {
+                evidence.push(
                     p,
                     q,
-                    vsim: read_f64_bits(bytes, t.vsim.start + i * 8),
-                    lsim: read_f64_bits(bytes, t.lsim.start + i * 8),
-                    lsi: read_f64_bits(bytes, t.lsi.start + i * 8),
-                });
+                    read_f64_bits(bytes, t.vsim.start + i * 8),
+                    read_f64_bits(bytes, t.lsim.start + i * 8),
+                );
                 i += 1;
             }
         }
-        let table = SimilarityTable::from_raw_parts(pairs, n);
+        let table = SimilarityTable::restored(n, lsi, evidence.finish(n));
         let vector_entries = schema.vector_entry_count();
         types.push((
             t.type_id,

@@ -70,6 +70,11 @@ fn recover<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Estimated heap bytes of a session's corpus and title dictionary.
+fn dataset_bytes(dataset: &Dataset, dictionary: &TitleDictionary) -> u64 {
+    dataset.corpus.heap_bytes() + dictionary.heap_bytes()
+}
+
 /// Mirrors one applied delta into the process-wide metrics registry, so a
 /// `/metrics` scrape covers mutation activity across every live engine.
 fn observe_delta(rows_recomputed: u64) {
@@ -159,14 +164,15 @@ pub struct PreparedType {
 
 impl PreparedType {
     /// Estimated heap bytes currently held by this type's artifacts: owned
-    /// (or materialized-from-mapped) arena text, vector entries and table
-    /// pairs. Mapped storage nothing has touched counts zero — those bytes
-    /// belong on the mapped-bytes ledger, not the resident one.
+    /// (or materialized-from-mapped) arena text and vector entries, the
+    /// occurrence patterns and candidate-index bitsets (heap-owned even in
+    /// a mapped session), and the table's evidence rows and LSI source.
+    /// Mapped storage nothing has touched counts zero — those bytes belong
+    /// on the mapped-bytes ledger, not the resident one.
     pub fn resident_bytes(&self) -> u64 {
-        // Entry/pair sizes with padding: a (u32, f64) entry is 16 bytes, a
-        // CandidatePair (2 usize + 3 f64) is 40.
+        // A (u32, f64) entry with padding is 16 bytes; an occurrence
+        // pattern is one `bool` per dual infobox.
         const VECTOR_ENTRY_BYTES: u64 = 16;
-        const PAIR_BYTES: u64 = 40;
         let mut bytes = self.arena.heap_bytes() as u64;
         for attr in &self.schema.attributes {
             for vector in [
@@ -180,8 +186,10 @@ impl PreparedType {
                     bytes += vector.len() as u64 * VECTOR_ENTRY_BYTES;
                 }
             }
+            bytes += attr.occurrence_pattern.len() as u64;
         }
-        bytes + self.table.materialized_pairs() as u64 * PAIR_BYTES
+        let index = self.index.as_ref().map_or(0, |index| index.heap_bytes());
+        bytes + index + self.table.heap_bytes()
     }
 }
 
@@ -232,10 +240,11 @@ pub struct EngineStats {
     /// vectors (each entry is 16 bytes: a `u32` id padded next to an `f64`
     /// weight).
     pub vector_entries: u64,
-    /// Estimated heap bytes currently held by cached artifacts (owned
-    /// storage plus whatever mapped storage has been materialized) — see
-    /// [`PreparedType::resident_bytes`]. This is the quantity a
-    /// `--max-resident-mb` budget constrains.
+    /// Estimated heap bytes currently held by the session: its corpus and
+    /// title dictionary (estimated once per corpus version) plus the cached
+    /// artifacts' owned storage and whatever mapped storage has been
+    /// materialized — see [`PreparedType::resident_bytes`]. This is the
+    /// quantity a `--max-resident-mb` budget constrains.
     pub resident_bytes: u64,
     /// Bytes of mapped snapshot regions backing cached artifacts (each
     /// distinct region counted once). These live in the OS page cache, not
@@ -267,6 +276,9 @@ struct EngineCounters {
 struct EngineState {
     dataset: Arc<Dataset>,
     dictionary: Arc<TitleDictionary>,
+    /// Estimated heap bytes of `dataset`'s corpus plus `dictionary`,
+    /// computed when they are swapped in rather than on every stats call.
+    dataset_bytes: u64,
     /// Fingerprint of the current corpus (see
     /// [`corpus_fingerprint`]) — kept current across deltas so the
     /// persistence layers can chain journal records without re-hashing.
@@ -347,6 +359,7 @@ impl MatchEngineBuilder {
             config: self.config,
             compute_mode: self.compute_mode,
             state: RwLock::new(EngineState {
+                dataset_bytes: dataset_bytes(&self.dataset, &dictionary),
                 dataset: self.dataset,
                 dictionary: Arc::new(dictionary),
                 fingerprint,
@@ -416,6 +429,7 @@ impl MatchEngineBuilder {
             config: self.config,
             compute_mode: self.compute_mode,
             state: RwLock::new(EngineState {
+                dataset_bytes: dataset_bytes(&self.dataset, &snapshot.dictionary),
                 dataset: self.dataset,
                 dictionary: Arc::new(snapshot.dictionary),
                 fingerprint: expected,
@@ -750,8 +764,10 @@ impl MatchEngine {
             // does not see. Swap in the mutated corpus and drop the caches —
             // the next request rebuilds lazily against the new state.
             let fingerprint = corpus_fingerprint(&new_dataset);
+            let new_dataset_bytes = dataset_bytes(&new_dataset, &new_dictionary);
             {
                 let mut state = recover(self.state.write());
+                state.dataset_bytes = new_dataset_bytes;
                 state.dataset = Arc::new(new_dataset);
                 state.dictionary = Arc::new(new_dictionary);
                 state.fingerprint = fingerprint;
@@ -802,8 +818,10 @@ impl MatchEngine {
             let _ = slot.set(artifacts);
             prepared.insert(type_id, slot);
         }
+        let new_dataset_bytes = dataset_bytes(&new_dataset, &new_dictionary);
         {
             let mut state = recover(self.state.write());
+            state.dataset_bytes = new_dataset_bytes;
             state.dataset = Arc::new(new_dataset);
             state.dictionary = Arc::new(new_dictionary);
             state.fingerprint = fingerprint;
@@ -905,11 +923,12 @@ impl MatchEngine {
         let mut interned_terms = 0u64;
         let mut interned_bytes = 0u64;
         let mut vector_entries = 0u64;
-        let mut resident_bytes = 0u64;
         let mut mapped_bytes = 0u64;
         let mut page_ins = 0u64;
+        let mut resident_bytes = 0u64;
         {
             let state = recover(self.state.read());
+            resident_bytes += state.dataset_bytes;
             // One mapped region backs every type of a snapshot; count each
             // distinct region once.
             let mut seen_regions: Vec<*const crate::mmap::MappedRegion> = Vec::new();
@@ -1129,7 +1148,15 @@ mod tests {
     #[test]
     fn stats_count_requests_builds_and_alignments() {
         let engine = engine();
-        assert_eq!(engine.stats(), EngineStats::default());
+        // A fresh session holds its corpus and dictionary, nothing else.
+        let held = engine.dataset().corpus.heap_bytes() + engine.dictionary().heap_bytes();
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                resident_bytes: held,
+                ..EngineStats::default()
+            }
+        );
         engine.align("film").unwrap();
         engine.align("film").unwrap();
         engine.schema("film").unwrap();

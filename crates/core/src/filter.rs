@@ -1,11 +1,11 @@
 //! Threshold-filtered sparse similarity-table build
 //! ([`ComputeMode::Filtered`](crate::similarity::ComputeMode::Filtered)).
 //!
-//! The exact modes pay for a full triangular pass: even with the candidate
-//! index certifying zero cosines, every one of the `n·(n-1)/2` pairs still
-//! gets an LSI score, which is what makes large schemas quadratic. This
-//! module replaces the triangular pass with an **index-probe** in the style
-//! of the similarity-join literature's prefix/length filters: stream each
+//! The exact modes score every candidate pair, that is every pair sharing a
+//! value or link term, and enumerate candidates from two `n·(n-1)/2`-bit
+//! pair sets, which is what stays quadratic on large schemas. This module
+//! replaces the pair sets with an **index-probe** in the style of the
+//! similarity-join literature's prefix/length filters: stream each
 //! attribute's term ids through id-keyed postings of the attributes seen so
 //! far, count shared terms per touched pair, and discard every pair whose
 //! *provable* cosine upper bound cannot reach the threshold `τ`.
@@ -38,18 +38,16 @@
 //! cosine (the same float ops as the dense pass, hence bit-identical) and
 //! are then re-filtered on the true score, so the stored set is a pure
 //! function of the dense table and `τ`, independent of how tight the
-//! bounds happened to be. Stored channels below `τ` read `0.0`; LSI is
-//! computed exactly for every stored pair. The `candidate_pruning` suite
-//! proves both halves against the `Dense` oracle.
+//! bounds happened to be. Stored channels below `τ` read `0.0`; LSI comes
+//! on demand from the same factors as an exact table's, so every stored
+//! pair's LSI is exact. The `candidate_pruning` suite proves both halves
+//! against the `Dense` oracle.
 
 use wiki_linalg::LsiConfig;
 use wiki_text::TermVector;
 
 use crate::schema::DualSchema;
-use crate::similarity::{
-    lsim, pack_occurrence_patterns, packed_patterns_intersect, vsim, CandidatePair, PairCounts,
-    SimilarityTable,
-};
+use crate::similarity::{lsim, vsim, Evidence, PairCounts, SimilarityTable};
 
 /// Multiplicative slack applied to the upper bound before comparing it to
 /// the threshold mass `τ·‖a‖·‖b‖`: the bound arithmetic (sort, prefix
@@ -242,7 +240,7 @@ pub(crate) fn compute_filtered(
     // then keep only true `≥ τ` channels — so the stored set does not
     // depend on bound tightness, only on the oracle scores.
     let mut scored: u64 = 0;
-    let mut pairs: Vec<CandidatePair> = Vec::new();
+    let mut evidence = Evidence::builder();
     for (p, q, check_value, check_link) in merge_pair_lists(value_survivors, link_survivors) {
         let (p, q) = (p as usize, q as usize);
         let vs = if check_value {
@@ -260,28 +258,17 @@ pub(crate) fn compute_filtered(
         let keep_value = vs >= threshold;
         let keep_link = ls >= threshold;
         if keep_value || keep_link {
-            pairs.push(CandidatePair {
+            evidence.push(
                 p,
                 q,
-                vsim: if keep_value { vs } else { 0.0 },
-                lsim: if keep_link { ls } else { 0.0 },
-                lsi: 0.0,
-            });
+                if keep_value { vs } else { 0.0 },
+                if keep_link { ls } else { 0.0 },
+            );
         }
     }
 
-    // LSI only for stored pairs — this is where the quadratic LSI pass of
-    // the exact modes collapses to O(survivors).
-    let lsi_model = SimilarityTable::fit_lsi(schema, lsi_config);
-    let occurrence_bits = pack_occurrence_patterns(schema);
-    for pair in &mut pairs {
-        pair.lsi = SimilarityTable::lsi_score_with(schema, &lsi_model, pair.p, pair.q, || {
-            packed_patterns_intersect(&occurrence_bits[pair.p], &occurrence_bits[pair.q])
-        });
-    }
-
     (
-        SimilarityTable::from_sparse_pairs(pairs, n),
+        SimilarityTable::sparse(schema, lsi_config, evidence.finish(n)),
         PairCounts::of_total(n, scored),
     )
 }

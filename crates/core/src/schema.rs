@@ -23,6 +23,8 @@ use wiki_text::tokenize::split_value_atoms;
 use wiki_text::{tokenize_value, TermArena, TermArenaBuilder, TermVector};
 use wiki_translate::TitleDictionary;
 
+use crate::similarity::{triangular_index, PairCursor};
+
 /// Pooled evidence for one attribute label of one language.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeStats {
@@ -418,6 +420,26 @@ impl DualSchema {
         &self.attributes[idx]
     }
 
+    /// A dense language id per attribute, numbered in first-seen order,
+    /// and the number of distinct languages.
+    pub(crate) fn language_ids(&self) -> (Vec<usize>, usize) {
+        let mut distinct: Vec<&Language> = Vec::new();
+        let ids = self
+            .attributes
+            .iter()
+            .map(|attr| {
+                distinct
+                    .iter()
+                    .position(|&l| *l == attr.language)
+                    .unwrap_or_else(|| {
+                        distinct.push(&attr.language);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        (ids, distinct.len())
+    }
+
     /// Indices of the attributes of one language.
     pub fn attributes_in(&self, language: &Language) -> Vec<usize> {
         self.attributes
@@ -454,9 +476,9 @@ impl DualSchema {
 
 /// A bit-packed set of unordered attribute pairs `(p, q)` with `p != q`.
 ///
-/// Backs the [`CandidateIndex`]: membership tests are a single word load,
-/// so the pruned similarity-table build can ask "do these two attributes
-/// share any term?" in O(1) for each of the O(n²) pairs it enumerates.
+/// Backs the [`CandidateIndex`]: bit `i` is the pair at canonical position
+/// `i`, so a membership test is a single word load and the set's pairs come
+/// out in canonical order by walking its set bits.
 #[derive(Debug, Clone)]
 pub struct PairSet {
     n: usize,
@@ -475,9 +497,7 @@ impl PairSet {
 
     fn bit(&self, p: usize, q: usize) -> (usize, u64) {
         let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-        // Triangular index, same layout as `SimilarityTable::pair`:
-        // offset(lo) = lo*n - lo*(lo+1)/2, then + (hi - lo - 1).
-        let idx = lo * self.n - lo * (lo + 1) / 2 + (hi - lo - 1);
+        let idx = triangular_index(self.n, lo, hi);
         (idx / 64, 1u64 << (idx % 64))
     }
 
@@ -599,6 +619,11 @@ impl CandidateIndex {
         &self.link_pairs
     }
 
+    /// Heap bytes of the two pair sets' bit words.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        ((self.value_pairs.words.capacity() + self.link_pairs.words.capacity()) * 8) as u64
+    }
+
     /// Number of value-candidate pairs.
     pub fn value_candidates(&self) -> usize {
         self.value_pairs.len()
@@ -607,6 +632,31 @@ impl CandidateIndex {
     /// Number of link-candidate pairs.
     pub fn link_candidates(&self) -> usize {
         self.link_pairs.len()
+    }
+
+    /// Calls `f(p, q, value, link)` for every pair that is a value or a
+    /// link candidate, in canonical order, by walking the set bits of the
+    /// two pair sets' union: O(n²/64 + candidates), no per-pair test.
+    pub(crate) fn for_each_candidate(&self, mut f: impl FnMut(usize, usize, bool, bool)) {
+        let n = self.value_pairs.n;
+        let n_pairs = n * n.saturating_sub(1) / 2;
+        let mut cursor = PairCursor::new(n);
+        let words = self.value_pairs.words.iter().zip(&self.link_pairs.words);
+        for (w, (&value, &link)) in words.enumerate() {
+            let mut bits = value | link;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let index = w * 64 + bit as usize;
+                // Padding bits past the last pair (possible only in a
+                // persisted set) name no pair.
+                if index >= n_pairs {
+                    return;
+                }
+                let (p, q) = cursor.locate(index);
+                f(p, q, value >> bit & 1 == 1, link >> bit & 1 == 1);
+            }
+        }
     }
 }
 

@@ -14,11 +14,19 @@
 //!   conventions: cross-language pairs use the cosine directly, co-occurring
 //!   same-language pairs are forced to 0 (they cannot be synonyms), and
 //!   non-co-occurring same-language pairs use the complement of the cosine.
+//!
+//! A [`SimilarityTable`] does not hold one record per pair. Only the pairs
+//! that share a value or link term can have non-zero `vsim`/`lsim`, and
+//! every LSI score is a pure function of the rank-k factors and the two
+//! attributes' languages and occurrence patterns. So the table keeps the
+//! evidence pairs as compressed sparse rows and computes LSI on demand from
+//! the factors with the same float operations as the dense pass, hence the
+//! same bits; a restored table reads LSI from its persisted channel instead.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use wiki_linalg::{LsiConfig, LsiModel, Matrix};
@@ -28,26 +36,27 @@ use crate::schema::{CandidateIndex, DualSchema};
 
 /// How [`SimilarityTable::compute`] traverses the attribute-pair space.
 ///
-/// The two *exact* modes (`Pruned`, `Dense`) produce **bit-identical**
-/// tables (pinned by the `pruned_table_is_byte_identical_to_dense` tests);
-/// they differ only in how much work they do per pair. The sparse
+/// The two *exact* modes (`Pruned`, `Dense`) produce tables that answer
+/// every pair with **identical bits** (pinned by the
+/// `pruned_table_is_byte_identical_to_dense` tests); they differ only in
+/// how much work they do per pair. The sparse
 /// `Filtered` mode relaxes completeness — not accuracy — for scale: every
 /// score it *does* store is still produced by the exact same float
 /// operations as the dense pass, but sub-threshold pairs are dropped from
 /// the table.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ComputeMode {
-    /// Candidate-pruned, parallel build (the default): a
-    /// [`CandidateIndex`] over the attributes' value and link terms decides
-    /// which pairs can have non-zero `vsim` / `lsim`; only those cosines
-    /// are computed (non-candidates are exactly `0.0` by construction),
-    /// co-occurrence tests run on bit-packed occurrence patterns, and rows
-    /// are scored on parallel threads via the rayon shim.
+    /// Candidate-pruned build (the default): a [`CandidateIndex`] over the
+    /// attributes' value and link terms decides which pairs can have
+    /// non-zero `vsim` / `lsim`; only those cosines are computed, by
+    /// walking the index's set bits (non-candidates are exactly `0.0` by
+    /// construction), and LSI is scored on demand from the fitted factors.
     #[default]
     Pruned,
     /// The exact-equivalence fallback: the straightforward dense
-    /// `O(|A|·|B|)` reference pass over every pair, single-threaded. Kept
-    /// as the semantic ground truth the pruned path is tested against.
+    /// `O(|A|·|B|)` reference pass over every pair, single-threaded, which
+    /// also stores every LSI score it computes. Kept as the semantic ground
+    /// truth the pruned path is tested against.
     Dense,
     /// Threshold-filtered sparse build: an index-probe pass counts shared
     /// terms per pair and a provable weight-mass upper bound (see
@@ -238,38 +247,302 @@ pub fn lsim(schema: &DualSchema, p: usize, q: usize) -> f64 {
     schema.attribute(p).links.cosine(&schema.attribute(q).links)
 }
 
-/// Where a table's pairs live: on the heap, or borrowed from a mapped (v4)
-/// snapshot region as three fixed-stride raw-`f64`-bits channel sections
-/// (`lsi`, `vsim`, `lsim`, each `n_pairs * 8` bytes in canonical pair
-/// order). A mapped table decodes **lazily on first touch** — this is the
-/// per-(type, channel) page-in of the out-of-core tier — and the decoded
-/// pairs are bit-identical to an owned decode because every weight travels
-/// as raw IEEE-754 bits.
-#[derive(Debug, Clone)]
-enum PairStore {
-    Owned(Vec<CandidatePair>),
+/// Position of the unordered pair `(lo, hi)`, `lo < hi < n`, in the
+/// canonical pair order: row-major over the strict upper triangle. Every
+/// persisted channel and both candidate-index bitsets use this order.
+pub(crate) fn triangular_index(n: usize, lo: usize, hi: usize) -> usize {
+    lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
+}
+
+/// Turns ascending canonical pair positions back into `(p, q)` pairs, in
+/// amortized O(1) per position.
+pub(crate) struct PairCursor {
+    n: usize,
+    p: usize,
+    row_start: usize,
+    row_end: usize,
+}
+
+impl PairCursor {
+    /// A cursor over the pairs of `n` attributes, at row 0.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            n,
+            p: 0,
+            row_start: 0,
+            row_end: n.saturating_sub(1),
+        }
+    }
+
+    /// The pair at canonical position `index`. Positions must be below
+    /// `n·(n-1)/2` and must not decrease from one call to the next.
+    pub(crate) fn locate(&mut self, index: usize) -> (usize, usize) {
+        while index >= self.row_end {
+            self.p += 1;
+            self.row_start = self.row_end;
+            self.row_end += self.n - 1 - self.p;
+        }
+        (self.p, self.p + 1 + (index - self.row_start))
+    }
+}
+
+/// The pairs `p < q` whose direct evidence is not `+0.0` on both channels,
+/// as compressed sparse rows: row `p` lists its partners `q` in ascending
+/// order, each with its `vsim` and `lsim`. Every pair absent from it has
+/// `0.0` on both channels.
+#[derive(Debug)]
+pub(crate) struct Evidence {
+    /// `starts[p]..starts[p + 1]` is row `p`'s span of the entry arrays.
+    starts: Vec<usize>,
+    partners: Vec<u32>,
+    vsim: Vec<f64>,
+    lsim: Vec<f64>,
+}
+
+impl Evidence {
+    /// An empty builder; [`push`](Self::push) the pairs in canonical order,
+    /// then [`finish`](Self::finish).
+    pub(crate) fn builder() -> Self {
+        Self {
+            starts: vec![0],
+            partners: Vec::new(),
+            vsim: Vec::new(),
+            lsim: Vec::new(),
+        }
+    }
+
+    /// Appends pair `(p, q)`, `p < q`, which must follow every pair pushed
+    /// before it in canonical order. A pair whose two channels both carry
+    /// the bits of `+0.0` is dropped: it reads the same either way.
+    pub(crate) fn push(&mut self, p: usize, q: usize, vsim: f64, lsim: f64) {
+        if vsim.to_bits() == 0 && lsim.to_bits() == 0 {
+            return;
+        }
+        debug_assert!(p < q && self.starts.len() <= p + 1);
+        while self.starts.len() <= p {
+            self.starts.push(self.partners.len());
+        }
+        self.partners
+            .push(u32::try_from(q).expect("attribute indices fit in u32"));
+        self.vsim.push(vsim);
+        self.lsim.push(lsim);
+    }
+
+    /// Closes the rows of all `n` attributes.
+    pub(crate) fn finish(mut self, n: usize) -> Self {
+        while self.starts.len() <= n {
+            self.starts.push(self.partners.len());
+        }
+        self
+    }
+
+    /// Row `p`'s entries `(q, vsim, lsim)`, ascending in `q`.
+    fn row(&self, p: usize) -> impl Iterator<Item = (usize, f64, f64)> + '_ {
+        (self.starts[p]..self.starts[p + 1])
+            .map(move |i| (self.partners[i] as usize, self.vsim[i], self.lsim[i]))
+    }
+
+    /// `(vsim, lsim)` of the pair `lo < hi`, or `None` without evidence.
+    fn get(&self, lo: usize, hi: usize) -> Option<(f64, f64)> {
+        let (start, end) = (self.starts[lo], self.starts[lo + 1]);
+        let at = self.partners[start..end]
+            .binary_search(&u32::try_from(hi).ok()?)
+            .ok()?;
+        Some((self.vsim[start + at], self.lsim[start + at]))
+    }
+
+    /// Every entry `(p, q, vsim, lsim)` in canonical order.
+    fn iter(&self) -> impl Iterator<Item = (usize, usize, f64, f64)> + '_ {
+        (0..self.starts.len() - 1)
+            .flat_map(move |p| self.row(p).map(move |(q, vsim, lsim)| (p, q, vsim, lsim)))
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        (self.starts.capacity() * 8
+            + self.partners.capacity() * 4
+            + (self.vsim.capacity() + self.lsim.capacity()) * 8) as u64
+    }
+}
+
+/// Every attribute's boolean occurrence pattern packed into `u64` words,
+/// one fixed-width row per attribute, so a co-occurrence test is a handful
+/// of ANDs instead of an O(dual-count) boolean zip.
+#[derive(Debug)]
+pub(crate) struct PackedPatterns {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl PackedPatterns {
+    pub(crate) fn pack(schema: &DualSchema) -> Self {
+        let words = schema.dual_count.div_ceil(64);
+        let mut bits = vec![0u64; words * schema.len()];
+        for (p, attr) in schema.attributes.iter().enumerate() {
+            for (j, present) in attr.occurrence_pattern.iter().enumerate() {
+                if *present {
+                    bits[p * words + j / 64] |= 1u64 << (j % 64);
+                }
+            }
+        }
+        Self { words, bits }
+    }
+
+    /// Attribute `p`'s packed pattern.
+    pub(crate) fn row(&self, p: usize) -> &[u64] {
+        &self.bits[p * self.words..(p + 1) * self.words]
+    }
+
+    /// True when `p` and `q` share at least one dual infobox — exactly
+    /// `AttributeStats::co_occurrences(..) > 0`, word-parallel.
+    pub(crate) fn intersect(&self, p: usize, q: usize) -> bool {
+        self.row(p).iter().zip(self.row(q)).any(|(x, y)| x & y != 0)
+    }
+}
+
+/// The paper's sign conventions over one LSI cosine: cross-language pairs
+/// use the cosine, same-language pairs that co-occur in an infobox score
+/// `0.0` (they are not synonyms), and same-language pairs that never do
+/// score the complement of the cosine (the less alike their occurrence
+/// patterns, the likelier they are intra-language synonyms).
+///
+/// `co_occurs` is a closure, not a bool: only same-language pairs evaluate
+/// it, so cross-language pairs pay nothing for it. The reference path hands
+/// in the boolean zip, the factored path the AND over packed patterns; both
+/// answer the same question, so both paths run the same float operations.
+fn signed_lsi(
+    model: &LsiModel,
+    p: usize,
+    q: usize,
+    same_language: bool,
+    co_occurs: impl FnOnce() -> bool,
+) -> f64 {
+    if model.is_empty() || model.rank() == 0 {
+        return 0.0;
+    }
+    let cosine = model.similarity(p, q);
+    if !same_language {
+        cosine.clamp(0.0, 1.0)
+    } else if co_occurs() {
+        0.0
+    } else {
+        (1.0 - cosine).clamp(0.0, 1.0)
+    }
+}
+
+/// The LSI factors of a schema and what the sign conventions need beside
+/// them: the rank-k model, a language id per attribute and the packed
+/// occurrence patterns. [`score`](Self::score) recomputes one pair's LSI on
+/// demand in O(k + dual-count/64).
+#[derive(Debug)]
+pub(crate) struct LsiFactors {
+    model: LsiModel,
+    language: Vec<usize>,
+    patterns: PackedPatterns,
+}
+
+impl LsiFactors {
+    fn fit(schema: &DualSchema, config: LsiConfig) -> Self {
+        Self {
+            model: SimilarityTable::fit_lsi(schema, config),
+            language: schema.language_ids().0,
+            patterns: PackedPatterns::pack(schema),
+        }
+    }
+
+    fn score(&self, p: usize, q: usize) -> f64 {
+        signed_lsi(
+            &self.model,
+            p,
+            q,
+            self.language[p] == self.language[q],
+            || self.patterns.intersect(p, q),
+        )
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        // One reduced vector (plus its Vec header) and one norm per
+        // attribute, the singular values, the language ids and the words.
+        let n = self.model.len();
+        let model = n * (self.model.rank() * 8 + 24 + 8) + self.model.rank() * 8;
+        (model + self.language.len() * 8 + self.patterns.bits.len() * 8) as u64
+    }
+}
+
+/// Where a table's LSI scores come from.
+#[derive(Debug)]
+pub(crate) enum LsiSource {
+    /// Built and patched tables: the fitted factors, scored on demand.
+    Factors(LsiFactors),
+    /// Restored tables and the `Dense` oracle: one score per pair in
+    /// canonical order, on the heap.
+    Channel(Vec<f64>),
+    /// A mapped (v4) snapshot: three fixed-stride sections of raw
+    /// little-endian `f64` bits in canonical order. LSI is read in place;
+    /// `vsim`/`lsim` are read into the table's evidence on first touch.
     Mapped {
         region: Arc<dyn ByteRegion>,
         lsi: Range<usize>,
         vsim: Range<usize>,
         lsim: Range<usize>,
-        cache: OnceLock<Vec<CandidatePair>>,
     },
 }
 
-/// All pairwise similarity evidence for one dual-language schema.
-#[derive(Debug, Clone)]
+/// The `f64` whose raw little-endian bits sit at `bytes[at..at + 8]`.
+fn read_f64(bytes: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64::from_le_bytes(
+        bytes[at..at + 8].try_into().expect("8-byte field"),
+    ))
+}
+
+impl LsiSource {
+    /// The LSI score of pair `lo < hi` over `n` attributes.
+    fn score(&self, n: usize, lo: usize, hi: usize) -> f64 {
+        match self {
+            LsiSource::Factors(factors) => factors.score(lo, hi),
+            LsiSource::Channel(scores) => scores[triangular_index(n, lo, hi)],
+            LsiSource::Mapped { region, lsi, .. } => {
+                read_f64(region.bytes(), lsi.start + 8 * triangular_index(n, lo, hi))
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            LsiSource::Factors(factors) => factors.heap_bytes(),
+            LsiSource::Channel(scores) => scores.capacity() as u64 * 8,
+            LsiSource::Mapped { .. } => 0,
+        }
+    }
+}
+
+/// All pairwise similarity evidence for one dual-language schema, factored
+/// into three parts instead of one record per pair:
+///
+/// * the **evidence**: the pairs with non-zero `vsim` or `lsim`, as
+///   compressed sparse rows (for `Filtered`, its survivors);
+/// * the **stored-pair predicate**: every unordered pair for `Pruned`,
+///   `Dense` and restored tables, the evidence pairs only for `Filtered`;
+/// * the **LSI source**: the fitted factors, or a persisted dense channel
+///   for restored tables and the `Dense` oracle.
+///
+/// [`pair`](Self::pair) answers any stored pair in O(log degree + k) with
+/// the bits the dense reference pass computes; [`pairs`](Self::pairs) and
+/// [`above_lsi`](Self::above_lsi) walk every stored pair and retain nothing.
+#[derive(Debug)]
 pub struct SimilarityTable {
-    /// Candidate pairs sorted by `(p, q)` with `p < q`. The exact modes
-    /// store every unordered pair; the sparse modes only the survivors.
-    store: PairStore,
     /// Number of attributes in the schema the table was built for.
     len: usize,
-    /// True when the store holds **every** unordered pair in lexicographic
-    /// order, so [`pair`](Self::pair) can use O(1) index arithmetic;
-    /// sparse (filtered) tables binary-search instead. Mapped tables
-    /// are always dense — only exact-mode artifacts are persisted.
-    dense_layout: bool,
+    /// The stored-pair predicate: every pair, or the evidence pairs only.
+    stores_every_pair: bool,
+    /// Set at construction, except for a mapped table, which reads it from
+    /// its sections on first touch (the per-table page-in of the
+    /// out-of-core tier).
+    evidence: OnceLock<Evidence>,
+    /// Shared with a delta-patched successor when the skeleton is kept.
+    lsi: Arc<LsiSource>,
+    /// Walks over every stored pair so far (see
+    /// [`stored_pair_walks`](Self::stored_pair_walks)).
+    walks: AtomicU64,
 }
 
 impl SimilarityTable {
@@ -346,8 +619,8 @@ impl SimilarityTable {
                 let _span = wiki_obs::Span::enter("similarity_pruned");
                 let table = Self::compute_pruned_with(schema, lsi_config, index);
                 // The pruned pass evaluates exactly one cosine per
-                // candidate pair per channel; everything else is written
-                // as a certified 0.0.
+                // candidate pair per channel; every other pair is a
+                // certified 0.0.
                 let scored = (index.value_candidates() + index.link_candidates()) as u64;
                 (table, PairCounts::of_total(schema.len(), scored))
             }
@@ -355,25 +628,51 @@ impl SimilarityTable {
         }
     }
 
-    /// Reassembles a table from persisted parts. The caller (the snapshot
-    /// reader) guarantees `pairs` holds every unordered pair `(p < q)` over
-    /// `len` attributes in lexicographic order — the layout
-    /// [`pair`](Self::pair) depends on.
-    pub(crate) fn from_raw_parts(pairs: Vec<CandidatePair>, len: usize) -> Self {
-        debug_assert_eq!(pairs.len(), len * len.saturating_sub(1) / 2);
+    fn new(len: usize, stores_every_pair: bool, evidence: Evidence, lsi: Arc<LsiSource>) -> Self {
         Self {
-            store: PairStore::Owned(pairs),
             len,
-            dense_layout: true,
+            stores_every_pair,
+            evidence: OnceLock::from(evidence),
+            lsi,
+            walks: AtomicU64::new(0),
         }
     }
 
-    /// Assembles a dense table whose channel values are **borrowed** from a
-    /// mapped snapshot region: `lsi` / `vsim` / `lsim` are the byte ranges
-    /// of the three fixed-stride sections (raw little-endian `f64` bits,
-    /// one value per canonical pair). Bounds, section sizes and 8-byte
-    /// stride alignment are validated here, so the lazy decode on first
-    /// touch is infallible; returns `None` when the layout is broken.
+    /// A table that stores every pair of `len` attributes: the shape of a
+    /// built or delta-patched exact table.
+    pub(crate) fn exact(len: usize, evidence: Evidence, lsi: Arc<LsiSource>) -> Self {
+        Self::new(len, true, evidence, lsi)
+    }
+
+    /// The LSI source fitted on `schema`, for [`exact`](Self::exact).
+    pub(crate) fn fit_factors(schema: &DualSchema, lsi_config: LsiConfig) -> Arc<LsiSource> {
+        Arc::new(LsiSource::Factors(LsiFactors::fit(schema, lsi_config)))
+    }
+
+    /// A sparse (`Filtered`) table: only the evidence pairs are stored.
+    pub(crate) fn sparse(schema: &DualSchema, lsi_config: LsiConfig, evidence: Evidence) -> Self {
+        Self::new(
+            schema.len(),
+            false,
+            evidence,
+            Self::fit_factors(schema, lsi_config),
+        )
+    }
+
+    /// A restored table over every pair of `len` attributes: the persisted
+    /// LSI channel (one score per pair, canonical order) and the evidence
+    /// read from the persisted `vsim`/`lsim` channels.
+    pub(crate) fn restored(len: usize, lsi: Vec<f64>, evidence: Evidence) -> Self {
+        debug_assert_eq!(lsi.len(), len * len.saturating_sub(1) / 2);
+        Self::new(len, true, evidence, Arc::new(LsiSource::Channel(lsi)))
+    }
+
+    /// Assembles a table whose channels are **borrowed** from a mapped
+    /// snapshot region: `lsi` / `vsim` / `lsim` are the byte ranges of the
+    /// three fixed-stride sections (raw little-endian `f64` bits, one value
+    /// per canonical pair). Bounds, section sizes and 8-byte stride
+    /// alignment are validated here, so the reads on first touch are
+    /// infallible; returns `None` when the layout is broken.
     pub fn from_mapped(
         region: Arc<dyn ByteRegion>,
         lsi: Range<usize>,
@@ -393,188 +692,91 @@ impl SimilarityTable {
             }
         }
         Some(Self {
-            store: PairStore::Mapped {
+            len,
+            stores_every_pair: true,
+            evidence: OnceLock::new(),
+            lsi: Arc::new(LsiSource::Mapped {
                 region,
                 lsi,
                 vsim,
                 lsim,
-                cache: OnceLock::new(),
-            },
-            len,
-            dense_layout: true,
+            }),
+            walks: AtomicU64::new(0),
         })
     }
 
-    /// The pair list, materializing a mapped store on first touch.
-    fn stored_pairs(&self) -> &[CandidatePair] {
-        match &self.store {
-            PairStore::Owned(pairs) => pairs,
-            PairStore::Mapped {
+    /// The evidence, reading a mapped table's sections on first touch.
+    fn evidence(&self) -> &Evidence {
+        self.evidence.get_or_init(|| {
+            let LsiSource::Mapped {
                 region,
                 lsi,
                 vsim,
                 lsim,
-                cache,
-            } => cache.get_or_init(|| {
-                region.note_page_in(lsi.len() + vsim.len() + lsim.len());
-                let bytes = region.bytes();
-                let channel = |range: &Range<usize>, i: usize| {
-                    let at = range.start + i * 8;
-                    f64::from_bits(u64::from_le_bytes(
-                        bytes[at..at + 8].try_into().expect("8-byte field"),
-                    ))
-                };
-                let n_pairs = self.len * self.len.saturating_sub(1) / 2;
-                let mut pairs = Vec::with_capacity(n_pairs);
-                let mut i = 0usize;
-                for p in 0..self.len {
-                    for q in (p + 1)..self.len {
-                        pairs.push(CandidatePair {
-                            p,
-                            q,
-                            vsim: channel(vsim, i),
-                            lsim: channel(lsim, i),
-                            lsi: channel(lsi, i),
-                        });
-                        i += 1;
-                    }
+            } = &*self.lsi
+            else {
+                unreachable!("only mapped tables defer their evidence")
+            };
+            region.note_page_in(lsi.len() + vsim.len() + lsim.len());
+            let bytes = region.bytes();
+            let mut evidence = Evidence::builder();
+            let mut at = 0usize;
+            for p in 0..self.len {
+                for q in (p + 1)..self.len {
+                    evidence.push(
+                        p,
+                        q,
+                        read_f64(bytes, vsim.start + at),
+                        read_f64(bytes, lsim.start + at),
+                    );
+                    at += 8;
                 }
-                pairs
-            }),
-        }
+            }
+            evidence.finish(self.len)
+        })
     }
 
-    /// Number of pairs currently materialized on the heap: everything for
-    /// an owned table, `0` for a mapped table nothing has touched yet. The
-    /// resident-bytes accounting of the out-of-core tier is built on this.
-    pub fn materialized_pairs(&self) -> usize {
-        match &self.store {
-            PairStore::Owned(pairs) => pairs.len(),
-            PairStore::Mapped { cache, .. } => cache.get().map_or(0, Vec::len),
-        }
-    }
-
-    /// True when the pairs are borrowed from a mapped region rather than
-    /// heap-owned.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.store, PairStore::Mapped { .. })
-    }
-
-    /// Assembles a sparse table from surviving pairs sorted by `(p, q)`.
-    /// A sparse table that happens to contain every pair still satisfies
-    /// the dense-layout invariant (lexicographic order is required), so it
-    /// is promoted to the O(1) lookup path.
-    pub(crate) fn from_sparse_pairs(pairs: Vec<CandidatePair>, len: usize) -> Self {
-        debug_assert!(pairs
-            .windows(2)
-            .all(|w| (w[0].p, w[0].q) < (w[1].p, w[1].q)));
-        debug_assert!(pairs.iter().all(|pair| pair.p < pair.q && pair.q < len));
-        let dense_layout = pairs.len() == len * len.saturating_sub(1) / 2;
-        Self {
-            store: PairStore::Owned(pairs),
-            len,
-            dense_layout,
-        }
-    }
-
-    /// The dense reference pass: every pair, every cosine, single thread.
+    /// The dense reference pass: every pair, every cosine and every LSI
+    /// score through the boolean co-occurrence zip, single thread. Its LSI
+    /// scores are stored as a channel, so the oracle never shares the
+    /// factored path it is compared against.
     fn compute_dense_impl(schema: &DualSchema, lsi_config: LsiConfig) -> Self {
         let n = schema.len();
         let lsi_model = Self::fit_lsi(schema, lsi_config);
-
-        let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
+        let mut scores = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
+        let mut evidence = Evidence::builder();
         for p in 0..n {
             for q in (p + 1)..n {
-                let lsi = Self::lsi_score(schema, &lsi_model, p, q);
-                pairs.push(CandidatePair {
+                let (a, b) = (schema.attribute(p), schema.attribute(q));
+                scores.push(signed_lsi(
+                    &lsi_model,
                     p,
                     q,
-                    vsim: vsim(schema, p, q),
-                    lsim: lsim(schema, p, q),
-                    lsi,
-                });
+                    a.language == b.language,
+                    || a.co_occurrences(b) > 0,
+                ));
+                evidence.push(p, q, vsim(schema, p, q), lsim(schema, p, q));
             }
         }
-        Self {
-            store: PairStore::Owned(pairs),
-            len: n,
-            dense_layout: true,
-        }
+        Self::restored(n, scores, evidence.finish(n))
     }
 
-    /// The candidate-pruned, parallel pass.
-    ///
-    /// Per-pair work drops from two term-vector cosines plus an
-    /// O(dual-count) occurrence zip to, for the typical non-candidate pair,
-    /// two O(1) bit tests plus a popcount over the packed occurrence words.
-    /// Rows are distributed over threads in an interleaved order so each
-    /// chunk gets a mix of long (low `p`) and short (high `p`) rows, then
-    /// re-assembled in row order — results are identical to the dense pass
-    /// bit for bit, regardless of thread count.
+    /// The candidate-pruned pass: one cosine per candidate pair and
+    /// channel, found by walking the candidate index's set bits, and the
+    /// LSI factors; no per-pair work for the other pairs.
     fn compute_pruned_with(
         schema: &DualSchema,
         lsi_config: LsiConfig,
         index: &CandidateIndex,
     ) -> Self {
         let n = schema.len();
-        let lsi_model = Self::fit_lsi(schema, lsi_config);
-        let occurrence_bits = pack_occurrence_patterns(schema);
-
-        // Interleave rows front/back for load balance (row p has n-1-p pairs).
-        let mut row_order: Vec<usize> = Vec::with_capacity(n);
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            row_order.push(lo);
-            lo += 1;
-            if lo < hi {
-                hi -= 1;
-                row_order.push(hi);
-            }
-        }
-
-        let mut rows: Vec<(usize, Vec<CandidatePair>)> = row_order
-            .par_iter()
-            .map(|&p| {
-                let row: Vec<CandidatePair> = ((p + 1)..n)
-                    .map(|q| {
-                        let vsim = if index.value_candidate(p, q) {
-                            vsim(schema, p, q)
-                        } else {
-                            0.0
-                        };
-                        let lsim = if index.link_candidate(p, q) {
-                            lsim(schema, p, q)
-                        } else {
-                            0.0
-                        };
-                        let lsi = Self::lsi_score_with(schema, &lsi_model, p, q, || {
-                            packed_patterns_intersect(&occurrence_bits[p], &occurrence_bits[q])
-                        });
-                        CandidatePair {
-                            p,
-                            q,
-                            vsim,
-                            lsim,
-                            lsi,
-                        }
-                    })
-                    .collect();
-                (p, row)
-            })
-            .collect();
-        rows.sort_by_key(|(p, _)| *p);
-        // Assemble into one exactly-sized vector, freeing each row as it is
-        // drained, instead of a flat_map collect that grows by reallocation
-        // while every row is still live.
-        let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
-        for (_, row) in rows {
-            pairs.extend(row);
-        }
-        Self {
-            store: PairStore::Owned(pairs),
-            len: n,
-            dense_layout: true,
-        }
+        let mut evidence = Evidence::builder();
+        index.for_each_candidate(|p, q, value, link| {
+            let vsim = if value { vsim(schema, p, q) } else { 0.0 };
+            let lsim = if link { lsim(schema, p, q) } else { 0.0 };
+            evidence.push(p, q, vsim, lsim);
+        });
+        Self::exact(n, evidence.finish(n), Self::fit_factors(schema, lsi_config))
     }
 
     /// Fits the LSI model on the attribute × dual-infobox occurrence matrix.
@@ -593,100 +795,139 @@ impl SimilarityTable {
         LsiModel::fit(&occurrence, config)
     }
 
-    /// The paper's LSI score with its sign conventions (dense reference
-    /// path; the co-occurrence test zips the boolean patterns).
-    fn lsi_score(schema: &DualSchema, model: &LsiModel, p: usize, q: usize) -> f64 {
-        Self::lsi_score_with(schema, model, p, q, || {
-            schema.attribute(p).co_occurrences(schema.attribute(q)) > 0
-        })
-    }
-
-    /// Sign-convention core shared by the dense and pruned paths.
-    ///
-    /// `co_occurs` — whether the two attributes ever appear in the same
-    /// dual infobox — is a closure, not a bool: it is only relevant (and
-    /// only evaluated) for same-language pairs, so cross-language pairs pay
-    /// nothing for it in either pass. The dense path hands in the boolean
-    /// zip, the pruned path the AND+popcount over packed patterns.
-    pub(crate) fn lsi_score_with(
-        schema: &DualSchema,
-        model: &LsiModel,
-        p: usize,
-        q: usize,
-        co_occurs: impl FnOnce() -> bool,
-    ) -> f64 {
-        if model.is_empty() || model.rank() == 0 {
-            return 0.0;
-        }
-        let a = schema.attribute(p);
-        let b = schema.attribute(q);
-        let cosine = model.similarity(p, q);
-        if a.language != b.language {
-            // Cross-language pair: similar occurrence patterns indicate
-            // cross-language synonymy.
-            cosine.clamp(0.0, 1.0)
-        } else if co_occurs() {
-            // Same-language attributes that co-occur in an infobox are not
-            // synonyms.
-            0.0
-        } else {
-            // Same-language attributes that never co-occur: the *less*
-            // similar their occurrence patterns, the more likely they are
-            // intra-language synonyms.
-            (1.0 - cosine).clamp(0.0, 1.0)
-        }
-    }
-
     /// Number of attributes the table covers.
     pub fn attribute_count(&self) -> usize {
         self.len
     }
 
-    /// All candidate pairs (unordered, `p < q`). Touching a mapped table
-    /// here (or through any other accessor) pages its channels in.
-    pub fn pairs(&self) -> &[CandidatePair] {
-        self.stored_pairs()
+    /// The LSI source, which a delta patch shares when the skeleton is
+    /// unchanged.
+    pub(crate) fn lsi_source(&self) -> &Arc<LsiSource> {
+        &self.lsi
     }
 
-    /// The candidate pair for `(p, q)` (order-insensitive). In a sparse
-    /// table `None` means the pair was filtered out — no evidence, not
-    /// evidence of zero.
-    pub fn pair(&self, p: usize, q: usize) -> Option<&CandidatePair> {
-        if p == q {
+    /// `(vsim, lsim)` of the pair `(p, q)`: `(0.0, 0.0)` without evidence.
+    pub(crate) fn evidence_of(&self, p: usize, q: usize) -> (f64, f64) {
+        let (lo, hi) = if p < q { (p, q) } else { (q, p) };
+        self.evidence().get(lo, hi).unwrap_or((0.0, 0.0))
+    }
+
+    /// The pairs with direct evidence, in canonical order, with their LSI
+    /// computed on demand — the only pairs alignment queues when a pair
+    /// without evidence cannot be integrated.
+    pub(crate) fn evidence_pairs(&self) -> impl Iterator<Item = CandidatePair> + '_ {
+        self.evidence()
+            .iter()
+            .map(|(p, q, vsim, lsim)| CandidatePair {
+                p,
+                q,
+                vsim,
+                lsim,
+                lsi: self.lsi.score(self.len, p, q),
+            })
+    }
+
+    /// The candidate pair for `(p, q)` (order-insensitive, reported as
+    /// `p < q`). `None` when `p == q`, when either index is not below
+    /// [`attribute_count`](Self::attribute_count), and, in a sparse
+    /// table, when the pair was filtered out — no evidence, not evidence of
+    /// zero.
+    pub fn pair(&self, p: usize, q: usize) -> Option<CandidatePair> {
+        if p == q || p >= self.len || q >= self.len {
             return None;
         }
         let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-        let pairs = self.stored_pairs();
-        if self.dense_layout {
-            // Pairs are generated in lexicographic order; index arithmetic:
-            // offset(lo) = lo*len - lo*(lo+1)/2, then + (hi - lo - 1).
-            let offset = lo * self.len - lo * (lo + 1) / 2 + (hi - lo - 1);
-            pairs.get(offset)
-        } else {
-            pairs
-                .binary_search_by(|pair| (pair.p, pair.q).cmp(&(lo, hi)))
-                .ok()
-                .map(|i| &pairs[i])
+        let (vsim, lsim) = match self.evidence().get(lo, hi) {
+            Some(evidence) => evidence,
+            None if self.stores_every_pair => (0.0, 0.0),
+            None => return None,
+        };
+        Some(CandidatePair {
+            p: lo,
+            q: hi,
+            vsim,
+            lsim,
+            lsi: self.lsi.score(self.len, lo, hi),
+        })
+    }
+
+    /// Calls `f` on every stored pair in canonical order — for an exact
+    /// table all `n·(n-1)/2` of them, each with its LSI computed or read.
+    pub(crate) fn for_each_pair(&self, mut f: impl FnMut(CandidatePair)) {
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        let evidence = self.evidence();
+        let n = self.len;
+        if !self.stores_every_pair {
+            for pair in self.evidence_pairs() {
+                f(pair);
+            }
+            return;
+        }
+        for p in 0..n {
+            let mut row = evidence.row(p).peekable();
+            for q in (p + 1)..n {
+                let (vsim, lsim) = match row.next_if(|&(partner, _, _)| partner == q) {
+                    Some((_, vsim, lsim)) => (vsim, lsim),
+                    None => (0.0, 0.0),
+                };
+                f(CandidatePair {
+                    p,
+                    q,
+                    vsim,
+                    lsim,
+                    lsi: self.lsi.score(n, p, q),
+                });
+            }
         }
     }
 
-    /// True when the table stores every unordered pair (the exact modes'
-    /// layout, required by the snapshot encoder and the delta patcher).
-    pub fn is_dense_layout(&self) -> bool {
-        self.dense_layout
+    /// Every stored pair (unordered, `p < q`), materialized: O(n²·k) for an
+    /// exact table. Nothing on the alignment or serving path calls this.
+    pub fn pairs(&self) -> Vec<CandidatePair> {
+        let mut out = Vec::new();
+        self.for_each_pair(|pair| out.push(pair));
+        out
     }
 
-    /// Candidate pairs with an LSI score above `threshold`, sorted by
-    /// decreasing LSI score (deterministic tie-break by indices).
+    /// Stored pairs with an LSI score above `threshold`, sorted by
+    /// decreasing LSI score (deterministic tie-break by indices): an
+    /// O(n²·k) walk, which only the Random and −InductiveGrouping queues
+    /// need.
     pub fn above_lsi(&self, threshold: f64) -> Vec<CandidatePair> {
-        let mut out: Vec<CandidatePair> = self
-            .stored_pairs()
-            .iter()
-            .filter(|pair| pair.lsi > threshold)
-            .copied()
-            .collect();
+        let mut out = Vec::new();
+        self.for_each_pair(|pair| {
+            if pair.lsi > threshold {
+                out.push(pair);
+            }
+        });
         out.sort_by(by_decreasing_lsi);
         out
+    }
+
+    /// How many times a caller walked every stored pair of this table —
+    /// through [`pairs`](Self::pairs), [`above_lsi`](Self::above_lsi) or a
+    /// snapshot encoder. Alignment under a configuration whose
+    /// zero-evidence pairs are inert, and a served read, never do.
+    pub fn stored_pair_walks(&self) -> u64 {
+        self.walks.load(Ordering::Relaxed)
+    }
+
+    /// True when the table stores every unordered pair, as the snapshot
+    /// encoders require; false for a sparse (`Filtered`) table.
+    pub(crate) fn stores_every_pair(&self) -> bool {
+        self.stores_every_pair
+    }
+
+    /// True when the table's channels are borrowed from a mapped region.
+    pub fn is_mapped(&self) -> bool {
+        matches!(*self.lsi, LsiSource::Mapped { .. })
+    }
+
+    /// Estimated heap bytes the table holds now: the evidence (nothing for
+    /// a mapped table no lookup has touched yet) and the LSI source (the
+    /// factors or a heap channel; nothing for a mapped section).
+    pub fn heap_bytes(&self) -> u64 {
+        self.evidence.get().map_or(0, Evidence::heap_bytes) + self.lsi.heap_bytes()
     }
 }
 
@@ -699,32 +940,6 @@ pub(crate) fn by_decreasing_lsi(a: &CandidatePair, b: &CandidatePair) -> std::cm
     b.lsi
         .total_cmp(&a.lsi)
         .then_with(|| (a.p, a.q).cmp(&(b.p, b.q)))
-}
-
-/// Packs every attribute's boolean occurrence pattern into `u64` words so
-/// the pruned path can test co-occurrence with a handful of ANDs instead of
-/// an O(dual-count) boolean zip per pair.
-pub(crate) fn pack_occurrence_patterns(schema: &DualSchema) -> Vec<Vec<u64>> {
-    let words = schema.dual_count.div_ceil(64);
-    schema
-        .attributes
-        .iter()
-        .map(|attr| {
-            let mut packed = vec![0u64; words];
-            for (j, present) in attr.occurrence_pattern.iter().enumerate() {
-                if *present {
-                    packed[j / 64] |= 1u64 << (j % 64);
-                }
-            }
-            packed
-        })
-        .collect()
-}
-
-/// True when two packed occurrence patterns share at least one set bit —
-/// exactly `AttributeStats::co_occurrences(..) > 0`, word-parallel.
-pub(crate) fn packed_patterns_intersect(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
 #[cfg(test)]
@@ -918,7 +1133,7 @@ mod tests {
         let mut section = |field: fn(&CandidatePair) -> f64| {
             let start = buf.len();
             for pair in table.pairs() {
-                buf.extend_from_slice(&field(pair).to_bits().to_le_bytes());
+                buf.extend_from_slice(&field(&pair).to_bits().to_le_bytes());
             }
             start..buf.len()
         };
@@ -936,10 +1151,10 @@ mod tests {
             SimilarityTable::from_mapped(Arc::new(buf), lsi, vsim, lsim, table.attribute_count())
                 .expect("valid layout");
         assert!(mapped.is_mapped());
-        // Nothing decoded until first touch.
-        assert_eq!(mapped.materialized_pairs(), 0);
+        // Nothing read onto the heap until first touch.
+        assert_eq!(mapped.heap_bytes(), 0);
         assert_eq!(mapped.pairs().len(), table.pairs().len());
-        assert_eq!(mapped.materialized_pairs(), table.pairs().len());
+        assert!(mapped.heap_bytes() > 0);
         for (a, b) in table.pairs().iter().zip(mapped.pairs()) {
             assert_eq!((a.p, a.q), (b.p, b.q));
             assert_eq!(a.vsim.to_bits(), b.vsim.to_bits());
@@ -1038,11 +1253,11 @@ mod tests {
     #[test]
     fn packed_patterns_match_boolean_co_occurrence() {
         let (schema, _) = schema_and_table();
-        let bits = pack_occurrence_patterns(&schema);
+        let bits = PackedPatterns::pack(&schema);
         for p in 0..schema.len() {
             for q in (p + 1)..schema.len() {
                 let expected = schema.attribute(p).co_occurrences(schema.attribute(q)) > 0;
-                assert_eq!(packed_patterns_intersect(&bits[p], &bits[q]), expected);
+                assert_eq!(bits.intersect(p, q), expected);
             }
         }
     }
@@ -1117,17 +1332,8 @@ mod tests {
             ((1, 3), 0.9),
             ((2, 3), 0.7),
         ];
-        let pairs: Vec<CandidatePair> = scores
-            .iter()
-            .map(|&((p, q), lsi)| CandidatePair {
-                p,
-                q,
-                vsim: 0.0,
-                lsim: 0.0,
-                lsi,
-            })
-            .collect();
-        let table = SimilarityTable::from_raw_parts(pairs, 4);
+        let lsi: Vec<f64> = scores.iter().map(|&(_, lsi)| lsi).collect();
+        let table = SimilarityTable::restored(4, lsi, Evidence::builder().finish(4));
         let ranked: Vec<(usize, usize)> = table
             .above_lsi(0.2)
             .into_iter()

@@ -69,7 +69,7 @@ use wiki_translate::TitleDictionary;
 use crate::delta::{CorpusDelta, DeltaOp};
 use crate::engine::{MatchEngine, PreparedType};
 use crate::schema::{AttributeStats, CandidateIndex, DualSchema, PairSet};
-use crate::similarity::{CandidatePair, SimilarityTable};
+use crate::similarity::{Evidence, PairCursor, SimilarityTable};
 
 /// Version stamped into every snapshot header; readers reject anything
 /// else. Bump it whenever the payload layout changes.
@@ -616,29 +616,43 @@ fn decode_schema(dec: &mut Dec<'_>) -> Result<DualSchema, SnapshotError> {
     ))
 }
 
-/// Encodes one score channel sparsely: a bitmap over the canonical pair
+/// One score channel encoded sparsely: a bitmap over the canonical pair
 /// order marking entries whose bit pattern is not `+0.0`, followed by just
-/// those raw bit patterns. The pruned similarity build writes literal `0.0`
-/// for every non-candidate pair (the vast majority at scale), so this cuts
-/// the dominant block of the file to the candidate density — and `-0.0` or
-/// any other special value is still stored verbatim, keeping the round trip
-/// bit-exact.
-fn encode_sparse_channel(enc: &mut Enc, values: impl Iterator<Item = f64>, n_pairs: usize) {
-    let mut bitmap = vec![0u64; n_pairs.div_ceil(64)];
-    let mut nonzero: Vec<u64> = Vec::new();
-    for (i, value) in values.enumerate() {
-        let bits = value.to_bits();
-        if bits != 0 {
-            bitmap[i / 64] |= 1u64 << (i % 64);
-            nonzero.push(bits);
+/// those raw bit patterns. Most pairs share no term and score literal `0.0`
+/// (the vast majority at scale), so this cuts the dominant block of the
+/// file to the candidate density — and `-0.0` or any other special value
+/// is still stored verbatim, keeping the round trip bit-exact.
+struct SparseChannel {
+    bitmap: Vec<u64>,
+    nonzero: Vec<u64>,
+}
+
+impl SparseChannel {
+    fn new(n_pairs: usize) -> Self {
+        Self {
+            bitmap: vec![0u64; n_pairs.div_ceil(64)],
+            nonzero: Vec::new(),
         }
     }
-    for word in bitmap {
-        enc.u64(word);
+
+    /// Records the value of the pair at canonical position `i`; positions
+    /// must ascend.
+    fn push(&mut self, i: usize, value: f64) {
+        let bits = value.to_bits();
+        if bits != 0 {
+            self.bitmap[i / 64] |= 1u64 << (i % 64);
+            self.nonzero.push(bits);
+        }
     }
-    enc.u64(nonzero.len() as u64);
-    for bits in nonzero {
-        enc.u64(bits);
+
+    fn write(self, enc: &mut Enc) {
+        for word in self.bitmap {
+            enc.u64(word);
+        }
+        enc.u64(self.nonzero.len() as u64);
+        for bits in self.nonzero {
+            enc.u64(bits);
+        }
     }
 }
 
@@ -663,8 +677,8 @@ fn decode_sparse_channel<'a>(
 }
 
 /// Sequential reader over a sparse channel: for each pair index (visited in
-/// order) returns the stored value when its bitmap bit is set, `0.0`
-/// otherwise.
+/// ascending order) returns the stored value when its bitmap bit is set,
+/// `0.0` otherwise.
 struct SparseCursor<'a> {
     bitmap: &'a [u8],
     values: &'a [u8],
@@ -681,21 +695,41 @@ impl SparseCursor<'_> {
             0.0
         }
     }
+
+    /// Bitmap word `w`, of which bit `b` is pair `64·w + b`.
+    fn word(&self, w: usize) -> u64 {
+        u64::from_le_bytes(
+            self.bitmap[w * 8..w * 8 + 8]
+                .try_into()
+                .expect("8-byte word"),
+        )
+    }
 }
 
 fn encode_table(enc: &mut Enc, table: &SimilarityTable) {
-    // Pair indices are implicit: pairs are stored in the table's canonical
+    // Pair indices are implicit: pairs are written in the canonical
     // lexicographic (p < q) order. LSI is dense by nature (the paper's
     // complement convention makes most same-language scores non-zero), so
-    // it is written as a dense block; `vsim` / `lsim` are zero for every
-    // non-candidate pair and are written sparsely.
-    enc.u64(table.attribute_count() as u64);
-    let n_pairs = table.pairs().len();
-    for pair in table.pairs() {
+    // it is written as a dense block, each score computed (or read) as the
+    // walk reaches it; `vsim` / `lsim` are zero for every pair without
+    // evidence and are written sparsely.
+    assert!(
+        table.stores_every_pair(),
+        "snapshots only hold exact-mode tables"
+    );
+    let n = table.attribute_count();
+    let n_pairs = n * n.saturating_sub(1) / 2;
+    enc.u64(n as u64);
+    let (mut vsim, mut lsim) = (SparseChannel::new(n_pairs), SparseChannel::new(n_pairs));
+    let mut i = 0usize;
+    table.for_each_pair(|pair| {
         enc.f64(pair.lsi);
-    }
-    encode_sparse_channel(enc, table.pairs().iter().map(|p| p.vsim), n_pairs);
-    encode_sparse_channel(enc, table.pairs().iter().map(|p| p.lsim), n_pairs);
+        vsim.push(i, pair.vsim);
+        lsim.push(i, pair.lsim);
+        i += 1;
+    });
+    vsim.write(enc);
+    lsim.write(enc);
 }
 
 fn decode_table(dec: &mut Dec<'_>, schema_len: usize) -> Result<SimilarityTable, SnapshotError> {
@@ -706,7 +740,7 @@ fn decode_table(dec: &mut Dec<'_>, schema_len: usize) -> Result<SimilarityTable,
         )));
     }
     let n_pairs = n * n.saturating_sub(1) / 2;
-    // One bounds check for the dense LSI block, then chunked walks — this
+    // One bounds check for the dense LSI block, then a chunked walk — this
     // section dominates load time at the larger tiers, so it must not pay
     // per-field cursor overhead.
     let lsi_bytes = dec.take(
@@ -714,10 +748,12 @@ fn decode_table(dec: &mut Dec<'_>, schema_len: usize) -> Result<SimilarityTable,
             .checked_mul(8)
             .ok_or_else(|| SnapshotError::Malformed(format!("pair count {n_pairs} overflows")))?,
     )?;
+    let lsi: Vec<f64> = lsi_bytes
+        .chunks_exact(8)
+        .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8-byte field"))))
+        .collect();
     let (vsim_bitmap, vsim_values) = decode_sparse_channel(dec, n_pairs)?;
     let (lsim_bitmap, lsim_values) = decode_sparse_channel(dec, n_pairs)?;
-
-    let mut lsi = lsi_bytes.chunks_exact(8);
     let mut vsim = SparseCursor {
         bitmap: vsim_bitmap,
         values: vsim_values,
@@ -728,22 +764,23 @@ fn decode_table(dec: &mut Dec<'_>, schema_len: usize) -> Result<SimilarityTable,
         values: lsim_values,
         next: 0,
     };
-    let mut pairs = Vec::with_capacity(n_pairs);
-    let mut i = 0usize;
-    for p in 0..n {
-        for q in (p + 1)..n {
-            let chunk = lsi.next().expect("block sized to n_pairs chunks");
-            pairs.push(CandidatePair {
-                p,
-                q,
-                vsim: vsim.get(i),
-                lsim: lsim.get(i),
-                lsi: f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8-byte field"))),
-            });
-            i += 1;
+    // The evidence pairs are the set bits of the two bitmaps' union, in
+    // canonical order; bits past the last pair are never read.
+    let mut evidence = Evidence::builder();
+    let mut cursor = PairCursor::new(n);
+    for w in 0..n_pairs.div_ceil(64) {
+        let mut bits = vsim.word(w) | lsim.word(w);
+        while bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if i >= n_pairs {
+                break;
+            }
+            let (p, q) = cursor.locate(i);
+            evidence.push(p, q, vsim.get(i), lsim.get(i));
         }
     }
-    Ok(SimilarityTable::from_raw_parts(pairs, n))
+    Ok(SimilarityTable::restored(n, lsi, evidence.finish(n)))
 }
 
 pub(crate) fn encode_pair_set(enc: &mut Enc, set: &PairSet) {
@@ -1561,16 +1598,9 @@ mod tests {
             vec![attr("a"), attr("b")],
             2,
         );
-        let table = SimilarityTable::from_raw_parts(
-            vec![CandidatePair {
-                p: 0,
-                q: 1,
-                vsim: 1.0,
-                lsim: 0.0,
-                lsi: 0.5,
-            }],
-            2,
-        );
+        let mut evidence = Evidence::builder();
+        evidence.push(0, 1, 1.0, 0.0);
+        let table = SimilarityTable::restored(2, vec![0.5], evidence.finish(2));
         let index = CandidateIndex::from_parts(PairSet::new(2), PairSet::new(2));
         let arena = Arc::clone(schema.arena());
         let vector_entries = schema.vector_entry_count();

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::lang::Language;
-use crate::model::{Article, ArticleId};
+use crate::model::{Article, ArticleId, AttributeValue, Link};
 
 /// An in-memory collection of Wikipedia articles across language editions.
 ///
@@ -100,6 +100,42 @@ impl Corpus {
     /// Number of id slots ever allocated (live + tombstoned).
     pub fn slot_count(&self) -> usize {
         self.articles.len()
+    }
+
+    /// Estimated heap bytes the corpus holds: every article slot with its
+    /// strings and vectors, the tombstone list and the title index. It
+    /// walks every article, so callers that charge it often should keep
+    /// the result.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let mut bytes =
+            self.articles.capacity() * size_of::<Article>() + self.removed.capacity() * 4;
+        for article in &self.articles {
+            bytes += article.title.capacity()
+                + article.entity_type.capacity()
+                + article.infobox.template.capacity()
+                + article.infobox.attributes.capacity() * size_of::<AttributeValue>()
+                + article.cross_links.capacity() * size_of::<(Language, String)>();
+            for attr in &article.infobox.attributes {
+                bytes += attr.name.capacity()
+                    + attr.value.capacity()
+                    + attr.links.capacity() * size_of::<Link>();
+                for link in &attr.links {
+                    bytes += link.target.capacity() + link.anchor.capacity();
+                }
+            }
+            for (_, title) in &article.cross_links {
+                bytes += title.capacity();
+            }
+        }
+        // One bucket per index slot (key, id and a control byte), plus the
+        // keys' title text.
+        bytes += self.title_index.capacity()
+            * (size_of::<(Language, String)>() + size_of::<ArticleId>() + 1);
+        for (_, title) in self.title_index.keys() {
+            bytes += title.capacity();
+        }
+        bytes as u64
     }
 
     /// Looks up a live article by id (`None` for tombstoned slots).

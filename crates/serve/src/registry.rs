@@ -2014,6 +2014,58 @@ mod tests {
     }
 
     #[test]
+    fn an_untouched_mapped_session_is_charged_its_corpus() {
+        let dir = snapshot_dir("charged");
+        let first = registry_with(&["a"], 1)
+            .with_snapshot_dir(&dir)
+            .with_resident_budget_mb(1024);
+        first.warm("a").unwrap();
+        drop(first);
+        // No request has touched the mapped artifacts, yet the session
+        // holds its corpus on the heap and is charged for it.
+        let second = registry_with(&["a"], 1)
+            .with_snapshot_dir(&dir)
+            .with_resident_budget_mb(1024);
+        let mapped = second.corpus("a").unwrap();
+        let stats = second.stats();
+        assert!(stats.corpora[0].mapped_bytes > 0, "not mapped: {stats:?}");
+        let corpus_bytes = mapped.engine().dataset().corpus.heap_bytes();
+        assert!(
+            stats.corpora[0].resident_bytes >= corpus_bytes,
+            "resident {} < corpus {corpus_bytes}",
+            stats.corpora[0].resident_bytes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn alternating_corpora_over_the_budget_evict_on_every_access() {
+        let dir = snapshot_dir("alternate");
+        // Each tiny Pt-En corpus holds more than 1 MB of articles, so two
+        // resident sessions always exceed a 1 MB budget.
+        let registry = registry_with(&["a", "b"], 2)
+            .with_snapshot_dir(&dir)
+            .with_resident_budget_mb(1);
+        let corpus_bytes = registry
+            .corpus("a")
+            .unwrap()
+            .engine()
+            .dataset()
+            .corpus
+            .heap_bytes();
+        assert!(corpus_bytes > 1024 * 1024, "corpus of {corpus_bytes} B");
+        for access in 1..=6u64 {
+            let name = if access % 2 == 1 { "b" } else { "a" };
+            registry.corpus(name).unwrap();
+            let stats = registry.stats();
+            assert_eq!(stats.resident, 1, "access {access}: {stats:?}");
+            let evictions: u64 = stats.corpora.iter().map(|c| c.evictions).sum();
+            assert_eq!(evictions, access, "access {access} did not evict");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn the_resident_budget_evicts_down_to_a_floor_of_one() {
         let dir = snapshot_dir("budget");
         // Capacity would allow 4 residents, but a zero-MB budget forces

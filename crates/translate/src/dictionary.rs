@@ -55,6 +55,18 @@ impl TitleDictionary {
         }
     }
 
+    /// Estimated heap bytes of the entries: one bucket per map slot (two
+    /// strings and a control byte) plus the entry text.
+    pub fn heap_bytes(&self) -> u64 {
+        let buckets = self.entries.capacity() * (2 * std::mem::size_of::<String>() + 1);
+        let text: usize = self
+            .entries
+            .iter()
+            .map(|(key, value)| key.capacity() + value.capacity())
+            .sum();
+        (buckets + text) as u64
+    }
+
     /// Iterates over the `(normalised source title, target title)` entries
     /// in unspecified order. Persistence layers should sort the entries
     /// before writing them to obtain a canonical byte stream.

@@ -18,7 +18,8 @@ use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Dataset, SyntheticConfig};
 use wikimatch::{
-    EngineSnapshot, MappedSnapshot, MatchEngine, SnapshotError, DIRECT_FORMAT_VERSION,
+    CandidatePair, ComputeMode, EngineSnapshot, MappedSnapshot, MatchEngine, SimilarityTable,
+    SnapshotError, DIRECT_FORMAT_VERSION,
 };
 
 const HEADER_LEN: usize = 36;
@@ -66,6 +67,46 @@ fn restamp_checksum(bytes: &mut [u8]) {
     bytes[28..36].copy_from_slice(&h.to_le_bytes());
 }
 
+/// Every lookup `pair(p, q)` and `pair(q, p)`, `p != q`, of `table` carries
+/// the bits of the Dense oracle's pair — pairs without evidence included,
+/// which read LSI on demand. The expected bits come from the oracle's
+/// materialized pairs, not from its own lookups, so a lookup shortcut both
+/// tables share cannot vouch for itself.
+fn assert_lookups_match_the_oracle(oracle: &SimilarityTable, table: &SimilarityTable, label: &str) {
+    let n = oracle.attribute_count();
+    assert_eq!(table.attribute_count(), n, "{label}");
+    let bits = |pair: CandidatePair| {
+        (
+            pair.p,
+            pair.q,
+            pair.vsim.to_bits(),
+            pair.lsim.to_bits(),
+            pair.lsi.to_bits(),
+        )
+    };
+    let expected: Vec<_> = oracle.pairs().into_iter().map(bits).collect();
+    assert_eq!(expected.len(), n * n.saturating_sub(1) / 2, "{label}");
+    let mut expected = expected.into_iter();
+    for p in 0..n {
+        for q in (p + 1)..n {
+            let want = expected.next();
+            for (a, b) in [(p, q), (q, p)] {
+                assert_eq!(table.pair(a, b).map(bits), want, "{label}: pair({a}, {b})");
+            }
+        }
+    }
+}
+
+/// A v4 file written to a fresh temp directory and opened mapped.
+fn open_mapped(direct: &[u8], tag: &str) -> (std::path::PathBuf, MappedSnapshot) {
+    let dir = std::env::temp_dir().join(format!("wm-mmap-eq-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("corpus.snap");
+    std::fs::write(&path, direct).expect("write snapshot");
+    let mapped = MappedSnapshot::open(&path).expect("mapped open");
+    (dir, mapped)
+}
+
 fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
     let (fresh, direct) = warmed_direct(&dataset);
 
@@ -76,15 +117,39 @@ fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
         .expect("owned snapshot restores");
 
     // Mapped decode: the same file, opened out-of-core.
-    let dir = std::env::temp_dir().join(format!("wm-mmap-eq-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("corpus.snap");
-    std::fs::write(&path, &direct).expect("write snapshot");
-    let mapped_snapshot = MappedSnapshot::open(&path).expect("mapped open");
+    let (dir, mapped_snapshot) = open_mapped(&direct, tag);
     let region = Arc::clone(&mapped_snapshot.region);
-    let mapped = MatchEngine::builder(Arc::new(dataset))
+    let mapped = MatchEngine::builder(Arc::new(dataset.clone()))
         .build_from_snapshot(mapped_snapshot.snapshot)
         .expect("mapped snapshot restores");
+
+    // Every lookup of the built, v3-restored and v4 tables carries the
+    // Dense oracle's bits.
+    let v3 = EngineSnapshot::capture(&fresh)
+        .expect("exact-mode engine captures")
+        .to_bytes();
+    let restored = MatchEngine::builder(Arc::new(dataset.clone()))
+        .build_from_snapshot(EngineSnapshot::from_bytes(&v3).expect("v3 decode"))
+        .expect("v3 snapshot restores");
+    let dense = MatchEngine::builder(dataset)
+        .compute_mode(ComputeMode::Dense)
+        .build();
+    for pairing in &fresh.dataset().types.clone() {
+        let oracle = dense.similarity(&pairing.type_id).unwrap();
+        for (label, engine) in [
+            ("built", &fresh),
+            ("v3-restored", &restored),
+            ("v4-owned", &owned),
+            ("v4-mapped", &mapped),
+        ] {
+            let table = engine.similarity(&pairing.type_id).unwrap();
+            assert_lookups_match_the_oracle(
+                &oracle,
+                &table,
+                &format!("{label} {}", pairing.type_id),
+            );
+        }
+    }
 
     // Golden-hash equivalence: every similarity channel of every type is
     // bit-identical across fresh build, owned decode and mapped decode.
@@ -229,5 +294,83 @@ fn misaligned_and_out_of_bounds_directories_are_rejected() {
         MappedSnapshot::open(&path),
         Err(SnapshotError::Truncated)
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `pair` answers an index at or past `attribute_count()` with `None`,
+/// never with another pair's scores, on built, filtered, v3-restored and
+/// v4-mapped tables alike.
+#[test]
+fn out_of_range_lookups_find_no_pair() {
+    let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
+    let built = MatchEngine::new(dataset.clone());
+    built.prepared("film").expect("film type exists");
+    let filtered = MatchEngine::builder(dataset.clone())
+        .compute_mode(ComputeMode::filtered(0.5))
+        .build();
+    let snapshot = EngineSnapshot::capture(&built).expect("exact-mode engine captures");
+    let restored = MatchEngine::builder(dataset.clone())
+        .build_from_snapshot(EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("v3 decode"))
+        .expect("v3 snapshot restores");
+    let (dir, mapped_snapshot) = open_mapped(&snapshot.to_direct_bytes(), "out-of-range");
+    let mapped = MatchEngine::builder(dataset)
+        .build_from_snapshot(mapped_snapshot.snapshot)
+        .expect("mapped snapshot restores");
+    for (label, engine) in [
+        ("built", &built),
+        ("filtered", &filtered),
+        ("v3-restored", &restored),
+        ("v4-mapped", &mapped),
+    ] {
+        let table = engine.similarity("film").unwrap();
+        let n = table.attribute_count();
+        assert_eq!(n, 44, "{label}: pt-tiny film has 44 attributes");
+        for (p, q) in [
+            (0, n),
+            (n, 0),
+            (1, n + 3),
+            (n - 1, n),
+            (n, n + 1),
+            (2 * n, 2 * n + 1),
+            (usize::MAX, 0),
+        ] {
+            assert!(
+                table.pair(p, q).is_none(),
+                "{label}: pair({p}, {q}) answered over {n} attributes"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The alignment hot paths stay proportional to the evidence pairs:
+/// `align_all` on a fresh `Pruned` engine and a cold `align("film")` on a
+/// mapped snapshot never walk every stored pair of a table.
+#[test]
+fn alignment_never_walks_every_pair() {
+    let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
+    let fresh = MatchEngine::new(dataset.clone());
+    fresh.align_all();
+    let artifacts = fresh.cached_artifacts();
+    assert_eq!(artifacts.len(), dataset.types.len());
+    for (type_id, prepared) in &artifacts {
+        assert_eq!(prepared.table.stored_pair_walks(), 0, "built {type_id}");
+    }
+
+    let (_, direct) = warmed_direct(&dataset);
+    let (dir, mapped_snapshot) = open_mapped(&direct, "hot-path");
+    let region = Arc::clone(&mapped_snapshot.region);
+    let mapped = MatchEngine::builder(dataset)
+        .build_from_snapshot(mapped_snapshot.snapshot)
+        .expect("mapped snapshot restores");
+    mapped.align("film").expect("film type exists");
+    let film = mapped.prepared("film").unwrap();
+    assert!(film.table.is_mapped());
+    assert_eq!(
+        region.page_in_count(),
+        1,
+        "the align read film's evidence once"
+    );
+    assert_eq!(film.table.stored_pair_walks(), 0, "mapped film");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,6 +27,36 @@ fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
     }
 }
 
+/// Every lookup `pair(p, q)` and `pair(q, p)`, `p != q`, of `table` carries
+/// the bits of the Dense oracle's pair — pairs without evidence included,
+/// which read LSI on demand. The expected bits come from the oracle's
+/// materialized pairs, not from its own lookups, so a lookup shortcut both
+/// tables share cannot vouch for itself.
+fn assert_lookups_match_the_oracle(oracle: &SimilarityTable, table: &SimilarityTable, label: &str) {
+    let n = oracle.attribute_count();
+    assert_eq!(table.attribute_count(), n, "{label}");
+    let bits = |pair: wikimatch::CandidatePair| {
+        (
+            pair.p,
+            pair.q,
+            pair.vsim.to_bits(),
+            pair.lsim.to_bits(),
+            pair.lsi.to_bits(),
+        )
+    };
+    let expected: Vec<_> = oracle.pairs().into_iter().map(bits).collect();
+    assert_eq!(expected.len(), n * n.saturating_sub(1) / 2, "{label}");
+    let mut expected = expected.into_iter();
+    for p in 0..n {
+        for q in (p + 1)..n {
+            let want = expected.next();
+            for (a, b) in [(p, q), (q, p)] {
+                assert_eq!(table.pair(a, b).map(bits), want, "{label}: pair({a}, {b})");
+            }
+        }
+    }
+}
+
 fn assert_tables_byte_identical(dataset: Dataset) {
     let dense = MatchEngine::builder(dataset.clone())
         .compute_mode(ComputeMode::Dense)
@@ -35,6 +65,7 @@ fn assert_tables_byte_identical(dataset: Dataset) {
     for pairing in &dense.dataset().types.clone() {
         let d = dense.similarity(&pairing.type_id).unwrap();
         let p = pruned.similarity(&pairing.type_id).unwrap();
+        assert_lookups_match_the_oracle(&d, &p, &pairing.type_id);
         assert_eq!(d.pairs().len(), p.pairs().len());
         for (dp, pp) in d.pairs().iter().zip(p.pairs()) {
             assert_eq!((dp.p, dp.q), (pp.p, pp.q));

@@ -162,3 +162,64 @@ fn truncated_corrupted_and_version_bumped_files_are_rejected() {
         Err(SnapshotError::FingerprintMismatch { .. })
     ));
 }
+
+/// FNV-1a (64-bit) over every byte of an encoded snapshot.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Both encoders write pinned bytes. The hashes were captured from the
+/// table representation that stored every pair as a `CandidatePair`; the
+/// factored table streams its pairs and computes LSI on demand, so these
+/// pins prove that no on-disk byte moved, in either format.
+#[test]
+fn snapshot_bytes_match_their_pins() {
+    let cases: [(&str, Dataset, u64, u64); 4] = [
+        (
+            "pt-tiny",
+            Dataset::pt_en(&SyntheticConfig::tiny()),
+            0x0e72_2afe_452f_c2a3,
+            0xf17c_6bd6_3f9e_e066,
+        ),
+        (
+            "pt-small",
+            Dataset::pt_en(&SyntheticConfig::small()),
+            0x5365_9c72_212c_696a,
+            0x5b1a_9b68_8983_c314,
+        ),
+        (
+            "vi-tiny",
+            Dataset::vn_en(&SyntheticConfig::tiny()),
+            0xa496_2daa_e3bb_c0da,
+            0xf1a2_f3a8_15f3_b725,
+        ),
+        (
+            "vi-small",
+            Dataset::vn_en(&SyntheticConfig::small()),
+            0xae82_d388_bce9_1af9,
+            0x73a6_6155_c04a_ea3f,
+        ),
+    ];
+    for (name, dataset, v3, v4) in cases {
+        let engine = MatchEngine::new(dataset);
+        engine.prepare_all();
+        let snapshot = EngineSnapshot::capture(&engine).expect("exact-mode engine captures");
+        let (found_v3, found_v4) = (
+            fnv1a(&snapshot.to_bytes()),
+            fnv1a(&snapshot.to_direct_bytes()),
+        );
+        assert_eq!(
+            found_v3, v3,
+            "{name}: v3 bytes moved (found {found_v3:#018x})"
+        );
+        assert_eq!(
+            found_v4, v4,
+            "{name}: v4 bytes moved (found {found_v4:#018x})"
+        );
+    }
+}
