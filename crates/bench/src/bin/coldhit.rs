@@ -4,19 +4,19 @@
 //! Two parts, both recorded in `reports/coldhit.json` (and `--out`, which
 //! CI points at `BENCH_9.json`):
 //!
-//! **Per tier** — the Pt-En dataset is generated once and a v4
-//! (directly-addressable) snapshot written; then three ways of serving the
-//! first request on a cold corpus are timed, dataset generation excluded:
+//! **Per tier** — the Pt-En dataset is generated once and its snapshot
+//! written; then three ways of serving the first request on a cold corpus
+//! are timed, dataset generation excluded:
 //!
 //! * **rebuild** — construct the engine and compute every artifact;
-//! * **decode** — owned decode of the v4 file (`EngineSnapshot::load`),
-//!   restore, align one type;
+//! * **decode** — read the file onto the heap and decode it
+//!   (`EngineSnapshot::load`), restore, align one type;
 //! * **mapped** — zero-copy open of the same file
-//!   ([`MappedSnapshot::open`]), restore, align one type — the similarity
-//!   channels of that type page in lazily, everything else stays mapped.
+//!   ([`MappedSnapshot::open`]), restore, align one type — the evidence
+//!   rows of that type page in lazily, everything else stays mapped.
 //!
 //! **Budget scenario** — a [`Registry`] with `--max-resident-mb 1` serves a
-//! corpus set whose v4 snapshots total ≥10× the budget. Every request is a
+//! corpus set whose snapshots total ≥10× the budget. Every request is a
 //! cold hit (the budget keeps at most one session's working set resident),
 //! timed end-to-end through the registry (dataset generation included —
 //! the comparator, a plain owned snapshot load, includes it too). The run
@@ -38,9 +38,8 @@ use wiki_serve::registry::{CorpusSpec, Registry};
 use wikimatch::snapshot::EngineSnapshot;
 use wikimatch::{ComputeMode, MappedSnapshot, MatchEngine};
 
-/// How many small-tier corpora the budget scenario registers. Sized so
-/// the v4 snapshot set comfortably clears 10× the 1 MB budget (a small
-/// snapshot is ~2 MiB in the direct encoding).
+/// How many small-tier corpora the budget scenario registers, sized so
+/// the snapshot set clears 10× the 1 MB budget.
 const BUDGET_CORPORA: usize = 10;
 const BUDGET_MB: u64 = 1;
 
@@ -61,7 +60,7 @@ struct TierResult {
 struct BudgetResult {
     budget_mb: u64,
     corpora: usize,
-    /// Total bytes of v4 snapshots on disk backing the corpus set.
+    /// Total bytes of snapshots on disk backing the corpus set.
     snapshot_bytes_total: u64,
     /// snapshot_bytes_total / budget bytes — must be ≥ 10.
     coverage_x: f64,
@@ -161,15 +160,15 @@ fn run_tier(tier: &str, config: &SyntheticConfig, dir: &Path, runs: usize) -> Ti
     let path = dir.join(format!("pt-{tier}.snap"));
     EngineSnapshot::capture(&reference)
         .expect("exact-mode engine captures")
-        .save_direct(&path)
-        .expect("v4 snapshot saves");
+        .save(&path)
+        .expect("snapshot saves");
     let snapshot_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
     // One untimed warmup faults the file into the page cache for both
     // loaders, modelling a daemon restarting over a recently written tier.
     drop(EngineSnapshot::load(&path).expect("warmup load"));
 
-    // Owned decode: full parse + heap allocation, then one alignment.
+    // Heap decode: read the file, validate it, then one alignment.
     let mut decode_samples = Vec::with_capacity(runs);
     let mut owned = None;
     for _ in 0..runs {
@@ -240,7 +239,7 @@ fn run_budget(dir: &Path, runs: usize) -> BudgetResult {
         .with_resident_budget_mb(BUDGET_MB);
     registry.register_all(specs.iter().cloned());
 
-    // Seed pass: warm writes every corpus' v4 snapshot through to disk
+    // Seed pass: warm writes every corpus' snapshot through to disk
     // (untimed — this is the offline build, not the serving path).
     for spec in &specs {
         registry.warm(&spec.name).expect("warm seeds the disk tier");
@@ -265,10 +264,18 @@ fn run_budget(dir: &Path, runs: usize) -> BudgetResult {
             let engine = registry.engine(&spec.name).expect("cold hit serves");
             engine.align("film").expect("film aligns");
             cold_samples.push(start.elapsed());
+            let engine_stats = engine.stats();
             assert_eq!(
-                engine.stats().artifact_builds,
-                0,
+                engine_stats.artifact_builds, 0,
                 "{} cold hit rebuilt artifacts instead of mapping",
+                spec.name
+            );
+            // Each cold hit pages its film evidence in. (The settling
+            // access below maps a fresh, untouched session, so the
+            // registry-wide count read after it says nothing about this.)
+            assert!(
+                engine_stats.page_ins > 0,
+                "{} cold hit never paged in",
                 spec.name
             );
         }
@@ -286,10 +293,9 @@ fn run_budget(dir: &Path, runs: usize) -> BudgetResult {
         loads >= cold_hits as u64,
         "cold hits were not snapshot loads"
     );
-    assert!(stats.page_ins > 0, "budget scenario never paged in");
 
     // Comparator: the same end-to-end work with a plain owned snapshot
-    // load — dataset generation + v3/v4 decode + restore + one alignment.
+    // load — dataset generation + heap decode + restore + one alignment.
     let mut owned_samples = Vec::with_capacity(runs * specs.len());
     let mut checked = false;
     for _ in 0..runs {
@@ -378,7 +384,7 @@ fn main() {
 
     let header: Vec<String> = [
         "tier",
-        "v4 size",
+        "size",
         "rebuild",
         "decode",
         "mapped",
@@ -403,7 +409,7 @@ fn main() {
     println!("=== Cold hit — rebuild vs owned decode vs mapped open (Pt-En, median of runs) ===");
     println!("{}", format_table(&header, &rows));
     println!(
-        "budget scenario: {} corpora, {:.1} MiB of v4 snapshots over a {} MB budget \
+        "budget scenario: {} corpora, {:.1} MiB of snapshots over a {} MB budget \
          ({:.1}x coverage); {} cold hits, p50 {:.1} ms vs owned-load p50 {:.1} ms \
          ({:.2}x); final resident {} session(s) holding {} bytes",
         budget.corpora,

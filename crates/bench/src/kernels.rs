@@ -102,9 +102,9 @@ mod tests {
         let prepared = engine.prepared("film").unwrap();
         let interned = SweepInput::interned(&prepared.schema);
         let detached = SweepInput::detached(&prepared.schema);
-        let index = prepared.index.as_ref().expect("pruned mode has an index");
-        let a = cosine_sweep(index, &interned);
-        let b = cosine_sweep(index, &detached);
+        let index = CandidateIndex::build(&prepared.schema);
+        let a = cosine_sweep(&index, &interned);
+        let b = cosine_sweep(&index, &detached);
         assert_eq!(a.to_bits(), b.to_bits());
         assert!(a > 0.0);
     }

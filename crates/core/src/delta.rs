@@ -747,12 +747,12 @@ pub(crate) fn patch_prepared_type(
 
     // The LSI scores only depend on the occurrence matrix: an identical
     // skeleton (attribute sequence + patterns + pair count) means identical
-    // scores at identical indices, so the old table's LSI source — factors,
-    // restored channel or mapped section — is shared as is.
-    let (lsi, region) = if skeleton_same {
-        (Arc::clone(old_table.lsi_source()), old.region.clone())
+    // scores at identical indices, so the old table's LSI source — fitted
+    // or restored factors, or the oracle's scores — is shared as is.
+    let lsi = if skeleton_same {
+        Arc::clone(old_table.lsi_source())
     } else {
-        (SimilarityTable::fit_factors(&schema, lsi_config), None)
+        SimilarityTable::fit_factors(&schema, lsi_config)
     };
     let table = SimilarityTable::exact(n, evidence.finish(n), lsi);
 
@@ -762,10 +762,11 @@ pub(crate) fn patch_prepared_type(
         PreparedType {
             schema: Arc::new(schema),
             table: Arc::new(table),
-            index: Some(Arc::new(index)),
             arena,
             vector_entries,
-            region,
+            // Every patched artifact is heap-owned: the vectors are
+            // remapped onto a new arena and the LSI source is factors.
+            region: None,
         },
         rows_recomputed,
         true,

@@ -1,74 +1,76 @@
-//! The directly-addressable snapshot layout — format **v4**.
+//! The snapshot layout — format **v5**, the one format
+//! [`EngineSnapshot`] writes and reads.
 //!
-//! Format v3 (see [`crate::snapshot`]) is a *compact* stream: varint
-//! id-deltas, sparse channel bitmaps, length-prefixed records. Decoding it
-//! is a full pass that heap-allocates every artifact. This module defines
-//! the sibling **direct** form with the same 36-byte header framing (magic,
-//! version, corpus fingerprint, payload length, checksum) but a payload
-//! built for *borrowing*:
+//! A snapshot stores what a restore reads and nothing sized by the number
+//! of attribute pairs. Each type keeps its schema, its evidence rows (the
+//! pairs with non-zero `vsim`/`lsim`, as compressed sparse rows) and its
+//! LSI factors (the rank-k reduced vectors and singular values); a
+//! restored table scores LSI from the factors exactly as a built one does.
+//! The payload is built for *borrowing*:
 //!
 //! ```text
-//! header    magic | version=4 | fingerprint | payload length | checksum
+//! header    magic | version=5 | fingerprint | payload length | checksum
 //! payload   u64 dict_off | u64 dict_len | u64 type_count
 //!           type_count × (u64 rec_off | u64 rec_len)      ← offset directory
-//!           dictionary bytes (compact v3 encoding — stays heap-owned)
+//!           dictionary bytes (length-prefixed strings — stays heap-owned)
 //!           per-type records, each 8-aligned
 //! record    u64 meta_len | meta | pad to 8 | data sections
 //! meta      type id, languages, labels, dual count, attribute scalars,
-//!           occurrence patterns, candidate-index bitsets, and the
-//!           *relative offsets* of every data section
+//!           occurrence patterns, the evidence entry count, the LSI rank,
+//!           and the *relative offsets* of every data section
 //! sections  arena offset table ((len+1) × u32 LE)   — stride 4
 //!           arena text (concatenated UTF-8)
 //!           per attribute × 5 channels: ids (u32 LE, stride 4)
 //!                                       weights (f64 bits LE, stride 8)
-//!           similarity channels lsi | vsim | lsim (f64 bits LE, stride 8)
+//!           evidence rows: row starts ((n+1) × u64 LE)
+//!                          partners (u32 LE per entry)
+//!                          vsim | lsim (f64 bits LE per entry)
+//!           LSI factors: singular values (k × f64 bits LE)
+//!                        reduced vectors (n × k f64 bits LE, row-major)
 //! ```
 //!
-//! All directory offsets are **absolute file offsets**, so the ranges handed
-//! to [`TermArena::from_mapped`], [`TermVector::from_mapped`] and
-//! [`SimilarityTable::from_mapped`] index straight into the mapped file.
-//! Weights travel as raw IEEE-754 bits in both forms, so converting v3 ⇄ v4
-//! (and decoding either owned or mapped) is bit-exact — pinned by the
-//! `mmap_equivalence` suite.
+//! All directory offsets are **absolute byte offsets** into the file, so
+//! the ranges handed to [`TermArena::from_mapped`],
+//! [`TermVector::from_mapped`] and the table's evidence section index
+//! straight into the region. One decoder serves both byte sources:
+//! [`MappedSnapshot::open`] hands it a mapping, and
+//! [`EngineSnapshot::from_bytes`] hands it heap bytes. Every float travels
+//! as raw IEEE-754 bits, and the factors are reloaded through
+//! [`LsiModel::from_parts`], which recomputes the norms with the fit's
+//! expression — so a restored table answers every pair with the bits of
+//! the table it was captured from (pinned by the `mmap_equivalence` and
+//! `snapshot_roundtrip` suites).
 //!
 //! **Validation discipline:** `parse_layout` checks everything up front —
-//! framing, checksum, directory bounds, section bounds, stride alignment,
-//! arena sortedness/UTF-8, vector id monotonicity — so the lazy
-//! materialisation that happens later (on first touch of a mapped artifact)
-//! is infallible. Truncated or misaligned offset directories are rejected
-//! here with typed [`SnapshotError`]s, never discovered mid-read.
+//! framing, checksum, directory bounds, section bounds and stride
+//! alignment — and the decoder then checks arena sortedness/UTF-8, vector
+//! id monotonicity and the evidence rows' shape, so the lazy
+//! materialisation that happens later (on first touch of a borrowed
+//! artifact) is infallible. A broken file is rejected here with a typed
+//! [`SnapshotError`], never discovered mid-read.
 //!
-//! **What stays heap-owned** even in the mapped form: the title dictionary,
-//! schema metadata (labels, attribute names), occurrence patterns and the
-//! candidate-index bitsets — all small, all needed eagerly. The arena text,
-//! the five per-attribute vector channels and the three similarity channels
-//! — the bytes that dominate a snapshot — are borrowed from the region: a
-//! mapped table reads its LSI section in place and, on first touch, reads
-//! the `vsim`/`lsim` sections into its heap-owned evidence rows.
+//! **What stays heap-owned:** the title dictionary, schema metadata
+//! (labels, attribute names), occurrence patterns and the LSI factors —
+//! all small, all needed eagerly. The arena text, the five per-attribute
+//! vector channels and the evidence rows are borrowed from the region; a
+//! table reads its evidence rows onto the heap on first touch.
 
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 use wiki_corpus::Language;
+use wiki_linalg::LsiModel;
 use wiki_text::{ByteRegion, TermArena, TermVector};
 use wiki_translate::TitleDictionary;
 
 use crate::engine::PreparedType;
 use crate::mmap::MappedRegion;
-use crate::schema::{AttributeStats, CandidateIndex, DualSchema};
-use crate::similarity::{Evidence, SimilarityTable};
+use crate::schema::{AttributeStats, DualSchema};
+use crate::similarity::{EvidenceSection, SimilarityTable};
 use crate::snapshot::{
-    checksum, decode_pair_set, decode_pattern, encode_pair_set, encode_pattern, write_atomically,
-    Dec, Enc, EngineSnapshot, SnapshotError, HEADER_LEN, MAGIC,
+    checksum, Dec, Enc, EngineSnapshot, SnapshotError, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
-
-/// Version stamped into the header of every directly-addressable snapshot.
-/// [`EngineSnapshot::from_bytes`] accepts both this and the compact
-/// [`crate::snapshot::FORMAT_VERSION`]; [`EngineSnapshot::save`] keeps
-/// writing the compact form (the wire/archive encoding), while
-/// [`EngineSnapshot::save_direct`] writes this one (the serving encoding).
-pub const DIRECT_FORMAT_VERSION: u32 = 4;
 
 fn pad8(buf: &mut Vec<u8>) {
     while !buf.len().is_multiple_of(8) {
@@ -80,13 +82,68 @@ fn align8(x: usize) -> usize {
     x.div_ceil(8) * 8
 }
 
+/// Appends the raw little-endian bits of `values` to an 8-aligned
+/// `sections`, returning where they start.
+fn push_f64s(sections: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) -> usize {
+    let rel = sections.len();
+    for value in values {
+        sections.extend_from_slice(&value.to_bits().to_le_bytes());
+    }
+    rel
+}
+
+fn encode_pattern(enc: &mut Enc, pattern: &[bool]) {
+    // Bit-packed; the length is the schema's dual count, known to the
+    // decoder, so only the words are written.
+    let words = pattern.len().div_ceil(64);
+    let mut packed = vec![0u64; words];
+    for (j, present) in pattern.iter().enumerate() {
+        if *present {
+            packed[j / 64] |= 1u64 << (j % 64);
+        }
+    }
+    for word in packed {
+        enc.u64(word);
+    }
+}
+
+fn decode_pattern(dec: &mut Dec<'_>, len: usize) -> Result<Vec<bool>, SnapshotError> {
+    let words = len.div_ceil(64);
+    // The words are about to be read from the payload; bounding the
+    // allocation by the bytes actually present keeps a corrupted
+    // `dual_count` from triggering a huge pre-allocation.
+    if words.saturating_mul(8) > dec.remaining() {
+        return Err(SnapshotError::Truncated);
+    }
+    let mut pattern = vec![false; len];
+    for w in 0..words {
+        let word = dec.u64()?;
+        if w + 1 == words && !len.is_multiple_of(64) && word >> (len % 64) != 0 {
+            return Err(SnapshotError::Malformed(
+                "occurrence pattern has bits beyond the dual count".to_string(),
+            ));
+        }
+        for (j, slot) in pattern[w * 64..].iter_mut().take(64).enumerate() {
+            *slot = word & (1u64 << j) != 0;
+        }
+    }
+    Ok(pattern)
+}
+
 // ---------------------------------------------------------------------------
-// Encoding: owned artifacts → v4 bytes.
+// Encoding: artifacts → v5 bytes.
 
 /// The `(id, weight)` entries of a vector, expressed in the schema arena's
-/// ids (same discipline as the v3 encoder: a vector moved off the shared
-/// arena is re-interned term by term, and a term the arena does not know
-/// panics loudly at encode time rather than writing a wrong-terms file).
+/// ids. Schema vectors are built on the schema arena, so the id fast path
+/// is the norm; a vector moved off it (e.g. a `pub` field mutated through
+/// the copy-on-write `add` API) is re-interned term by term rather than
+/// having foreign ids written verbatim, which would encode a checksum-valid
+/// file that decodes to the *wrong terms*.
+///
+/// # Panics
+/// Panics when such a detached vector contains a term the schema arena does
+/// not know: the snapshot could not represent it, and a loud failure at
+/// capture time beats a silently wrong file.
 fn entries_in_arena(vector: &TermVector, arena: &Arc<TermArena>) -> Vec<(u32, f64)> {
     if Arc::ptr_eq(vector.arena(), arena) {
         vector.id_entries().to_vec()
@@ -103,7 +160,7 @@ fn entries_in_arena(vector: &TermVector, arena: &Arc<TermArena>) -> Vec<(u32, f6
     }
 }
 
-/// Encodes one type's artifacts as a v4 record:
+/// Encodes one type's artifacts as a v5 record:
 /// `meta_len | meta | pad | sections`, with every section offset in the
 /// meta expressed relative to the (8-aligned) section base.
 fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
@@ -156,30 +213,32 @@ fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
         }
         vector_layouts.push(five);
     }
-    // Similarity channels, canonical pair order, stride 8: the three
-    // sections are laid out first, then filled in one walk over the pairs.
+    // The table: its evidence rows, then its LSI factors.
     let table = &prepared.table;
     assert!(
         table.stores_every_pair(),
         "snapshots only hold exact-mode tables"
     );
     let n = table.attribute_count();
-    let section_len = n * n.saturating_sub(1) / 2 * 8;
-    let lsi_rel = sections.len();
-    let vsim_rel = lsi_rel + section_len;
-    let lsim_rel = vsim_rel + section_len;
-    sections.resize(lsim_rel + section_len, 0);
-    let mut at = 0usize;
-    table.for_each_pair(|pair| {
-        for (rel, value) in [
-            (lsi_rel, pair.lsi),
-            (vsim_rel, pair.vsim),
-            (lsim_rel, pair.lsim),
-        ] {
-            sections[rel + at..rel + at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
-        }
-        at += 8;
-    });
+    let (starts, partners, vsim, lsim) = table.evidence_rows();
+    let starts_rel = sections.len();
+    for &start in starts {
+        sections.extend_from_slice(&(start as u64).to_le_bytes());
+    }
+    let partners_rel = sections.len();
+    for q in partners {
+        sections.extend_from_slice(&q.to_le_bytes());
+    }
+    pad8(&mut sections);
+    let vsim_rel = push_f64s(&mut sections, vsim.iter().copied());
+    let lsim_rel = push_f64s(&mut sections, lsim.iter().copied());
+    let model = table.lsi_model();
+    assert_eq!(model.len(), n, "the LSI model covers every attribute");
+    let singular_rel = push_f64s(&mut sections, model.singular_values().iter().copied());
+    let vectors_rel = push_f64s(
+        &mut sections,
+        (0..n).flat_map(|i| model.vector(i).iter().copied()),
+    );
 
     let mut meta = Enc::new();
     meta.str(type_id);
@@ -205,15 +264,13 @@ fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
         encode_pattern(&mut meta, &attr.occurrence_pattern);
     }
     meta.u64(n as u64);
-    meta.u64(lsi_rel as u64);
-    meta.u64(vsim_rel as u64);
-    meta.u64(lsim_rel as u64);
-    let index = prepared
-        .index
-        .as_ref()
-        .expect("snapshots only hold exact-mode artifacts, which have an index");
-    encode_pair_set(&mut meta, index.value_pairs());
-    encode_pair_set(&mut meta, index.link_pairs());
+    meta.u64(partners.len() as u64);
+    for rel in [starts_rel, partners_rel, vsim_rel, lsim_rel] {
+        meta.u64(rel as u64);
+    }
+    meta.u64(model.rank() as u64);
+    meta.u64(singular_rel as u64);
+    meta.u64(vectors_rel as u64);
     let meta = meta.0;
 
     let mut record = Vec::with_capacity(8 + align8(meta.len()) + sections.len());
@@ -224,88 +281,68 @@ fn encode_type_record(type_id: &str, prepared: &PreparedType) -> Vec<u8> {
     record
 }
 
-impl EngineSnapshot {
-    /// Serializes the snapshot into the directly-addressable v4 form —
-    /// the converter from the compact in-memory/owned representation to
-    /// the mappable one. Lossless: `from_bytes(to_direct_bytes())`
-    /// restores bit-identical artifacts.
-    pub fn to_direct_bytes(&self) -> Vec<u8> {
-        let _span = wiki_obs::Span::enter("snapshot_encode_direct");
-        wiki_fault::pause("snapshot.encode");
-        // Dictionary section: the compact v3 encoding (sorted entries for
-        // a canonical byte stream) — it is decoded eagerly either way.
-        let mut dict = Enc::new();
-        dict.str(self.dictionary.source().code());
-        dict.str(self.dictionary.target().code());
-        let mut entries: Vec<(&str, &str)> = self.dictionary.entries().collect();
-        entries.sort_unstable();
-        dict.u64(entries.len() as u64);
-        for (key, value) in entries {
-            dict.str(key);
-            dict.str(value);
-        }
-        let dict = dict.0;
+/// Serializes a snapshot into the v5 layout, header included.
+pub(crate) fn encode(snapshot: &EngineSnapshot) -> Vec<u8> {
+    // Dictionary section: sorted entries for a canonical byte stream — it
+    // is decoded eagerly.
+    let mut dict = Enc::new();
+    dict.str(snapshot.dictionary.source().code());
+    dict.str(snapshot.dictionary.target().code());
+    let mut entries: Vec<(&str, &str)> = snapshot.dictionary.entries().collect();
+    entries.sort_unstable();
+    dict.u64(entries.len() as u64);
+    for (key, value) in entries {
+        dict.str(key);
+        dict.str(value);
+    }
+    let dict = dict.0;
 
-        let records: Vec<Vec<u8>> = self
-            .types
-            .iter()
-            .map(|(type_id, prepared)| encode_type_record(type_id, prepared))
-            .collect();
+    let records: Vec<Vec<u8>> = snapshot
+        .types
+        .iter()
+        .map(|(type_id, prepared)| encode_type_record(type_id, prepared))
+        .collect();
 
-        // Offset directory, then dictionary, then 8-aligned records; all
-        // offsets absolute from the file start.
-        let dir_len = 24 + 16 * records.len();
-        let dict_off = HEADER_LEN + dir_len;
-        let mut cursor = align8(dict_off + dict.len());
-        let rec_spans: Vec<(usize, usize)> = records
-            .iter()
-            .map(|record| {
-                let span = (cursor, record.len());
-                cursor = align8(cursor + record.len());
-                span
-            })
-            .collect();
+    // Offset directory, then dictionary, then 8-aligned records; all
+    // offsets absolute from the file start.
+    let dir_len = 24 + 16 * records.len();
+    let dict_off = HEADER_LEN + dir_len;
+    let mut cursor = align8(dict_off + dict.len());
+    let rec_spans: Vec<(usize, usize)> = records
+        .iter()
+        .map(|record| {
+            let span = (cursor, record.len());
+            cursor = align8(cursor + record.len());
+            span
+        })
+        .collect();
 
-        let mut payload = Vec::with_capacity(cursor - HEADER_LEN);
-        payload.extend_from_slice(&(dict_off as u64).to_le_bytes());
-        payload.extend_from_slice(&(dict.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        for &(off, len) in &rec_spans {
-            payload.extend_from_slice(&(off as u64).to_le_bytes());
-            payload.extend_from_slice(&(len as u64).to_le_bytes());
-        }
-        payload.extend_from_slice(&dict);
-        for (&(off, _), record) in rec_spans.iter().zip(&records) {
-            payload.resize(off - HEADER_LEN, 0);
-            payload.extend_from_slice(record);
-        }
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&DIRECT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+    let mut payload = Vec::with_capacity(cursor - HEADER_LEN);
+    payload.extend_from_slice(&(dict_off as u64).to_le_bytes());
+    payload.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for &(off, len) in &rec_spans {
+        payload.extend_from_slice(&(off as u64).to_le_bytes());
+        payload.extend_from_slice(&(len as u64).to_le_bytes());
+    }
+    payload.extend_from_slice(&dict);
+    for (&(off, _), record) in rec_spans.iter().zip(&records) {
+        payload.resize(off - HEADER_LEN, 0);
+        payload.extend_from_slice(record);
     }
 
-    /// Saves the snapshot in the v4 form, atomically (temp file + rename,
-    /// like [`EngineSnapshot::save`]).
-    pub fn save_direct(&self, path: &Path) -> Result<(), SnapshotError> {
-        let _span = wiki_obs::Span::enter("snapshot_save_direct");
-        wiki_obs::registry()
-            .counter(
-                "wm_snapshot_saves_total",
-                "Engine snapshots written to disk.",
-            )
-            .inc();
-        write_atomically(path, &self.to_direct_bytes(), "snapshot.save.write")
-    }
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&snapshot.fingerprint.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
 }
 
 // ---------------------------------------------------------------------------
-// Layout parsing: shared by the owned and mapped decoders.
+// Layout parsing.
 
 struct VectorLayout {
     len: usize,
@@ -331,10 +368,14 @@ struct TypeLayout {
     arena_offsets: Range<usize>,
     arena_text: Range<usize>,
     attrs: Vec<AttrLayout>,
-    lsi: Range<usize>,
+    entries: usize,
+    starts: Range<usize>,
+    partners: Range<usize>,
     vsim: Range<usize>,
     lsim: Range<usize>,
-    index: CandidateIndex,
+    rank: usize,
+    singular_values: Range<usize>,
+    vectors: Range<usize>,
 }
 
 struct Layout {
@@ -347,9 +388,10 @@ fn malformed(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed(detail.into())
 }
 
-/// Validates the whole v4 file — framing, checksum, offset directory,
-/// section bounds and stride alignment — and returns the absolute byte
-/// ranges of every borrowable section plus the eagerly-decoded small parts.
+/// Validates the whole file — framing, version, checksum, offset
+/// directory, section bounds and stride alignment — and returns the
+/// absolute byte ranges of every section plus the eagerly-decoded small
+/// parts.
 fn parse_layout(bytes: &[u8]) -> Result<Layout, SnapshotError> {
     if bytes.len() < HEADER_LEN {
         return if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
@@ -362,10 +404,10 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != DIRECT_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
-            supported: DIRECT_FORMAT_VERSION,
+            supported: FORMAT_VERSION,
         });
     }
     let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
@@ -462,6 +504,11 @@ fn parse_type_record(record: &[u8], rec_off: usize) -> Result<TypeLayout, Snapsh
         }
         Ok(start..end)
     };
+    let bytes_of = |count: usize, width: usize| {
+        count
+            .checked_mul(width)
+            .ok_or_else(|| malformed(format!("section of {count} elements overflows")))
+    };
 
     let mut m = Dec::new(meta);
     let type_id = m.str()?;
@@ -473,10 +520,7 @@ fn parse_type_record(record: &[u8], rec_off: usize) -> Result<TypeLayout, Snapsh
     let label_en = m.str()?;
     let dual_count = m.scalar()?;
     let arena_len = m.scalar()?;
-    let offsets_bytes = arena_len
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or_else(|| malformed("arena length overflows"))?;
+    let offsets_bytes = bytes_of(arena_len.saturating_add(1), 4)?;
     let arena_offsets = section(m.scalar()?, offsets_bytes, 4)?;
     let arena_text_rel = m.scalar()?;
     let arena_text_len = m.scalar()?;
@@ -491,14 +535,8 @@ fn parse_type_record(record: &[u8], rec_off: usize) -> Result<TypeLayout, Snapsh
         let mut vectors = Vec::with_capacity(5);
         for _ in 0..5 {
             let len = m.scalar()?;
-            let ids_bytes = len
-                .checked_mul(4)
-                .ok_or_else(|| malformed("vector length overflows"))?;
-            let weights_bytes = len
-                .checked_mul(8)
-                .ok_or_else(|| malformed("vector length overflows"))?;
-            let ids = section(m.scalar()?, ids_bytes, 4)?;
-            let weights = section(m.scalar()?, weights_bytes, 8)?;
+            let ids = section(m.scalar()?, bytes_of(len, 4)?, 4)?;
+            let weights = section(m.scalar()?, bytes_of(len, 8)?, 8)?;
             vectors.push(VectorLayout { len, ids, weights });
         }
         let vectors: [VectorLayout; 5] = vectors
@@ -521,14 +559,14 @@ fn parse_type_record(record: &[u8], rec_off: usize) -> Result<TypeLayout, Snapsh
             attrs.len()
         )));
     }
-    let pair_bytes = (n * n.saturating_sub(1) / 2)
-        .checked_mul(8)
-        .ok_or_else(|| malformed("pair count overflows"))?;
-    let lsi = section(m.scalar()?, pair_bytes, 8)?;
-    let vsim = section(m.scalar()?, pair_bytes, 8)?;
-    let lsim = section(m.scalar()?, pair_bytes, 8)?;
-    let value_pairs = decode_pair_set(&mut m, n)?;
-    let link_pairs = decode_pair_set(&mut m, n)?;
+    let entries = m.scalar()?;
+    let starts = section(m.scalar()?, bytes_of(n + 1, 8)?, 8)?;
+    let partners = section(m.scalar()?, bytes_of(entries, 4)?, 4)?;
+    let vsim = section(m.scalar()?, bytes_of(entries, 8)?, 8)?;
+    let lsim = section(m.scalar()?, bytes_of(entries, 8)?, 8)?;
+    let rank = m.scalar()?;
+    let singular_values = section(m.scalar()?, bytes_of(rank, 8)?, 8)?;
+    let vectors = section(m.scalar()?, bytes_of(bytes_of(n, rank)?, 8)?, 8)?;
     if !m.finished() {
         return Err(malformed(format!(
             "type record {type_id:?} meta longer than its contents"
@@ -544,199 +582,130 @@ fn parse_type_record(record: &[u8], rec_off: usize) -> Result<TypeLayout, Snapsh
         arena_offsets,
         arena_text,
         attrs,
-        lsi,
+        entries,
+        starts,
+        partners,
         vsim,
         lsim,
-        index: CandidateIndex::from_parts(value_pairs, link_pairs),
+        rank,
+        singular_values,
+        vectors,
     })
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: v4 bytes → owned or mapped artifacts.
+// Decoding: v5 bytes → artifacts borrowing from their region.
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
+/// The `f64`s whose raw little-endian bits fill `range` of `bytes`.
+fn f64s(bytes: &[u8], range: Range<usize>) -> Vec<f64> {
+    bytes[range]
+        .chunks_exact(8)
+        .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8-byte field"))))
+        .collect()
 }
 
-fn read_f64_bits(bytes: &[u8], at: usize) -> f64 {
-    f64::from_bits(u64::from_le_bytes(
-        bytes[at..at + 8].try_into().expect("8-byte field"),
-    ))
-}
-
-/// Decodes a v4 file into **fully heap-owned** artifacts — the converter
-/// from the direct form back to the compact in-memory representation
-/// (`EngineSnapshot::from_bytes` lands here for version-4 files).
-pub(crate) fn decode_owned(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
-    let _span = wiki_obs::Span::enter("snapshot_decode_direct");
-    let layout = parse_layout(bytes)?;
-    let mut types = Vec::with_capacity(layout.types.len());
-    for t in layout.types {
-        // Arena: slice the text through the offset table.
-        let text = &bytes[t.arena_text.clone()];
-        let mut terms = Vec::with_capacity(t.arena_len);
-        let mut prev_off = 0usize;
-        for i in 0..t.arena_len {
-            let start = read_u32(bytes, t.arena_offsets.start + i * 4) as usize;
-            let end = read_u32(bytes, t.arena_offsets.start + (i + 1) * 4) as usize;
-            if start != prev_off || end < start || end > text.len() {
-                return Err(malformed("arena offset table not monotone"));
-            }
-            prev_off = end;
-            let term = std::str::from_utf8(&text[start..end])
-                .map_err(|_| malformed("non-UTF-8 arena term"))?;
-            terms.push(term.to_string());
-        }
-        if prev_off != text.len() {
-            return Err(malformed("arena offset table does not cover the text"));
-        }
-        let arena = Arc::new(
-            TermArena::from_sorted_terms(terms)
-                .ok_or_else(|| malformed("arena string table not strictly sorted"))?,
-        );
-
-        let decode_vector = |layout: &VectorLayout| -> Result<TermVector, SnapshotError> {
-            let mut entries = Vec::with_capacity(layout.len);
-            for i in 0..layout.len {
-                let id = read_u32(bytes, layout.ids.start + i * 4);
-                let weight = read_f64_bits(bytes, layout.weights.start + i * 8);
-                entries.push((id, weight));
-            }
-            TermVector::from_ids(Arc::clone(&arena), entries)
-                .ok_or_else(|| malformed("term vector ids out of order or outside the arena"))
-        };
-        let mut attributes = Vec::with_capacity(t.attrs.len());
-        for attr in &t.attrs {
-            attributes.push(AttributeStats {
-                language: attr.language.clone(),
-                name: attr.name.clone(),
-                occurrences: attr.occurrences,
-                values: decode_vector(&attr.vectors[0])?,
-                translated_values: decode_vector(&attr.vectors[1])?,
-                raw_values: decode_vector(&attr.vectors[2])?,
-                translated_raw_values: decode_vector(&attr.vectors[3])?,
-                links: decode_vector(&attr.vectors[4])?,
-                occurrence_pattern: attr.occurrence_pattern.clone(),
-            });
-        }
-        let schema = DualSchema::from_parts_in_arena(
-            t.languages.clone(),
-            t.label_other.clone(),
-            t.label_en.clone(),
-            attributes,
-            t.dual_count,
-            Arc::clone(&arena),
-        );
-
-        let n = t.attrs.len();
-        let lsi = (0..n * n.saturating_sub(1) / 2)
-            .map(|i| read_f64_bits(bytes, t.lsi.start + i * 8))
-            .collect();
-        let mut evidence = Evidence::builder();
-        let mut i = 0usize;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                evidence.push(
-                    p,
-                    q,
-                    read_f64_bits(bytes, t.vsim.start + i * 8),
-                    read_f64_bits(bytes, t.lsim.start + i * 8),
-                );
-                i += 1;
-            }
-        }
-        let table = SimilarityTable::restored(n, lsi, evidence.finish(n));
-        let vector_entries = schema.vector_entry_count();
-        types.push((
-            t.type_id,
-            PreparedType {
-                schema: Arc::new(schema),
-                table: Arc::new(table),
-                index: Some(Arc::new(t.index)),
-                arena,
-                vector_entries,
-                region: None,
-            },
-        ));
-    }
-    Ok(EngineSnapshot {
-        fingerprint: layout.fingerprint,
-        dictionary: layout.dictionary,
-        types,
-    })
-}
-
-/// Decodes a v4 region into artifacts that **borrow** from it: arenas,
-/// vector channels and similarity channels are views into the mapping and
-/// materialize lazily per (type, channel) on first touch. All structural
-/// validation happens here, eagerly.
-pub(crate) fn decode_mapped(region: Arc<MappedRegion>) -> Result<EngineSnapshot, SnapshotError> {
-    let _span = wiki_obs::Span::enter("snapshot_decode_mapped");
+/// Decodes a v5 region into artifacts that **borrow** from it: arenas,
+/// vector channels and evidence rows are views into the region and
+/// materialize lazily on first touch; the LSI factors are read onto the
+/// heap here. All structural validation happens here, eagerly. `mapped`
+/// is the region again when it is a file mapping, so the prepared
+/// artifacts can account for it.
+pub(crate) fn decode(
+    region: Arc<dyn ByteRegion>,
+    mapped: Option<Arc<MappedRegion>>,
+) -> Result<EngineSnapshot, SnapshotError> {
     let layout = parse_layout(region.bytes())?;
-    let shared: Arc<dyn ByteRegion> = Arc::clone(&region) as Arc<dyn ByteRegion>;
+    assemble(region, layout, mapped)
+}
+
+/// [`decode`] over a heap copy of `bytes`, made only once the layout has
+/// validated, so a rejected input costs no copy.
+pub(crate) fn decode_copy(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
+    let layout = parse_layout(bytes)?;
+    assemble(Arc::new(bytes.to_vec()), layout, None)
+}
+
+/// Builds the artifacts of a validated `layout` over the region it was
+/// parsed from.
+fn assemble(
+    region: Arc<dyn ByteRegion>,
+    layout: Layout,
+    mapped: Option<Arc<MappedRegion>>,
+) -> Result<EngineSnapshot, SnapshotError> {
+    let bytes = region.bytes();
     let mut types = Vec::with_capacity(layout.types.len());
     for t in layout.types {
         let arena = Arc::new(
             TermArena::from_mapped(
-                Arc::clone(&shared),
+                Arc::clone(&region),
                 t.arena_offsets.clone(),
                 t.arena_text.clone(),
                 t.arena_len,
             )
-            .ok_or_else(|| malformed("mapped arena violates the sorted string-table invariant"))?,
+            .ok_or_else(|| malformed("arena violates the sorted string-table invariant"))?,
         );
         let mut attributes = Vec::with_capacity(t.attrs.len());
-        for attr in &t.attrs {
+        for attr in t.attrs {
             let vector = |v: &VectorLayout| -> Result<TermVector, SnapshotError> {
                 TermVector::from_mapped(
                     Arc::clone(&arena),
-                    Arc::clone(&shared),
+                    Arc::clone(&region),
                     v.ids.clone(),
                     v.weights.clone(),
                     v.len,
                 )
-                .ok_or_else(|| {
-                    malformed("mapped term vector ids out of order or outside the arena")
-                })
+                .ok_or_else(|| malformed("term vector ids out of order or outside the arena"))
             };
             attributes.push(AttributeStats {
-                language: attr.language.clone(),
-                name: attr.name.clone(),
-                occurrences: attr.occurrences,
                 values: vector(&attr.vectors[0])?,
                 translated_values: vector(&attr.vectors[1])?,
                 raw_values: vector(&attr.vectors[2])?,
                 translated_raw_values: vector(&attr.vectors[3])?,
                 links: vector(&attr.vectors[4])?,
-                occurrence_pattern: attr.occurrence_pattern.clone(),
+                language: attr.language,
+                name: attr.name,
+                occurrences: attr.occurrences,
+                occurrence_pattern: attr.occurrence_pattern,
             });
         }
         let schema = DualSchema::from_parts_in_arena(
-            t.languages.clone(),
-            t.label_other.clone(),
-            t.label_en.clone(),
+            t.languages,
+            t.label_other,
+            t.label_en,
             attributes,
             t.dual_count,
             Arc::clone(&arena),
         );
-        let table = SimilarityTable::from_mapped(
-            Arc::clone(&shared),
-            t.lsi.clone(),
-            t.vsim.clone(),
-            t.lsim.clone(),
-            t.attrs.len(),
+        let n = schema.len();
+        let evidence = EvidenceSection::new(
+            Arc::clone(&region),
+            n,
+            t.entries,
+            t.starts,
+            t.partners,
+            t.vsim,
+            t.lsim,
         )
-        .ok_or_else(|| malformed("mapped similarity channels break the fixed-stride layout"))?;
+        .ok_or_else(|| malformed("evidence rows out of order, out of range or all zero"))?;
+        let flat = f64s(bytes, t.vectors);
+        let vectors = if t.rank == 0 {
+            vec![Vec::new(); n]
+        } else {
+            flat.chunks_exact(t.rank).map(<[f64]>::to_vec).collect()
+        };
+        let model = LsiModel::from_parts(vectors, f64s(bytes, t.singular_values))
+            .ok_or_else(|| malformed("LSI vectors do not match the rank"))?;
+        let lsi = SimilarityTable::factors(&schema, model);
+        let table = SimilarityTable::restored(n, evidence, lsi);
         let vector_entries = schema.vector_entry_count();
         types.push((
             t.type_id,
             PreparedType {
                 schema: Arc::new(schema),
                 table: Arc::new(table),
-                index: Some(Arc::new(t.index)),
                 arena,
                 vector_entries,
-                region: Some(Arc::clone(&region)),
+                region: mapped.clone(),
             },
         ));
     }
@@ -747,7 +716,7 @@ pub(crate) fn decode_mapped(region: Arc<MappedRegion>) -> Result<EngineSnapshot,
     })
 }
 
-/// A v4 snapshot opened **out-of-core**: the file is memory-mapped and the
+/// A snapshot opened **out-of-core**: the file is memory-mapped and the
 /// snapshot's artifacts borrow from the mapping instead of owning heap
 /// copies. Dropping the last clone of [`region`](Self::region) (which every
 /// artifact also holds through its views) unmaps the file — the eviction
@@ -762,18 +731,22 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Maps `path` and decodes it as a v4 snapshot with borrowed artifacts.
-    /// The whole layout (framing, checksum, offset directory, section
-    /// bounds, arena/vector invariants) is validated eagerly; lazy
-    /// materialisation afterwards cannot fail. Rejects v3 files with
-    /// [`SnapshotError::UnsupportedVersion`] — load those via
-    /// [`EngineSnapshot::load`] or convert with
-    /// [`EngineSnapshot::save_direct`].
+    /// Maps `path` and decodes it with borrowed artifacts. The whole layout
+    /// (framing, checksum, offset directory, section bounds, arena, vector
+    /// and evidence invariants) is validated eagerly; lazy materialisation
+    /// afterwards cannot fail. A file of any other format version is
+    /// rejected with [`SnapshotError::UnsupportedVersion`].
     pub fn open(path: &Path) -> Result<Self, SnapshotError> {
         let _span = wiki_obs::Span::enter("snapshot_map");
         wiki_fault::check_io("snapshot.map.open")?;
         let region = Arc::new(MappedRegion::map_file(path)?);
-        let snapshot = decode_mapped(Arc::clone(&region))?;
+        let snapshot = {
+            let _span = wiki_obs::Span::enter("snapshot_decode_mapped");
+            decode(
+                Arc::clone(&region) as Arc<dyn ByteRegion>,
+                Some(Arc::clone(&region)),
+            )?
+        };
         Ok(Self { snapshot, region })
     }
 }
@@ -782,6 +755,7 @@ impl MappedSnapshot {
 mod tests {
     use super::*;
     use crate::engine::MatchEngine;
+    use crate::similarity::ComputeMode;
     use wiki_corpus::{Dataset, SyntheticConfig};
 
     fn captured() -> (Dataset, EngineSnapshot) {
@@ -811,40 +785,49 @@ mod tests {
     #[test]
     fn direct_bytes_round_trip_through_the_owned_decoder() {
         let (_, snapshot) = captured();
-        let direct = snapshot.to_direct_bytes();
+        let bytes = snapshot.to_bytes();
         assert_eq!(
-            u32::from_le_bytes(direct[8..12].try_into().unwrap()),
-            DIRECT_FORMAT_VERSION
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+            FORMAT_VERSION
         );
-        // The generic reader accepts the v4 form and restores identical
-        // artifacts (converter v4 → owned).
-        let owned = EngineSnapshot::from_bytes(&direct).unwrap();
+        // The heap-bytes reader restores identical artifacts ...
+        let owned = EngineSnapshot::from_bytes(&bytes).unwrap();
         assert_snapshots_bit_identical(&snapshot, &owned);
-        // And the restored snapshot re-encodes to identical v4 bytes
-        // (converter owned → v4): the two forms are lossless inverses.
-        assert_eq!(owned.to_direct_bytes(), direct);
+        // ... which re-encode to identical bytes.
+        assert_eq!(owned.to_bytes(), bytes);
+        // A `Dense` session, whose tables keep reference scores beside the
+        // fitted model, captures to the same bytes as the pruned default.
+        let dense = MatchEngine::builder(Dataset::pt_en(&SyntheticConfig::tiny()))
+            .compute_mode(ComputeMode::Dense)
+            .build();
+        dense.align("film").unwrap();
+        dense.align("actor").unwrap();
+        assert_eq!(EngineSnapshot::capture(&dense).unwrap().to_bytes(), bytes);
     }
 
     #[test]
     fn mapped_decode_is_bit_identical_to_owned_decode() {
         let (_, snapshot) = captured();
-        let direct = snapshot.to_direct_bytes();
+        let bytes = snapshot.to_bytes();
         let dir = std::env::temp_dir().join(format!("wm-direct-test-{}", std::process::id()));
-        let path = dir.join("tiny.snapv4");
-        snapshot.save_direct(&path).unwrap();
+        let path = dir.join("tiny.snap");
+        snapshot.save(&path).unwrap();
         let mapped = MappedSnapshot::open(&path).unwrap();
-        assert_eq!(mapped.region.len(), direct.len());
+        assert_eq!(mapped.region.len(), bytes.len());
         // Layout validation touches the whole file once, but nothing is
         // materialized until an artifact is read.
         assert_eq!(mapped.region.page_in_count(), 0);
-        let owned = EngineSnapshot::from_bytes(&direct).unwrap();
+        let owned = EngineSnapshot::from_bytes(&bytes).unwrap();
         assert_snapshots_bit_identical(&owned, &mapped.snapshot);
-        // Reading the artifacts above paged channels in lazily.
+        // Reading the artifacts above paged evidence and vectors in lazily.
         assert!(mapped.region.page_in_count() > 0);
         for (_, prepared) in &mapped.snapshot.types {
             assert!(prepared.region.is_some());
             assert!(prepared.arena.is_mapped());
             assert!(prepared.table.is_mapped());
+        }
+        for (_, prepared) in &owned.types {
+            assert!(prepared.region.is_none());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -852,12 +835,12 @@ mod tests {
     #[test]
     fn truncated_and_misaligned_directories_are_rejected() {
         let (_, snapshot) = captured();
-        let direct = snapshot.to_direct_bytes();
+        let bytes = snapshot.to_bytes();
         // Truncations at every structural boundary.
-        for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 10, direct.len() - 1] {
+        for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 10, bytes.len() - 1] {
             assert!(
                 matches!(
-                    EngineSnapshot::from_bytes(&direct[..cut]),
+                    EngineSnapshot::from_bytes(&bytes[..cut]),
                     Err(SnapshotError::Truncated)
                 ),
                 "cut at {cut} not detected as truncation"
@@ -865,16 +848,16 @@ mod tests {
         }
         // A record offset pushed past the end of the file: the directory
         // promises bytes the file does not have.
-        let mut oob = direct.clone();
+        let mut oob = bytes.clone();
         let rec_off_at = HEADER_LEN + 24; // first record's offset slot
-        oob[rec_off_at..rec_off_at + 8].copy_from_slice(&(direct.len() as u64 + 8).to_le_bytes());
+        oob[rec_off_at..rec_off_at + 8].copy_from_slice(&(bytes.len() as u64 + 8).to_le_bytes());
         let fixed = fix_checksum(oob);
         assert!(matches!(
             EngineSnapshot::from_bytes(&fixed),
             Err(SnapshotError::Truncated)
         ));
         // A misaligned record offset (not a multiple of 8).
-        let mut misaligned = direct.clone();
+        let mut misaligned = bytes.clone();
         let old = u64::from_le_bytes(misaligned[rec_off_at..rec_off_at + 8].try_into().unwrap());
         misaligned[rec_off_at..rec_off_at + 8].copy_from_slice(&(old + 4).to_le_bytes());
         let fixed = fix_checksum(misaligned);
@@ -883,7 +866,7 @@ mod tests {
             Err(SnapshotError::Malformed(_))
         ));
         // Corruption without a checksum fix-up is caught by the checksum.
-        let mut corrupt = direct;
+        let mut corrupt = bytes;
         let mid = HEADER_LEN + (corrupt.len() - HEADER_LEN) / 2;
         corrupt[mid] ^= 0xFF;
         assert!(matches!(
@@ -903,17 +886,27 @@ mod tests {
 
     #[test]
     fn v3_files_are_rejected_by_the_mapped_opener() {
+        // Files stamped with any retired version — the compact v3 stream
+        // and the dense v4 layout included — are refused by both readers
+        // before the payload is parsed, so the registry rebuilds them.
         let (_, snapshot) = captured();
         let dir = std::env::temp_dir().join(format!("wm-direct-v3-{}", std::process::id()));
         let path = dir.join("tiny.snap");
-        snapshot.save(&path).unwrap();
-        assert!(matches!(
-            MappedSnapshot::open(&path),
-            Err(SnapshotError::UnsupportedVersion {
-                found: crate::snapshot::FORMAT_VERSION,
-                supported: DIRECT_FORMAT_VERSION,
-            })
-        ));
+        for retired in 1..FORMAT_VERSION {
+            let mut bytes = snapshot.to_bytes();
+            bytes[8..12].copy_from_slice(&retired.to_le_bytes());
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
+            let unsupported = |result: Result<EngineSnapshot, SnapshotError>| {
+                matches!(
+                    result,
+                    Err(SnapshotError::UnsupportedVersion { found, supported: FORMAT_VERSION })
+                        if found == retired
+                )
+            };
+            assert!(unsupported(MappedSnapshot::open(&path).map(|m| m.snapshot)));
+            assert!(unsupported(EngineSnapshot::from_bytes(&bytes)));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -53,7 +53,7 @@ use crate::alignment::AttributeAlignment;
 use crate::config::WikiMatchConfig;
 use crate::delta::{patch_prepared_type, CorpusDelta, DeltaReport, PatchContext};
 use crate::pipeline::{TypeAlignment, WikiMatch};
-use crate::schema::{CandidateIndex, DualSchema};
+use crate::schema::DualSchema;
 use crate::similarity::{ComputeMode, SimilarityTable};
 use crate::snapshot::{corpus_fingerprint, EngineSnapshot, SnapshotError};
 use crate::types::{match_entity_types, TypeMatch};
@@ -128,21 +128,14 @@ impl SchemaMatcher for WikiMatch {
 }
 
 /// The shared per-type artifacts served by a [`MatchEngine`]: the
-/// dual-language schema, its similarity evidence and the candidate index
-/// the pruned similarity build used, behind `Arc`s so alignments and
-/// callers can hold them without copying.
+/// dual-language schema and its similarity evidence, behind `Arc`s so
+/// alignments and callers can hold them without copying.
 #[derive(Debug, Clone)]
 pub struct PreparedType {
     /// The dual-language schema of the type.
     pub schema: Arc<DualSchema>,
     /// The pairwise similarity evidence over that schema.
     pub table: Arc<SimilarityTable>,
-    /// The inverted candidate index over the schema's value and link terms
-    /// (the pruning structure of [`ComputeMode::Pruned`]); persisted with
-    /// the other artifacts by [`crate::snapshot`]. `None` when the table
-    /// was built by the sparse `Filtered` mode, which probes its own
-    /// transient structures and never patches or snapshots.
-    pub index: Option<Arc<CandidateIndex>>,
     /// The type's interned vocabulary (shared with
     /// [`DualSchema::arena`](crate::DualSchema::arena) — exposed here so
     /// consumers holding prepared artifacts reach the term table without
@@ -155,20 +148,23 @@ pub struct PreparedType {
     /// so stats polling never re-walks the attributes.
     pub vector_entries: u64,
     /// The mapped snapshot region these artifacts borrow from, when the
-    /// type was opened out-of-core from a directly-addressable (v4)
-    /// snapshot; `None` for heap-owned artifacts. One region is shared by
-    /// every type of the snapshot, and holding it here keeps the mapping
-    /// alive exactly as long as any artifact view needs it.
+    /// type was opened out-of-core through
+    /// [`MappedSnapshot::open`](crate::MappedSnapshot::open); `None` for
+    /// built artifacts and for a snapshot decoded from heap bytes. One
+    /// region is shared by every type of the snapshot, and holding it here
+    /// keeps the mapping alive exactly as long as any artifact view needs
+    /// it.
     pub region: Option<Arc<crate::mmap::MappedRegion>>,
 }
 
 impl PreparedType {
     /// Estimated heap bytes currently held by this type's artifacts: owned
     /// (or materialized-from-mapped) arena text and vector entries, the
-    /// occurrence patterns and candidate-index bitsets (heap-owned even in
-    /// a mapped session), and the table's evidence rows and LSI source.
-    /// Mapped storage nothing has touched counts zero — those bytes belong
-    /// on the mapped-bytes ledger, not the resident one.
+    /// occurrence patterns (heap-owned even in a mapped session), and the
+    /// table's evidence rows and LSI factors. Storage borrowed from a
+    /// snapshot region that nothing has touched counts zero — a mapping's
+    /// bytes belong on the mapped-bytes ledger, not the resident one, and
+    /// the heap bytes a snapshot was decoded from are on neither.
     pub fn resident_bytes(&self) -> u64 {
         // A (u32, f64) entry with padding is 16 bytes; an occurrence
         // pattern is one `bool` per dual infobox.
@@ -188,8 +184,7 @@ impl PreparedType {
             }
             bytes += attr.occurrence_pattern.len() as u64;
         }
-        let index = self.index.as_ref().map_or(0, |index| index.heap_bytes());
-        bytes + index + self.table.heap_bytes()
+        bytes + self.table.heap_bytes()
     }
 }
 
@@ -648,28 +643,8 @@ impl MatchEngine {
                     &pairing.label_en,
                     &dictionary,
                 );
-                let (table, index, counts) = if self.compute_mode.is_exact() {
-                    // The index is built once here (not inside the
-                    // similarity pass) so it lives on as a prepared artifact
-                    // the snapshot layer can persist next to the table.
-                    let index = CandidateIndex::build(&schema);
-                    let (table, counts) = SimilarityTable::compute_counted_with_index(
-                        &schema,
-                        self.config.lsi,
-                        self.compute_mode,
-                        &index,
-                    );
-                    (table, Some(Arc::new(index)), counts)
-                } else {
-                    // Sparse modes probe their own transient structures;
-                    // there is no index artifact to persist or patch.
-                    let (table, counts) = SimilarityTable::compute_counted(
-                        &schema,
-                        self.config.lsi,
-                        self.compute_mode,
-                    );
-                    (table, None, counts)
-                };
+                let (table, counts) =
+                    SimilarityTable::compute_counted(&schema, self.config.lsi, self.compute_mode);
                 self.counters
                     .pairs_scored
                     .fetch_add(counts.scored, Ordering::Relaxed);
@@ -681,7 +656,6 @@ impl MatchEngine {
                 PreparedType {
                     schema: Arc::new(schema),
                     table: Arc::new(table),
-                    index,
                     arena,
                     vector_entries,
                     region: None,
@@ -1071,9 +1045,6 @@ mod tests {
             .build();
         let oracle = dense.prepared("film").unwrap();
         let sparse = filtered.prepared("film").unwrap();
-        // Exact modes persist their candidate index; sparse modes have none.
-        assert!(oracle.index.is_some());
-        assert!(sparse.index.is_none());
         // Stored pairs are exactly the at-threshold ones, bit-identical.
         let mut stored = 0usize;
         for pair in oracle.table.pairs() {

@@ -91,12 +91,11 @@
 //!   warm-start too.
 //! * [`delta`] — live-corpus mutations ([`CorpusDelta`]) and the
 //!   incremental artifact patcher behind [`MatchEngine::apply_delta`].
-//! * [`direct`] — the directly-addressable snapshot layout (format v4): an
-//!   offset directory plus fixed-stride sections that artifacts can *borrow*
-//!   from without decoding, and the converters to/from the compact v3 wire
-//!   form.
-//! * [`mmap`] — a std-only `mmap(2)` wrapper ([`MappedRegion`]) so v4
-//!   snapshots are paged in by the OS instead of heap-decoded.
+//! * [`direct`] — the snapshot layout (format v5): an offset directory plus
+//!   fixed-stride sections that artifacts *borrow* from without decoding,
+//!   with each table stored as its evidence rows and LSI factors.
+//! * [`mmap`] — a std-only `mmap(2)` wrapper ([`MappedRegion`]) so
+//!   snapshots are paged in by the OS instead of read onto the heap.
 
 // `mmap.rs` is the single place unsafe is allowed: the raw mmap/munmap FFI.
 #![deny(unsafe_code)]
@@ -119,7 +118,7 @@ pub mod types;
 pub use alignment::AttributeAlignment;
 pub use config::WikiMatchConfig;
 pub use delta::{CorpusDelta, DeltaOp, DeltaReport};
-pub use direct::{MappedSnapshot, DIRECT_FORMAT_VERSION};
+pub use direct::MappedSnapshot;
 pub use engine::{EngineStats, MatchEngine, MatchEngineBuilder, PreparedType, SchemaMatcher};
 pub use matches::{MatchCluster, MatchSet};
 pub use pipeline::{TypeAlignment, WikiMatch};

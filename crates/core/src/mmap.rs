@@ -1,4 +1,4 @@
-//! A std-only `mmap(2)` wrapper for directly-addressable (v4) snapshots.
+//! A std-only `mmap(2)` wrapper for directly-addressable snapshots.
 //!
 //! The out-of-core registry tier maps snapshot files instead of decoding
 //! them, so the OS page cache — not the process heap — holds corpus bytes,

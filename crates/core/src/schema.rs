@@ -283,13 +283,10 @@ impl DualSchema {
 
     /// Reassembles a schema from its components, rebuilding the private
     /// `(language, name) → index` lookup from the attribute list and
-    /// re-interning every attribute vector onto one shared arena. Used by
-    /// the snapshot layer ([`crate::snapshot`]) when restoring persisted
-    /// artifacts; the result is indistinguishable from the schema the
-    /// attributes were captured from.
-    // Outside `cfg(test)` the snapshot decoder takes the zero-copy
-    // `from_parts_in_arena` path below; this re-interning variant serves
-    // hand-assembled schemas (snapshot unit tests and future tooling).
+    /// re-interning every attribute vector onto one shared arena.
+    // The snapshot decoder takes the zero-copy `from_parts_in_arena` path
+    // below; this re-interning variant serves hand-assembled schemas in
+    // unit tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn from_parts(
         languages: (Language, Language),
@@ -524,17 +521,6 @@ impl PairSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The backing bit words, for persistence.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuilds a set over `n` attributes from persisted bit words; `None`
-    /// when the word count does not match `n`.
-    pub(crate) fn from_words(n: usize, words: Vec<u64>) -> Option<Self> {
-        (words.len() == (n * n.saturating_sub(1) / 2).div_ceil(64)).then_some(Self { n, words })
-    }
-
     /// True when no pair has been inserted.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| *w == 0)
@@ -601,29 +587,6 @@ impl CandidateIndex {
         self.link_pairs.contains(p, q)
     }
 
-    /// Reassembles an index from its two persisted pair sets.
-    pub(crate) fn from_parts(value_pairs: PairSet, link_pairs: PairSet) -> Self {
-        Self {
-            value_pairs,
-            link_pairs,
-        }
-    }
-
-    /// The value-candidate pair set, for persistence.
-    pub(crate) fn value_pairs(&self) -> &PairSet {
-        &self.value_pairs
-    }
-
-    /// The link-candidate pair set, for persistence.
-    pub(crate) fn link_pairs(&self) -> &PairSet {
-        &self.link_pairs
-    }
-
-    /// Heap bytes of the two pair sets' bit words.
-    pub(crate) fn heap_bytes(&self) -> u64 {
-        ((self.value_pairs.words.capacity() + self.link_pairs.words.capacity()) * 8) as u64
-    }
-
     /// Number of value-candidate pairs.
     pub fn value_candidates(&self) -> usize {
         self.value_pairs.len()
@@ -638,22 +601,16 @@ impl CandidateIndex {
     /// link candidate, in canonical order, by walking the set bits of the
     /// two pair sets' union: O(n²/64 + candidates), no per-pair test.
     pub(crate) fn for_each_candidate(&self, mut f: impl FnMut(usize, usize, bool, bool)) {
-        let n = self.value_pairs.n;
-        let n_pairs = n * n.saturating_sub(1) / 2;
-        let mut cursor = PairCursor::new(n);
+        // `insert` sets no padding bit past the last pair, so every set bit
+        // names a pair.
+        let mut cursor = PairCursor::new(self.value_pairs.n);
         let words = self.value_pairs.words.iter().zip(&self.link_pairs.words);
         for (w, (&value, &link)) in words.enumerate() {
             let mut bits = value | link;
             while bits != 0 {
                 let bit = bits.trailing_zeros();
                 bits &= bits - 1;
-                let index = w * 64 + bit as usize;
-                // Padding bits past the last pair (possible only in a
-                // persisted set) name no pair.
-                if index >= n_pairs {
-                    return;
-                }
-                let (p, q) = cursor.locate(index);
+                let (p, q) = cursor.locate(w * 64 + bit as usize);
                 f(p, q, value >> bit & 1 == 1, link >> bit & 1 == 1);
             }
         }

@@ -21,7 +21,8 @@
 //! attributes' languages and occurrence patterns. So the table keeps the
 //! evidence pairs as compressed sparse rows and computes LSI on demand from
 //! the factors with the same float operations as the dense pass, hence the
-//! same bits; a restored table reads LSI from its persisted channel instead.
+//! same bits. A snapshot persists exactly those two parts, so a restored
+//! table scores LSI the way a built one does.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -441,14 +442,6 @@ pub(crate) struct LsiFactors {
 }
 
 impl LsiFactors {
-    fn fit(schema: &DualSchema, config: LsiConfig) -> Self {
-        Self {
-            model: SimilarityTable::fit_lsi(schema, config),
-            language: schema.language_ids().0,
-            patterns: PackedPatterns::pack(schema),
-        }
-    }
-
     fn score(&self, p: usize, q: usize) -> f64 {
         signed_lsi(
             &self.model,
@@ -460,38 +453,27 @@ impl LsiFactors {
     }
 
     fn heap_bytes(&self) -> u64 {
-        // One reduced vector (plus its Vec header) and one norm per
-        // attribute, the singular values, the language ids and the words.
-        let n = self.model.len();
-        let model = n * (self.model.rank() * 8 + 24 + 8) + self.model.rank() * 8;
-        (model + self.language.len() * 8 + self.patterns.bits.len() * 8) as u64
+        // The model, the language ids and the pattern words.
+        model_heap_bytes(&self.model)
+            + (self.language.len() * 8 + self.patterns.bits.len() * 8) as u64
     }
+}
+
+/// Estimated heap bytes of a fitted model: one reduced vector (plus its
+/// `Vec` header) and one norm per attribute, and the singular values.
+fn model_heap_bytes(model: &LsiModel) -> u64 {
+    (model.len() * (model.rank() * 8 + 24 + 8) + model.rank() * 8) as u64
 }
 
 /// Where a table's LSI scores come from.
 #[derive(Debug)]
 pub(crate) enum LsiSource {
-    /// Built and patched tables: the fitted factors, scored on demand.
+    /// Built, patched and restored tables: the factors, scored on demand.
     Factors(LsiFactors),
-    /// Restored tables and the `Dense` oracle: one score per pair in
-    /// canonical order, on the heap.
-    Channel(Vec<f64>),
-    /// A mapped (v4) snapshot: three fixed-stride sections of raw
-    /// little-endian `f64` bits in canonical order. LSI is read in place;
-    /// `vsim`/`lsim` are read into the table's evidence on first touch.
-    Mapped {
-        region: Arc<dyn ByteRegion>,
-        lsi: Range<usize>,
-        vsim: Range<usize>,
-        lsim: Range<usize>,
-    },
-}
-
-/// The `f64` whose raw little-endian bits sit at `bytes[at..at + 8]`.
-fn read_f64(bytes: &[u8], at: usize) -> f64 {
-    f64::from_bits(u64::from_le_bytes(
-        bytes[at..at + 8].try_into().expect("8-byte field"),
-    ))
+    /// The `Dense` oracle: its reference pass's scores, one per pair in
+    /// canonical order, and the model it fitted, which only a snapshot
+    /// capture reads.
+    Channel { scores: Vec<f64>, model: LsiModel },
 }
 
 impl LsiSource {
@@ -499,18 +481,126 @@ impl LsiSource {
     fn score(&self, n: usize, lo: usize, hi: usize) -> f64 {
         match self {
             LsiSource::Factors(factors) => factors.score(lo, hi),
-            LsiSource::Channel(scores) => scores[triangular_index(n, lo, hi)],
-            LsiSource::Mapped { region, lsi, .. } => {
-                read_f64(region.bytes(), lsi.start + 8 * triangular_index(n, lo, hi))
-            }
+            LsiSource::Channel { scores, .. } => scores[triangular_index(n, lo, hi)],
         }
     }
 
     fn heap_bytes(&self) -> u64 {
         match self {
             LsiSource::Factors(factors) => factors.heap_bytes(),
-            LsiSource::Channel(scores) => scores.capacity() as u64 * 8,
-            LsiSource::Mapped { .. } => 0,
+            LsiSource::Channel { scores, model } => {
+                scores.capacity() as u64 * 8 + model_heap_bytes(model)
+            }
+        }
+    }
+}
+
+/// A restored table's evidence rows where they sit in a snapshot region:
+/// `starts` holds `n + 1` little-endian `u64` row starts, `partners` the
+/// `u32` partner of each entry, and `vsim`/`lsim` each entry's raw `f64`
+/// bits. [`new`](Self::new) validates the rows once, when the snapshot is
+/// opened, so the read on first touch is infallible.
+#[derive(Debug)]
+pub(crate) struct EvidenceSection {
+    region: Arc<dyn ByteRegion>,
+    starts: Range<usize>,
+    partners: Range<usize>,
+    vsim: Range<usize>,
+    lsim: Range<usize>,
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
+}
+
+/// The little-endian `u32` at `bytes[at..at + 4]`.
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
+}
+
+impl EvidenceSection {
+    /// The evidence rows of `n` attributes with `entries` entries, at the
+    /// given byte ranges of `region`. `None` unless every range is in
+    /// bounds and exactly sized, the row starts run from 0 to `entries`
+    /// without descending, each row's partners ascend strictly within
+    /// `(p, n)`, and no entry carries `+0.0` on both channels — the shape
+    /// [`Evidence::push`] builds.
+    pub(crate) fn new(
+        region: Arc<dyn ByteRegion>,
+        n: usize,
+        entries: usize,
+        starts: Range<usize>,
+        partners: Range<usize>,
+        vsim: Range<usize>,
+        lsim: Range<usize>,
+    ) -> Option<Self> {
+        let bytes = region.bytes();
+        for (range, len) in [
+            (&starts, n.checked_add(1)?.checked_mul(8)?),
+            (&partners, entries.checked_mul(4)?),
+            (&vsim, entries.checked_mul(8)?),
+            (&lsim, entries.checked_mul(8)?),
+        ] {
+            if range.start > range.end || range.end > bytes.len() || range.len() != len {
+                return None;
+            }
+        }
+        if read_u64(bytes, starts.start) != 0 {
+            return None;
+        }
+        let mut start = 0usize;
+        for p in 0..n {
+            let end = usize::try_from(read_u64(bytes, starts.start + 8 * (p + 1))).ok()?;
+            if end < start || end > entries {
+                return None;
+            }
+            let mut floor = p;
+            for i in start..end {
+                let q = read_u32(bytes, partners.start + 4 * i) as usize;
+                let zero = read_u64(bytes, vsim.start + 8 * i) == 0
+                    && read_u64(bytes, lsim.start + 8 * i) == 0;
+                if q <= floor || q >= n || zero {
+                    return None;
+                }
+                floor = q;
+            }
+            start = end;
+        }
+        if start != entries {
+            return None;
+        }
+        Some(Self {
+            region,
+            starts,
+            partners,
+            vsim,
+            lsim,
+        })
+    }
+
+    /// Copies the rows of `n` attributes onto the heap, counting one
+    /// page-in.
+    fn read(&self, n: usize) -> Evidence {
+        let (starts, partners) = (&self.starts, &self.partners);
+        self.region
+            .note_page_in(starts.len() + partners.len() + self.vsim.len() + self.lsim.len());
+        let bytes = self.region.bytes();
+        let entries = partners.len() / 4;
+        let channel = |range: &Range<usize>| -> Vec<f64> {
+            (0..entries)
+                .map(|i| f64::from_bits(read_u64(bytes, range.start + 8 * i)))
+                .collect()
+        };
+        Evidence {
+            starts: (0..=n)
+                .map(|p| read_u64(bytes, starts.start + 8 * p) as usize)
+                .collect(),
+            partners: (0..entries)
+                .map(|i| read_u32(bytes, partners.start + 4 * i))
+                .collect(),
+            vsim: channel(&self.vsim),
+            lsim: channel(&self.lsim),
         }
     }
 }
@@ -522,8 +612,8 @@ impl LsiSource {
 ///   compressed sparse rows (for `Filtered`, its survivors);
 /// * the **stored-pair predicate**: every unordered pair for `Pruned`,
 ///   `Dense` and restored tables, the evidence pairs only for `Filtered`;
-/// * the **LSI source**: the fitted factors, or a persisted dense channel
-///   for restored tables and the `Dense` oracle.
+/// * the **LSI source**: the factors — fitted, or restored from a
+///   snapshot — or, for the `Dense` oracle, its reference scores.
 ///
 /// [`pair`](Self::pair) answers any stored pair in O(log degree + k) with
 /// the bits the dense reference pass computes; [`pairs`](Self::pairs) and
@@ -534,10 +624,12 @@ pub struct SimilarityTable {
     len: usize,
     /// The stored-pair predicate: every pair, or the evidence pairs only.
     stores_every_pair: bool,
-    /// Set at construction, except for a mapped table, which reads it from
-    /// its sections on first touch (the per-table page-in of the
-    /// out-of-core tier).
+    /// Set at construction, except for a restored table, which reads it
+    /// from its snapshot section on first touch (the per-table page-in of
+    /// the out-of-core tier).
     evidence: OnceLock<Evidence>,
+    /// A restored table's evidence rows in its snapshot region.
+    section: Option<EvidenceSection>,
     /// Shared with a delta-patched successor when the skeleton is kept.
     lsi: Arc<LsiSource>,
     /// Walks over every stored pair so far (see
@@ -572,42 +664,6 @@ impl SimilarityTable {
         mode: ComputeMode,
     ) -> (Self, PairCounts) {
         match mode {
-            ComputeMode::Dense | ComputeMode::Pruned => {
-                let index = CandidateIndex::build(schema);
-                Self::compute_counted_with_index(schema, lsi_config, mode, &index)
-            }
-            ComputeMode::Filtered { threshold } => {
-                let _span = wiki_obs::Span::enter("similarity_filtered");
-                crate::filter::compute_filtered(schema, lsi_config, threshold)
-            }
-        }
-    }
-
-    /// Computes the table with an explicit traversal mode and a caller-built
-    /// [`CandidateIndex`] over the same schema.
-    ///
-    /// [`crate::MatchEngine`] builds the index once per type and keeps it as
-    /// part of the prepared artifacts (so it can be persisted alongside the
-    /// table); the dense pass never consults it, and the sparse modes use
-    /// their own probe structures instead.
-    pub fn compute_with_index(
-        schema: &DualSchema,
-        lsi_config: LsiConfig,
-        mode: ComputeMode,
-        index: &CandidateIndex,
-    ) -> Self {
-        Self::compute_counted_with_index(schema, lsi_config, mode, index).0
-    }
-
-    /// [`compute_counted`](Self::compute_counted) with a caller-built
-    /// index for the exact modes.
-    pub fn compute_counted_with_index(
-        schema: &DualSchema,
-        lsi_config: LsiConfig,
-        mode: ComputeMode,
-        index: &CandidateIndex,
-    ) -> (Self, PairCounts) {
-        match mode {
             ComputeMode::Dense => {
                 let _span = wiki_obs::Span::enter("similarity_dense");
                 let table = Self::compute_dense_impl(schema, lsi_config);
@@ -616,15 +672,19 @@ impl SimilarityTable {
                 (table, PairCounts::of_total(schema.len(), scored))
             }
             ComputeMode::Pruned => {
+                let index = CandidateIndex::build(schema);
                 let _span = wiki_obs::Span::enter("similarity_pruned");
-                let table = Self::compute_pruned_with(schema, lsi_config, index);
+                let table = Self::compute_pruned_with(schema, lsi_config, &index);
                 // The pruned pass evaluates exactly one cosine per
                 // candidate pair per channel; every other pair is a
                 // certified 0.0.
                 let scored = (index.value_candidates() + index.link_candidates()) as u64;
                 (table, PairCounts::of_total(schema.len(), scored))
             }
-            sparse => Self::compute_counted(schema, lsi_config, sparse),
+            ComputeMode::Filtered { threshold } => {
+                let _span = wiki_obs::Span::enter("similarity_filtered");
+                crate::filter::compute_filtered(schema, lsi_config, threshold)
+            }
         }
     }
 
@@ -633,6 +693,7 @@ impl SimilarityTable {
             len,
             stores_every_pair,
             evidence: OnceLock::from(evidence),
+            section: None,
             lsi,
             walks: AtomicU64::new(0),
         }
@@ -646,7 +707,18 @@ impl SimilarityTable {
 
     /// The LSI source fitted on `schema`, for [`exact`](Self::exact).
     pub(crate) fn fit_factors(schema: &DualSchema, lsi_config: LsiConfig) -> Arc<LsiSource> {
-        Arc::new(LsiSource::Factors(LsiFactors::fit(schema, lsi_config)))
+        Self::factors(schema, Self::fit_lsi(schema, lsi_config))
+    }
+
+    /// The LSI source scoring `model`, which was fitted on `schema` (or
+    /// restored from a snapshot of it): the language ids and packed
+    /// occurrence patterns are taken from the schema.
+    pub(crate) fn factors(schema: &DualSchema, model: LsiModel) -> Arc<LsiSource> {
+        Arc::new(LsiSource::Factors(LsiFactors {
+            model,
+            language: schema.language_ids().0,
+            patterns: PackedPatterns::pack(schema),
+        }))
     }
 
     /// A sparse (`Filtered`) table: only the evidence pairs are stored.
@@ -659,106 +731,73 @@ impl SimilarityTable {
         )
     }
 
-    /// A restored table over every pair of `len` attributes: the persisted
-    /// LSI channel (one score per pair, canonical order) and the evidence
-    /// read from the persisted `vsim`/`lsim` channels.
-    pub(crate) fn restored(len: usize, lsi: Vec<f64>, evidence: Evidence) -> Self {
-        debug_assert_eq!(lsi.len(), len * len.saturating_sub(1) / 2);
-        Self::new(len, true, evidence, Arc::new(LsiSource::Channel(lsi)))
-    }
-
-    /// Assembles a table whose channels are **borrowed** from a mapped
-    /// snapshot region: `lsi` / `vsim` / `lsim` are the byte ranges of the
-    /// three fixed-stride sections (raw little-endian `f64` bits, one value
-    /// per canonical pair). Bounds, section sizes and 8-byte stride
-    /// alignment are validated here, so the reads on first touch are
-    /// infallible; returns `None` when the layout is broken.
-    pub fn from_mapped(
-        region: Arc<dyn ByteRegion>,
-        lsi: Range<usize>,
-        vsim: Range<usize>,
-        lsim: Range<usize>,
-        len: usize,
-    ) -> Option<Self> {
-        let n_pairs = len.checked_mul(len.saturating_sub(1))? / 2;
-        let section_len = n_pairs.checked_mul(8)?;
-        let total = region.bytes().len();
-        for range in [&lsi, &vsim, &lsim] {
-            if range.start > range.end || range.end > total {
-                return None;
-            }
-            if range.end - range.start != section_len || !range.start.is_multiple_of(8) {
-                return None;
-            }
-        }
-        Some(Self {
+    /// A table restored from a snapshot, over every pair of `len`
+    /// attributes: its evidence rows stay in the snapshot region until
+    /// first touch, and `lsi` is the source of its persisted factors.
+    pub(crate) fn restored(len: usize, section: EvidenceSection, lsi: Arc<LsiSource>) -> Self {
+        Self {
             len,
             stores_every_pair: true,
             evidence: OnceLock::new(),
-            lsi: Arc::new(LsiSource::Mapped {
-                region,
-                lsi,
-                vsim,
-                lsim,
-            }),
+            section: Some(section),
+            lsi,
             walks: AtomicU64::new(0),
+        }
+    }
+
+    /// The evidence, reading a restored table's section on first touch.
+    fn evidence(&self) -> &Evidence {
+        self.evidence.get_or_init(|| {
+            self.section
+                .as_ref()
+                .expect("only restored tables defer their evidence")
+                .read(self.len)
         })
     }
 
-    /// The evidence, reading a mapped table's sections on first touch.
-    fn evidence(&self) -> &Evidence {
-        self.evidence.get_or_init(|| {
-            let LsiSource::Mapped {
-                region,
-                lsi,
-                vsim,
-                lsim,
-            } = &*self.lsi
-            else {
-                unreachable!("only mapped tables defer their evidence")
-            };
-            region.note_page_in(lsi.len() + vsim.len() + lsim.len());
-            let bytes = region.bytes();
-            let mut evidence = Evidence::builder();
-            let mut at = 0usize;
-            for p in 0..self.len {
-                for q in (p + 1)..self.len {
-                    evidence.push(
-                        p,
-                        q,
-                        read_f64(bytes, vsim.start + at),
-                        read_f64(bytes, lsim.start + at),
-                    );
-                    at += 8;
-                }
-            }
-            evidence.finish(self.len)
-        })
+    /// The evidence rows as `(starts, partners, vsim, lsim)`: row `p`'s
+    /// entries are `starts[p]..starts[p + 1]` of the other three.
+    pub(crate) fn evidence_rows(&self) -> (&[usize], &[u32], &[f64], &[f64]) {
+        let evidence = self.evidence();
+        (
+            &evidence.starts,
+            &evidence.partners,
+            &evidence.vsim,
+            &evidence.lsim,
+        )
+    }
+
+    /// The LSI model the table's scores come from: the factors it scores
+    /// on demand, or the model the `Dense` oracle fitted beside its
+    /// reference scores.
+    pub(crate) fn lsi_model(&self) -> &LsiModel {
+        match &*self.lsi {
+            LsiSource::Factors(factors) => &factors.model,
+            LsiSource::Channel { model, .. } => model,
+        }
     }
 
     /// The dense reference pass: every pair, every cosine and every LSI
     /// score through the boolean co-occurrence zip, single thread. Its LSI
     /// scores are stored as a channel, so the oracle never shares the
-    /// factored path it is compared against.
+    /// factored path it is compared against; the fitted model is kept
+    /// beside them so a `Dense` session can still be captured.
     fn compute_dense_impl(schema: &DualSchema, lsi_config: LsiConfig) -> Self {
         let n = schema.len();
-        let lsi_model = Self::fit_lsi(schema, lsi_config);
+        let model = Self::fit_lsi(schema, lsi_config);
         let mut scores = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
         let mut evidence = Evidence::builder();
         for p in 0..n {
             for q in (p + 1)..n {
                 let (a, b) = (schema.attribute(p), schema.attribute(q));
-                scores.push(signed_lsi(
-                    &lsi_model,
-                    p,
-                    q,
-                    a.language == b.language,
-                    || a.co_occurrences(b) > 0,
-                ));
+                scores.push(signed_lsi(&model, p, q, a.language == b.language, || {
+                    a.co_occurrences(b) > 0
+                }));
                 evidence.push(p, q, vsim(schema, p, q), lsim(schema, p, q));
             }
         }
-        Self::restored(n, scores, evidence.finish(n))
+        let lsi = Arc::new(LsiSource::Channel { scores, model });
+        Self::exact(n, evidence.finish(n), lsi)
     }
 
     /// The candidate-pruned pass: one cosine per candidate pair and
@@ -853,7 +892,7 @@ impl SimilarityTable {
 
     /// Calls `f` on every stored pair in canonical order — for an exact
     /// table all `n·(n-1)/2` of them, each with its LSI computed or read.
-    pub(crate) fn for_each_pair(&self, mut f: impl FnMut(CandidatePair)) {
+    fn for_each_pair(&self, mut f: impl FnMut(CandidatePair)) {
         self.walks.fetch_add(1, Ordering::Relaxed);
         let evidence = self.evidence();
         let n = self.len;
@@ -905,27 +944,29 @@ impl SimilarityTable {
     }
 
     /// How many times a caller walked every stored pair of this table —
-    /// through [`pairs`](Self::pairs), [`above_lsi`](Self::above_lsi) or a
-    /// snapshot encoder. Alignment under a configuration whose
-    /// zero-evidence pairs are inert, and a served read, never do.
+    /// through [`pairs`](Self::pairs) or [`above_lsi`](Self::above_lsi).
+    /// Alignment under a configuration whose zero-evidence pairs are inert,
+    /// a served read and the snapshot encoder never do.
     pub fn stored_pair_walks(&self) -> u64 {
         self.walks.load(Ordering::Relaxed)
     }
 
     /// True when the table stores every unordered pair, as the snapshot
-    /// encoders require; false for a sparse (`Filtered`) table.
+    /// encoder requires; false for a sparse (`Filtered`) table.
     pub(crate) fn stores_every_pair(&self) -> bool {
         self.stores_every_pair
     }
 
-    /// True when the table's channels are borrowed from a mapped region.
+    /// True when the table's evidence rows are borrowed from a snapshot's
+    /// byte region (a mapping, or the bytes `EngineSnapshot::from_bytes`
+    /// decoded) and read onto the heap on first touch.
     pub fn is_mapped(&self) -> bool {
-        matches!(*self.lsi, LsiSource::Mapped { .. })
+        self.section.is_some()
     }
 
     /// Estimated heap bytes the table holds now: the evidence (nothing for
-    /// a mapped table no lookup has touched yet) and the LSI source (the
-    /// factors or a heap channel; nothing for a mapped section).
+    /// a restored table no lookup has touched yet) and the LSI source (the
+    /// factors, or the oracle's scores and model).
     pub fn heap_bytes(&self) -> u64 {
         self.evidence.get().map_or(0, Evidence::heap_bytes) + self.lsi.heap_bytes()
     }
@@ -1124,47 +1165,77 @@ mod tests {
         }
     }
 
-    /// Lays a dense table's three channels out as fixed-stride raw-bits
-    /// sections (the v4 on-disk shape) and returns the region plus ranges.
-    fn mapped_table_layout(
-        table: &SimilarityTable,
-    ) -> (Vec<u8>, Range<usize>, Range<usize>, Range<usize>) {
+    /// Lays a table's evidence rows out as a snapshot section does — row
+    /// starts, partners, `vsim` bits, `lsim` bits — and returns the bytes
+    /// with the four ranges and the entry count.
+    fn evidence_layout(table: &SimilarityTable) -> (Vec<u8>, [Range<usize>; 4], usize) {
+        let (starts, partners, vsim, lsim) = table.evidence_rows();
         let mut buf = Vec::new();
-        let mut section = |field: fn(&CandidatePair) -> f64| {
+        let mut section = |words: Vec<Vec<u8>>| {
             let start = buf.len();
-            for pair in table.pairs() {
-                buf.extend_from_slice(&field(&pair).to_bits().to_le_bytes());
+            for word in words {
+                buf.extend_from_slice(&word);
             }
             start..buf.len()
         };
-        let lsi = section(|p| p.lsi);
-        let vsim = section(|p| p.vsim);
-        let lsim = section(|p| p.lsim);
-        (buf, lsi, vsim, lsim)
+        let starts = section(
+            starts
+                .iter()
+                .map(|&s| (s as u64).to_le_bytes().to_vec())
+                .collect(),
+        );
+        let partners = section(partners.iter().map(|q| q.to_le_bytes().to_vec()).collect());
+        let bits = |channel: &[f64]| {
+            channel
+                .iter()
+                .map(|v| v.to_bits().to_le_bytes().to_vec())
+                .collect()
+        };
+        let vsim_range = section(bits(vsim));
+        let lsim_range = section(bits(lsim));
+        (buf, [starts, partners, vsim_range, lsim_range], vsim.len())
+    }
+
+    fn section_of(
+        buf: &[u8],
+        n: usize,
+        entries: usize,
+        [starts, partners, vsim, lsim]: [Range<usize>; 4],
+    ) -> Option<EvidenceSection> {
+        EvidenceSection::new(
+            Arc::new(buf.to_vec()),
+            n,
+            entries,
+            starts,
+            partners,
+            vsim,
+            lsim,
+        )
     }
 
     #[test]
     fn mapped_table_matches_owned_bit_for_bit() {
         let (_, table) = schema_and_table();
-        let (buf, lsi, vsim, lsim) = mapped_table_layout(&table);
-        let mapped =
-            SimilarityTable::from_mapped(Arc::new(buf), lsi, vsim, lsim, table.attribute_count())
-                .expect("valid layout");
+        let n = table.attribute_count();
+        let (buf, ranges, entries) = evidence_layout(&table);
+        assert!(entries > 0);
+        let section = section_of(&buf, n, entries, ranges).expect("valid layout");
+        let mapped = SimilarityTable::restored(n, section, Arc::clone(table.lsi_source()));
         assert!(mapped.is_mapped());
-        // Nothing read onto the heap until first touch.
-        assert_eq!(mapped.heap_bytes(), 0);
+        assert!(!table.is_mapped());
+        // No evidence read onto the heap until first touch.
+        assert_eq!(mapped.heap_bytes(), table.lsi_source().heap_bytes());
         assert_eq!(mapped.pairs().len(), table.pairs().len());
-        assert!(mapped.heap_bytes() > 0);
+        assert!(mapped.heap_bytes() > table.lsi_source().heap_bytes());
         for (a, b) in table.pairs().iter().zip(mapped.pairs()) {
             assert_eq!((a.p, a.q), (b.p, b.q));
             assert_eq!(a.vsim.to_bits(), b.vsim.to_bits());
             assert_eq!(a.lsim.to_bits(), b.lsim.to_bits());
             assert_eq!(a.lsi.to_bits(), b.lsi.to_bits());
         }
-        // O(1) dense lookup works over the mapped store too.
         for pair in table.pairs() {
-            let found = mapped.pair(pair.p, pair.q).unwrap();
-            assert_eq!(found.lsi.to_bits(), pair.lsi.to_bits());
+            let found = mapped.pair(pair.q, pair.p).unwrap();
+            assert_eq!(found.vsim.to_bits(), pair.vsim.to_bits());
         }
     }
 
@@ -1172,35 +1243,38 @@ mod tests {
     fn mapped_table_rejects_broken_layouts() {
         let (_, table) = schema_and_table();
         let n = table.attribute_count();
-        let (buf, lsi, vsim, lsim) = mapped_table_layout(&table);
-        let region: Arc<dyn ByteRegion> = Arc::new(buf);
-        // Section length does not match the pair count.
-        assert!(SimilarityTable::from_mapped(
-            Arc::clone(&region),
-            lsi.clone(),
-            vsim.clone(),
-            lsim.clone(),
-            n + 1
-        )
-        .is_none());
-        // Out-of-bounds section.
-        assert!(SimilarityTable::from_mapped(
-            Arc::clone(&region),
-            lsi.clone(),
-            vsim.clone(),
-            lsim.start + 8..lsim.end + 8,
-            n
-        )
-        .is_none());
-        // Misaligned (non 8-stride) section start.
-        assert!(SimilarityTable::from_mapped(
-            Arc::clone(&region),
-            lsi.start + 4..lsi.end + 4,
-            vsim,
-            lsim,
-            n
-        )
-        .is_none());
+        let (buf, ranges, entries) = evidence_layout(&table);
+        assert!(section_of(&buf, n, entries, ranges.clone()).is_some());
+        // Section lengths that do not match the attribute or entry count.
+        assert!(section_of(&buf, n + 1, entries, ranges.clone()).is_none());
+        assert!(section_of(&buf, n, entries + 1, ranges.clone()).is_none());
+        // An out-of-bounds section.
+        let mut oob = ranges.clone();
+        oob[3] = oob[3].start + 8..oob[3].end + 8;
+        assert!(section_of(&buf, n, entries, oob).is_none());
+        // Bytes that break the row invariants, at the given offset.
+        let broken = |at: usize, bytes: &[u8]| {
+            let mut copy = buf.clone();
+            copy[at..at + bytes.len()].copy_from_slice(bytes);
+            section_of(&copy, n, entries, ranges.clone())
+        };
+        let [starts, partners, vsim, lsim] = ranges.clone();
+        // A first row start other than 0, a row start past the entries, and
+        // a last one short of them.
+        assert!(broken(starts.start, &1u64.to_le_bytes()).is_none());
+        assert!(broken(starts.start + 8, &(entries as u64 + 1).to_le_bytes()).is_none());
+        assert!(broken(starts.end - 8, &(entries as u64 - 1).to_le_bytes()).is_none());
+        // A partner at or below its row, or past the attributes.
+        assert!(broken(partners.start, &0u32.to_le_bytes()).is_none());
+        assert!(broken(partners.start, &(n as u32).to_le_bytes()).is_none());
+        // An entry whose two channels are both +0.0.
+        let zero = |range: &Range<usize>| (range.start, 0u64.to_le_bytes());
+        let (v_at, v_zero) = zero(&vsim);
+        let (l_at, l_zero) = zero(&lsim);
+        let mut both = buf.clone();
+        both[v_at..v_at + 8].copy_from_slice(&v_zero);
+        both[l_at..l_at + 8].copy_from_slice(&l_zero);
+        assert!(section_of(&both, n, entries, ranges).is_none());
     }
 
     #[test]
@@ -1332,8 +1406,10 @@ mod tests {
             ((1, 3), 0.9),
             ((2, 3), 0.7),
         ];
-        let lsi: Vec<f64> = scores.iter().map(|&(_, lsi)| lsi).collect();
-        let table = SimilarityTable::restored(4, lsi, Evidence::builder().finish(4));
+        let scores: Vec<f64> = scores.iter().map(|&(_, lsi)| lsi).collect();
+        let model = LsiModel::from_parts(vec![Vec::new(); 4], Vec::new()).unwrap();
+        let lsi = Arc::new(LsiSource::Channel { scores, model });
+        let table = SimilarityTable::exact(4, Evidence::builder().finish(4), lsi);
         let ranked: Vec<(usize, usize)> = table
             .above_lsi(0.2)
             .into_iter()

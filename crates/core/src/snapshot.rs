@@ -1,29 +1,32 @@
 //! Snapshot persistence for [`MatchEngine`] artifacts.
 //!
 //! Every artifact the engine computes — the bilingual title dictionary and
-//! the per-type [`DualSchema`] / [`SimilarityTable`] / `CandidateIndex`
-//! triple — is a pure function of the corpus, yet a fresh process rebuilds
-//! all of it from scratch. This module materializes those artifacts in a
-//! **versioned, std-only binary format** so a restarting service can warm
-//! up by *loading* instead of *recomputing* (the same move Tuffy makes by
-//! pushing inference state into a persistent store instead of RAM):
+//! the per-type [`DualSchema`](crate::DualSchema) /
+//! [`SimilarityTable`](crate::SimilarityTable) pair — is a pure function
+//! of the corpus, yet a fresh process rebuilds all of it from scratch. This
+//! module materializes those artifacts in a **versioned, std-only binary
+//! format** so a restarting service can warm up by *loading* instead of
+//! *recomputing*. Like Tuffy, which pushes compact inference state into a
+//! persistent store rather than its grounded expansion, a snapshot stores
+//! the derived state a restore reads — each table's evidence rows and LSI
+//! factors — and never one value per attribute pair:
 //!
 //! ```text
 //! header   magic (8B) | format version (u32) | corpus fingerprint (u64)
 //!          | payload length (u64) | FNV-1a checksum of payload (u64)
-//! payload  title dictionary | per-type records: arena string table (each
-//!          term once, in id order) then attributes whose vectors are
-//!          delta-compressed varint id streams + raw IEEE-754 weight bits,
-//!          plus bit-packed occurrence patterns
+//! payload  offset directory | title dictionary | per-type records: arena
+//!          string table, vector id/weight streams, occurrence patterns,
+//!          evidence rows and LSI factors (layout in [`crate::direct`])
 //! ```
 //!
 //! Guarantees:
 //!
 //! * **Bit-identical loads.** Floats round-trip through
 //!   [`f64::to_bits`]/[`f64::from_bits`], term vectors and dictionary
-//!   entries through their exact sorted entry lists — a restored engine
-//!   produces byte-for-byte the alignments of a fresh build (pinned by
-//!   `tests/snapshot_roundtrip.rs`).
+//!   entries through their exact sorted entry lists, and a restored table
+//!   scores LSI from its factors with the float operations of a built one —
+//!   a restored engine produces byte-for-byte the alignments of a fresh
+//!   build (pinned by `tests/snapshot_roundtrip.rs`).
 //! * **Self-validating files.** A snapshot names its format version and the
 //!   fingerprint of the corpus it was captured from; loading rejects
 //!   truncated files, checksum mismatches (corruption), version bumps and
@@ -60,16 +63,12 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use wiki_corpus::{Article, AttributeValue, Dataset, Infobox, Language, Link};
-use wiki_text::TermVector;
+use wiki_text::ByteRegion;
 use wiki_translate::TitleDictionary;
 
 use crate::delta::{CorpusDelta, DeltaOp};
 use crate::engine::{MatchEngine, PreparedType};
-use crate::schema::{AttributeStats, CandidateIndex, DualSchema, PairSet};
-use crate::similarity::{Evidence, PairCursor, SimilarityTable};
 
 /// Version stamped into every snapshot header; readers reject anything
 /// else. Bump it whenever the payload layout changes.
@@ -92,17 +91,21 @@ use crate::similarity::{Evidence, PairCursor, SimilarityTable};
 ///   and re-persist.
 /// * **4** — the **directly-addressable** layout (see [`crate::direct`]):
 ///   an offset directory plus fixed-stride sections that artifacts can
-///   borrow from a mapped region without decoding. Version 3 remains the
-///   compact wire/archive form and the version [`EngineSnapshot::save`]
-///   writes; version-4 files are written by
-///   [`EngineSnapshot::save_direct`](crate::direct) and *accepted* by
-///   [`EngineSnapshot::from_bytes`] (decoded into owned artifacts — the
-///   two forms convert losslessly in both directions).
-pub const FORMAT_VERSION: u32 = 3;
+///   borrow from a mapped region without decoding, beside the compact
+///   version 3. It stored three dense `n(n−1)/2` similarity channels and
+///   the candidate index's two pair bitsets per type.
+/// * **5** — one format: version 4's framing, offset directory and
+///   borrowed arena and vector sections, but each table is stored as its
+///   evidence rows (a CSR over the pairs with non-zero `vsim`/`lsim`) and
+///   its LSI factors (the singular values and the n×k reduced vectors), so
+///   no section grows with the number of pairs. [`EngineSnapshot::save`]
+///   writes it; [`EngineSnapshot::from_bytes`] and
+///   [`MappedSnapshot::open`](crate::MappedSnapshot::open) read it through
+///   one decoder. Every earlier version is rejected with
+///   [`SnapshotError::UnsupportedVersion`] — rebuild and re-persist.
+pub const FORMAT_VERSION: u32 = 5;
 
-/// Magic bytes opening every snapshot file (shared by the compact v3 form
-/// and the directly-addressable v4 form — the version field tells them
-/// apart).
+/// Magic bytes opening every snapshot file, whatever its version.
 pub(crate) const MAGIC: [u8; 8] = *b"WMSNAP\r\n";
 
 /// Fixed size of the header preceding the payload.
@@ -310,27 +313,9 @@ impl Enc {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
-    }
-
-    /// LEB128 variable-length `u32` — term-id deltas are almost always tiny,
-    /// so most take one byte instead of four.
-    pub(crate) fn varu32(&mut self, mut v: u32) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.0.push(byte);
-                return;
-            }
-            self.0.push(byte | 0x80);
-        }
     }
 }
 
@@ -366,10 +351,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// A `u64` count that must fit `usize` and cannot exceed the bytes
     /// remaining (each counted element occupies ≥ 1 byte), so a corrupted
     /// length cannot trigger an absurd pre-allocation. Only valid for
@@ -402,450 +383,18 @@ impl<'a> Dec<'a> {
             .map_err(|_| SnapshotError::Malformed("non-UTF-8 string".to_string()))
     }
 
-    /// LEB128 variable-length `u32` (see [`Enc::varu32`]).
-    pub(crate) fn varu32(&mut self) -> Result<u32, SnapshotError> {
-        let mut value: u32 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.take(1)?[0];
-            let bits = u32::from(byte & 0x7f);
-            // The fifth byte may only carry the top 4 bits of a u32 and
-            // must be the last.
-            if shift == 28 && (bits > 0x0f || byte & 0x80 != 0) {
-                return Err(SnapshotError::Malformed("varint overflows u32".to_string()));
-            }
-            value |= bits << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
     pub(crate) fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Section encoders/decoders.
-
-/// Encodes one interned vector as a delta-compressed id stream: entry
-/// count, then per entry a varint id delta (ids are strictly increasing, so
-/// the first delta is the id itself and subsequent ones are `id - prev`,
-/// always ≥ 1 and usually one byte) followed by the raw weight bits. Terms
-/// are **not** written here — the type's arena string table spells each
-/// term exactly once.
-///
-/// Schema vectors are built on the schema arena, so the id fast path is the
-/// norm; a vector that was moved off it (e.g. a `pub` field mutated through
-/// the copy-on-write `add` API) is re-interned term by term rather than
-/// having its foreign ids written verbatim — ids from another arena would
-/// encode a checksum-valid file that decodes to the *wrong terms*.
-///
-/// # Panics
-/// Panics when such a detached vector contains a term the schema arena does
-/// not know: the snapshot could not represent it, and a loud failure at
-/// capture time beats a silently wrong file.
-fn encode_term_vector(enc: &mut Enc, vector: &TermVector, arena: &Arc<wiki_text::TermArena>) {
-    enc.u64(vector.len() as u64);
-    let mut prev: u32 = 0;
-    if Arc::ptr_eq(vector.arena(), arena) {
-        for &(id, weight) in vector.id_entries() {
-            enc.varu32(id - prev);
-            enc.f64(weight);
-            prev = id;
-        }
-    } else {
-        for (term, weight) in vector.iter() {
-            let id = arena
-                .intern(term)
-                .expect("schema arena must hold every term of every schema vector");
-            enc.varu32(id - prev);
-            enc.f64(weight);
-            prev = id;
-        }
-    }
-}
-
-fn decode_term_vector(
-    dec: &mut Dec<'_>,
-    arena: &Arc<wiki_text::TermArena>,
-) -> Result<TermVector, SnapshotError> {
-    let n = dec.count()?;
-    let mut entries = Vec::with_capacity(n);
-    let mut prev: u32 = 0;
-    for i in 0..n {
-        let delta = dec.varu32()?;
-        if i > 0 && delta == 0 {
-            return Err(SnapshotError::Malformed(
-                "term vector ids not strictly increasing".to_string(),
-            ));
-        }
-        let id = prev
-            .checked_add(delta)
-            .ok_or_else(|| SnapshotError::Malformed("term vector id overflows u32".to_string()))?;
-        let weight = dec.f64()?;
-        entries.push((id, weight));
-        prev = id;
-    }
-    TermVector::from_ids(Arc::clone(arena), entries).ok_or_else(|| {
-        SnapshotError::Malformed("term vector ids out of order or outside the arena".to_string())
-    })
-}
-
-pub(crate) fn encode_pattern(enc: &mut Enc, pattern: &[bool]) {
-    // Bit-packed; the length is the schema's dual count, known to the
-    // decoder, so only the words are written.
-    let words = pattern.len().div_ceil(64);
-    let mut packed = vec![0u64; words];
-    for (j, present) in pattern.iter().enumerate() {
-        if *present {
-            packed[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-    for word in packed {
-        enc.u64(word);
-    }
-}
-
-pub(crate) fn decode_pattern(dec: &mut Dec<'_>, len: usize) -> Result<Vec<bool>, SnapshotError> {
-    let words = len.div_ceil(64);
-    // The words are about to be read from the payload; bounding the
-    // allocation by the bytes actually present keeps a corrupted
-    // `dual_count` from triggering a huge pre-allocation.
-    if words.saturating_mul(8) > dec.remaining() {
-        return Err(SnapshotError::Truncated);
-    }
-    let mut pattern = vec![false; len];
-    for w in 0..words {
-        let word = dec.u64()?;
-        if w + 1 == words && !len.is_multiple_of(64) && word >> (len % 64) != 0 {
-            return Err(SnapshotError::Malformed(
-                "occurrence pattern has bits beyond the dual count".to_string(),
-            ));
-        }
-        for (j, slot) in pattern[w * 64..].iter_mut().take(64).enumerate() {
-            *slot = word & (1u64 << j) != 0;
-        }
-    }
-    Ok(pattern)
-}
-
-fn encode_schema(enc: &mut Enc, schema: &DualSchema) {
-    enc.str(schema.languages.0.code());
-    enc.str(schema.languages.1.code());
-    enc.str(&schema.label_other);
-    enc.str(&schema.label_en);
-    enc.u64(schema.dual_count as u64);
-    // The arena string table: every distinct term of the type, written
-    // exactly once in id (= lexicographic) order. The vectors below are
-    // pure id streams against it — in the version-1 format each term was
-    // re-spelled in every vector it occurred in, which dominated the file.
-    let arena = schema.arena();
-    enc.u64(arena.len() as u64);
-    for term in arena.terms() {
-        enc.str(term);
-    }
-    enc.u64(schema.attributes.len() as u64);
-    for attr in &schema.attributes {
-        enc.str(attr.language.code());
-        enc.str(&attr.name);
-        enc.u64(attr.occurrences as u64);
-        encode_term_vector(enc, &attr.values, arena);
-        encode_term_vector(enc, &attr.translated_values, arena);
-        encode_term_vector(enc, &attr.raw_values, arena);
-        encode_term_vector(enc, &attr.translated_raw_values, arena);
-        encode_term_vector(enc, &attr.links, arena);
-        encode_pattern(enc, &attr.occurrence_pattern);
-    }
-}
-
-fn decode_schema(dec: &mut Dec<'_>) -> Result<DualSchema, SnapshotError> {
-    let language_other = Language::from_code(&dec.str()?);
-    let language_en = Language::from_code(&dec.str()?);
-    let label_other = dec.str()?;
-    let label_en = dec.str()?;
-    // `dual_count` is a scalar, not an element count: a type with many
-    // dual infoboxes but few (or term-poor) attributes can legitimately
-    // encode to fewer bytes than `dual_count` — the `count()` guard would
-    // wrongly reject such a file as truncated. The per-attribute pattern
-    // reads below bound the allocation instead.
-    let dual_count = dec.scalar()?;
-    let n_terms = dec.count()?;
-    let mut terms = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        terms.push(dec.str()?);
-    }
-    let arena = Arc::new(
-        wiki_text::TermArena::from_sorted_terms(terms).ok_or_else(|| {
-            SnapshotError::Malformed("arena string table not strictly sorted".to_string())
-        })?,
-    );
-    let n = dec.count()?;
-    let mut attributes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let language = Language::from_code(&dec.str()?);
-        let name = dec.str()?;
-        let occurrences = dec.scalar()?;
-        let values = decode_term_vector(dec, &arena)?;
-        let translated_values = decode_term_vector(dec, &arena)?;
-        let raw_values = decode_term_vector(dec, &arena)?;
-        let translated_raw_values = decode_term_vector(dec, &arena)?;
-        let links = decode_term_vector(dec, &arena)?;
-        let occurrence_pattern = decode_pattern(dec, dual_count)?;
-        attributes.push(AttributeStats {
-            language,
-            name,
-            occurrences,
-            values,
-            translated_values,
-            raw_values,
-            translated_raw_values,
-            links,
-            occurrence_pattern,
-        });
-    }
-    Ok(DualSchema::from_parts_in_arena(
-        (language_other, language_en),
-        label_other,
-        label_en,
-        attributes,
-        dual_count,
-        arena,
-    ))
-}
-
-/// One score channel encoded sparsely: a bitmap over the canonical pair
-/// order marking entries whose bit pattern is not `+0.0`, followed by just
-/// those raw bit patterns. Most pairs share no term and score literal `0.0`
-/// (the vast majority at scale), so this cuts the dominant block of the
-/// file to the candidate density — and `-0.0` or any other special value
-/// is still stored verbatim, keeping the round trip bit-exact.
-struct SparseChannel {
-    bitmap: Vec<u64>,
-    nonzero: Vec<u64>,
-}
-
-impl SparseChannel {
-    fn new(n_pairs: usize) -> Self {
-        Self {
-            bitmap: vec![0u64; n_pairs.div_ceil(64)],
-            nonzero: Vec::new(),
-        }
-    }
-
-    /// Records the value of the pair at canonical position `i`; positions
-    /// must ascend.
-    fn push(&mut self, i: usize, value: f64) {
-        let bits = value.to_bits();
-        if bits != 0 {
-            self.bitmap[i / 64] |= 1u64 << (i % 64);
-            self.nonzero.push(bits);
-        }
-    }
-
-    fn write(self, enc: &mut Enc) {
-        for word in self.bitmap {
-            enc.u64(word);
-        }
-        enc.u64(self.nonzero.len() as u64);
-        for bits in self.nonzero {
-            enc.u64(bits);
-        }
-    }
-}
-
-/// Decodes one sparse channel into zero-copy `(bitmap bytes, value bytes)`
-/// slices of the payload (a little-endian `u64` word layout means global
-/// bit `i` lives at byte `i / 8`, bit `i % 8`).
-fn decode_sparse_channel<'a>(
-    dec: &mut Dec<'a>,
-    n_pairs: usize,
-) -> Result<(&'a [u8], &'a [u8]), SnapshotError> {
-    let words = n_pairs.div_ceil(64);
-    let bitmap = dec.take(words.saturating_mul(8))?;
-    let count = dec.count()?;
-    let set_bits: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
-    if count != set_bits {
-        return Err(SnapshotError::Malformed(format!(
-            "sparse channel declares {count} values but its bitmap has {set_bits} bits set"
-        )));
-    }
-    let values = dec.take(count.saturating_mul(8))?;
-    Ok((bitmap, values))
-}
-
-/// Sequential reader over a sparse channel: for each pair index (visited in
-/// ascending order) returns the stored value when its bitmap bit is set,
-/// `0.0` otherwise.
-struct SparseCursor<'a> {
-    bitmap: &'a [u8],
-    values: &'a [u8],
-    next: usize,
-}
-
-impl SparseCursor<'_> {
-    fn get(&mut self, i: usize) -> f64 {
-        if self.bitmap[i / 8] & (1u8 << (i % 8)) != 0 {
-            let bytes = &self.values[self.next..self.next + 8];
-            self.next += 8;
-            f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8-byte value")))
-        } else {
-            0.0
-        }
-    }
-
-    /// Bitmap word `w`, of which bit `b` is pair `64·w + b`.
-    fn word(&self, w: usize) -> u64 {
-        u64::from_le_bytes(
-            self.bitmap[w * 8..w * 8 + 8]
-                .try_into()
-                .expect("8-byte word"),
-        )
-    }
-}
-
-fn encode_table(enc: &mut Enc, table: &SimilarityTable) {
-    // Pair indices are implicit: pairs are written in the canonical
-    // lexicographic (p < q) order. LSI is dense by nature (the paper's
-    // complement convention makes most same-language scores non-zero), so
-    // it is written as a dense block, each score computed (or read) as the
-    // walk reaches it; `vsim` / `lsim` are zero for every pair without
-    // evidence and are written sparsely.
-    assert!(
-        table.stores_every_pair(),
-        "snapshots only hold exact-mode tables"
-    );
-    let n = table.attribute_count();
-    let n_pairs = n * n.saturating_sub(1) / 2;
-    enc.u64(n as u64);
-    let (mut vsim, mut lsim) = (SparseChannel::new(n_pairs), SparseChannel::new(n_pairs));
-    let mut i = 0usize;
-    table.for_each_pair(|pair| {
-        enc.f64(pair.lsi);
-        vsim.push(i, pair.vsim);
-        lsim.push(i, pair.lsim);
-        i += 1;
-    });
-    vsim.write(enc);
-    lsim.write(enc);
-}
-
-fn decode_table(dec: &mut Dec<'_>, schema_len: usize) -> Result<SimilarityTable, SnapshotError> {
-    let n = dec.count()?;
-    if n != schema_len {
-        return Err(SnapshotError::Malformed(format!(
-            "similarity table covers {n} attributes, schema has {schema_len}"
-        )));
-    }
-    let n_pairs = n * n.saturating_sub(1) / 2;
-    // One bounds check for the dense LSI block, then a chunked walk — this
-    // section dominates load time at the larger tiers, so it must not pay
-    // per-field cursor overhead.
-    let lsi_bytes = dec.take(
-        n_pairs
-            .checked_mul(8)
-            .ok_or_else(|| SnapshotError::Malformed(format!("pair count {n_pairs} overflows")))?,
-    )?;
-    let lsi: Vec<f64> = lsi_bytes
-        .chunks_exact(8)
-        .map(|chunk| f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8-byte field"))))
-        .collect();
-    let (vsim_bitmap, vsim_values) = decode_sparse_channel(dec, n_pairs)?;
-    let (lsim_bitmap, lsim_values) = decode_sparse_channel(dec, n_pairs)?;
-    let mut vsim = SparseCursor {
-        bitmap: vsim_bitmap,
-        values: vsim_values,
-        next: 0,
-    };
-    let mut lsim = SparseCursor {
-        bitmap: lsim_bitmap,
-        values: lsim_values,
-        next: 0,
-    };
-    // The evidence pairs are the set bits of the two bitmaps' union, in
-    // canonical order; bits past the last pair are never read.
-    let mut evidence = Evidence::builder();
-    let mut cursor = PairCursor::new(n);
-    for w in 0..n_pairs.div_ceil(64) {
-        let mut bits = vsim.word(w) | lsim.word(w);
-        while bits != 0 {
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if i >= n_pairs {
-                break;
-            }
-            let (p, q) = cursor.locate(i);
-            evidence.push(p, q, vsim.get(i), lsim.get(i));
-        }
-    }
-    Ok(SimilarityTable::restored(n, lsi, evidence.finish(n)))
-}
-
-pub(crate) fn encode_pair_set(enc: &mut Enc, set: &PairSet) {
-    enc.u64(set.words().len() as u64);
-    for &word in set.words() {
-        enc.u64(word);
-    }
-}
-
-pub(crate) fn decode_pair_set(dec: &mut Dec<'_>, n: usize) -> Result<PairSet, SnapshotError> {
-    let words_len = dec.count()?;
-    let mut words = Vec::with_capacity(words_len);
-    for _ in 0..words_len {
-        words.push(dec.u64()?);
-    }
-    PairSet::from_words(n, words).ok_or_else(|| {
-        SnapshotError::Malformed(format!(
-            "pair set word count {words_len} does not match {n} attributes"
-        ))
-    })
-}
-
-fn encode_index(enc: &mut Enc, index: &CandidateIndex) {
-    encode_pair_set(enc, index.value_pairs());
-    encode_pair_set(enc, index.link_pairs());
-}
-
-/// Decodes one length-prefixed per-type record
-/// (`type_id | schema | table | index`).
-fn decode_type_record(record: &[u8]) -> Result<(String, PreparedType), SnapshotError> {
-    let mut dec = Dec::new(record);
-    let type_id = dec.str()?;
-    let schema = decode_schema(&mut dec)?;
-    let table = decode_table(&mut dec, schema.len())?;
-    let index = decode_index(&mut dec, schema.len())?;
-    if !dec.finished() {
-        return Err(SnapshotError::Malformed(format!(
-            "type record {type_id:?} longer than its contents"
-        )));
-    }
-    let arena = Arc::clone(schema.arena());
-    let vector_entries = schema.vector_entry_count();
-    Ok((
-        type_id,
-        PreparedType {
-            schema: Arc::new(schema),
-            table: Arc::new(table),
-            index: Some(Arc::new(index)),
-            arena,
-            vector_entries,
-            region: None,
-        },
-    ))
-}
-
-fn decode_index(dec: &mut Dec<'_>, schema_len: usize) -> Result<CandidateIndex, SnapshotError> {
-    let value_pairs = decode_pair_set(dec, schema_len)?;
-    let link_pairs = decode_pair_set(dec, schema_len)?;
-    Ok(CandidateIndex::from_parts(value_pairs, link_pairs))
-}
+// Atomic writes.
 
 /// Writes `bytes` to `path` atomically: the bytes land in a temporary
 /// sibling file (`.{name}.tmp-{pid}-{seq}`) which is renamed into place, so
 /// a concurrent reader sees either the old file or the new one, never a
-/// torn write. Shared by the snapshot (v3 and v4) and journal save paths.
+/// torn write. Shared by the snapshot and journal save paths.
 ///
 /// The temp name is unique per *call*, not just per process: two threads
 /// spilling the same corpus concurrently (a warm racing an eviction) would
@@ -929,134 +478,20 @@ impl EngineSnapshot {
 
     /// Serializes the snapshot into the framed binary format (header with
     /// magic, version, fingerprint, payload length and checksum, then the
-    /// payload).
+    /// payload laid out by [`crate::direct`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         let _span = wiki_obs::Span::enter("snapshot_encode");
         wiki_fault::pause("snapshot.encode");
-        let mut enc = Enc::new();
-        // Dictionary: entries sorted by key for a canonical byte stream.
-        enc.str(self.dictionary.source().code());
-        enc.str(self.dictionary.target().code());
-        let mut entries: Vec<(&str, &str)> = self.dictionary.entries().collect();
-        entries.sort_unstable();
-        enc.u64(entries.len() as u64);
-        for (key, value) in entries {
-            enc.str(key);
-            enc.str(value);
-        }
-        // Per-type records, each length-prefixed so the reader can split
-        // the payload into independent records and decode them in parallel.
-        enc.u64(self.types.len() as u64);
-        for (type_id, prepared) in &self.types {
-            let mut record = Enc::new();
-            record.str(type_id);
-            encode_schema(&mut record, &prepared.schema);
-            encode_table(&mut record, &prepared.table);
-            // `capture` refuses sparse-mode engines, so every prepared
-            // artifact reaching serialization carries its index.
-            let index = prepared
-                .index
-                .as_ref()
-                .expect("snapshots only hold exact-mode artifacts, which have an index");
-            encode_index(&mut record, index);
-            enc.u64(record.0.len() as u64);
-            enc.0.extend_from_slice(&record.0);
-        }
-        let payload = enc.0;
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        crate::direct::encode(self)
     }
 
-    /// Deserializes a snapshot, validating magic, version, payload length
-    /// and checksum before decoding anything.
+    /// Deserializes a snapshot, validating magic, version, payload length,
+    /// checksum and every section before anything is used. The restored
+    /// artifacts borrow from a heap copy of `bytes`, exactly as a
+    /// [`MappedSnapshot`](crate::MappedSnapshot)'s borrow from its mapping.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let _span = wiki_obs::Span::enter("snapshot_decode");
-        if bytes.len() < HEADER_LEN {
-            return if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
-                Err(SnapshotError::BadMagic)
-            } else {
-                Err(SnapshotError::Truncated)
-            };
-        }
-        let (header, payload) = bytes.split_at(HEADER_LEN);
-        if header[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let field = |offset: usize, len: usize| &header[offset..offset + len];
-        let version = u32::from_le_bytes(field(8, 4).try_into().expect("4 bytes"));
-        if version == crate::direct::DIRECT_FORMAT_VERSION {
-            // The directly-addressable form: same framing, sectioned
-            // payload. Decoded here into fully heap-owned artifacts — the
-            // zero-copy path is `crate::direct::MappedSnapshot::open`.
-            return crate::direct::decode_owned(bytes);
-        }
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let fingerprint = u64::from_le_bytes(field(12, 8).try_into().expect("8 bytes"));
-        let payload_len = u64::from_le_bytes(field(20, 8).try_into().expect("8 bytes"));
-        match u64::try_from(payload.len()) {
-            Ok(have) if have < payload_len => return Err(SnapshotError::Truncated),
-            Ok(have) if have > payload_len => {
-                return Err(SnapshotError::Malformed(format!(
-                    "{} trailing bytes after the payload",
-                    have - payload_len
-                )))
-            }
-            _ => {}
-        }
-        let expected = u64::from_le_bytes(field(28, 8).try_into().expect("8 bytes"));
-        let found = checksum(payload);
-        if found != expected {
-            return Err(SnapshotError::ChecksumMismatch { found, expected });
-        }
-
-        let mut dec = Dec::new(payload);
-        let source = Language::from_code(&dec.str()?);
-        let target = Language::from_code(&dec.str()?);
-        let n_entries = dec.count()?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let key = dec.str()?;
-            let value = dec.str()?;
-            entries.push((key, value));
-        }
-        let dictionary = TitleDictionary::from_entries(source, target, entries);
-
-        let n_types = dec.count()?;
-        let mut records = Vec::with_capacity(n_types);
-        for _ in 0..n_types {
-            let len = dec.count()?;
-            records.push(dec.take(len)?);
-        }
-        if !dec.finished() {
-            return Err(SnapshotError::Malformed(
-                "payload longer than its contents".to_string(),
-            ));
-        }
-        // Records are independent; decoding them — the bulk of the work at
-        // the larger tiers — runs on parallel threads.
-        let types = records
-            .par_iter()
-            .map(|record| decode_type_record(record))
-            .collect::<Vec<Result<(String, PreparedType), SnapshotError>>>()
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            fingerprint,
-            dictionary,
-            types,
-        })
+        crate::direct::decode_copy(bytes)
     }
 
     /// Writes the framed snapshot to a writer.
@@ -1096,7 +531,8 @@ impl EngineSnapshot {
             .inc();
         let mut bytes = fs::read(path)?;
         wiki_fault::filter_read("snapshot.load.read", &mut bytes)?;
-        Self::from_bytes(&bytes)
+        let _span = wiki_obs::Span::enter("snapshot_decode");
+        crate::direct::decode(Arc::new(bytes) as Arc<dyn ByteRegion>, None)
     }
 
     /// Reads just the 36-byte header of a snapshot file and returns its
@@ -1515,7 +951,11 @@ impl DeltaJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{AttributeStats, DualSchema};
+    use crate::similarity::SimilarityTable;
     use wiki_corpus::SyntheticConfig;
+    use wiki_linalg::LsiConfig;
+    use wiki_text::TermVector;
 
     fn snapshot_bytes() -> (Dataset, Vec<u8>) {
         let dataset = Dataset::vn_en(&SyntheticConfig::tiny());
@@ -1598,10 +1038,7 @@ mod tests {
             vec![attr("a"), attr("b")],
             2,
         );
-        let mut evidence = Evidence::builder();
-        evidence.push(0, 1, 1.0, 0.0);
-        let table = SimilarityTable::restored(2, vec![0.5], evidence.finish(2));
-        let index = CandidateIndex::from_parts(PairSet::new(2), PairSet::new(2));
+        let table = SimilarityTable::compute(&schema, LsiConfig::default());
         let arena = Arc::clone(schema.arena());
         let vector_entries = schema.vector_entry_count();
         let snapshot = EngineSnapshot {
@@ -1612,7 +1049,6 @@ mod tests {
                 PreparedType {
                     schema: Arc::new(schema),
                     table: Arc::new(table),
-                    index: Some(Arc::new(index)),
                     arena,
                     vector_entries,
                     region: None,
@@ -1653,15 +1089,12 @@ mod tests {
     #[test]
     fn version_bumps_and_bad_magic_are_rejected() {
         let (_, bytes) = snapshot_bytes();
-        // +1 lands on the directly-addressable v4 version, which the reader
-        // *accepts* (and then rejects as malformed, since the payload is a
-        // v3 stream); +2 is the first genuinely unknown version.
         let mut bumped = bytes.clone();
-        bumped[8] = bumped[8].wrapping_add(2);
+        bumped[8] = bumped[8].wrapping_add(1);
         assert!(matches!(
             EngineSnapshot::from_bytes(&bumped),
             Err(SnapshotError::UnsupportedVersion { found, supported })
-                if found == FORMAT_VERSION + 2 && supported == FORMAT_VERSION
+                if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
         ));
         let mut wrong_magic = bytes;
         wrong_magic[0] = b'X';

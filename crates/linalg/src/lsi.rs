@@ -90,6 +90,23 @@ impl LsiModel {
             }
             vectors.push(v);
         }
+        Self::with_norms(vectors, svd.s)
+    }
+
+    /// Reassembles a model from its persisted parts: one reduced vector per
+    /// attribute and the retained singular values. The norms are recomputed
+    /// with [`fit`](Self::fit)'s expression, so every similarity carries
+    /// the bits of the model the parts were taken from. `None` when a
+    /// vector's length differs from the rank (`singular_values.len()`).
+    pub fn from_parts(vectors: Vec<Vec<f64>>, singular_values: Vec<f64>) -> Option<Self> {
+        let rank = singular_values.len();
+        vectors
+            .iter()
+            .all(|v| v.len() == rank)
+            .then(|| Self::with_norms(vectors, singular_values))
+    }
+
+    fn with_norms(vectors: Vec<Vec<f64>>, singular_values: Vec<f64>) -> Self {
         // Norms accumulate x² in index order — exactly the `na`/`nb`
         // accumulation inside [`crate::cosine`], so similarities computed
         // from the cached norms are bit-identical to calling `cosine`.
@@ -100,7 +117,7 @@ impl LsiModel {
         Self {
             vectors,
             norms,
-            singular_values: svd.s,
+            singular_values,
         }
     }
 
@@ -226,6 +243,24 @@ mod tests {
         let model = LsiModel::fit(&Matrix::zeros(0, 0), LsiConfig::default());
         assert!(model.is_empty());
         assert_eq!(model.rank(), 0);
+    }
+
+    #[test]
+    fn a_model_rebuilt_from_its_parts_has_the_same_bits() {
+        let (m, _) = example_matrix();
+        let model = LsiModel::fit(&m, LsiConfig::default());
+        let vectors = (0..model.len()).map(|i| model.vector(i).to_vec()).collect();
+        let rebuilt = LsiModel::from_parts(vectors, model.singular_values().to_vec()).unwrap();
+        for i in 0..model.len() {
+            for j in 0..model.len() {
+                assert_eq!(
+                    rebuilt.similarity(i, j).to_bits(),
+                    model.similarity(i, j).to_bits()
+                );
+            }
+        }
+        // A vector whose length is not the rank is refused.
+        assert!(LsiModel::from_parts(vec![vec![1.0]], vec![2.0, 1.0]).is_none());
     }
 
     #[test]

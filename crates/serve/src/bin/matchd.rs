@@ -44,7 +44,7 @@ OPTIONS:
     --tiers LIST       comma-separated scale tiers to register
                        (default tiny,small,medium,large; xlarge available)
     --warm LIST        comma-separated corpus names to warm at startup
-    --snapshot-dir DIR enable the snapshot disk tier: cold corpora load
+    --snapshot-dir DIR enable the snapshot disk tier: cold corpora map
                        persisted artifacts from DIR instead of rebuilding,
                        evictions spill to DIR, --warm writes through
     --persist          also snapshot every resident session on graceful
@@ -52,11 +52,10 @@ OPTIONS:
                        start serves from disk without rebuilding
     --max-resident-mb N
                        out-of-core serving (requires --snapshot-dir):
-                       snapshots are written in the directly-addressable
-                       format and memory-mapped on load, and sessions are
-                       evicted (their maps dropped) whenever materialized
-                       bytes across residents exceed N megabytes, keeping
-                       at least the most recent session resident
+                       sessions are evicted (their maps dropped) whenever
+                       materialized bytes across residents exceed N
+                       megabytes, keeping at least the most recent session
+                       resident
     --deadline-ms N    per-request compute deadline: a request still inside
                        the pipeline after N milliseconds answers 504 with a
                        structured body at the next phase boundary

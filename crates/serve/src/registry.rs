@@ -26,25 +26,25 @@
 //! With [`Registry::with_snapshot_dir`] the LRU gains a tier *under* it:
 //! evicted sessions spill their computed artifacts to a
 //! [`wikimatch::snapshot`] file, [`Registry::warm`] writes through, and a
-//! cold request checks the directory before building — a hit restores the
-//! dictionary and every persisted per-type artifact **bit-identical** to a
-//! fresh build, with zero artifact computation. Stale or damaged files are
-//! never trusted: the snapshot layer validates a corpus fingerprint, format
-//! version and checksum, and any rejection simply falls back to building.
+//! cold request checks the directory before building — a hit **memory-maps**
+//! the file and restores the dictionary and every persisted per-type
+//! artifact **bit-identical** to a fresh build, with zero artifact
+//! computation (artifacts borrow from the mapping and materialize lazily on
+//! first touch). Stale or damaged files are never trusted: the snapshot
+//! layer validates a corpus fingerprint, format version and checksum, and
+//! any rejection — a file of an older format version included — simply
+//! falls back to building. Orphaned `.tmp` files from a crashed save are
+//! swept at startup.
 //!
 //! ## The out-of-core tier
 //!
 //! [`Registry::with_resident_budget_mb`] turns the disk tier into a real
-//! out-of-core store: spills are written in the directly-addressable (v4)
-//! snapshot format, cold loads **memory-map** those files instead of
-//! decoding them onto the heap (artifacts borrow from the mapping and
-//! materialize lazily per channel on first touch), and whenever the total
-//! *materialized* bytes across resident sessions exceed the budget, LRU
-//! sessions are evicted by dropping their maps — the disk file already
-//! holds their artifacts, so re-opening is another cheap map, not a
-//! rebuild. A registry can thereby advertise a corpus set many times its
-//! budget while its heap working set stays bounded. Orphaned `.tmp` files
-//! from a crashed save are swept at startup.
+//! out-of-core store: whenever the total *materialized* bytes across
+//! resident sessions exceed the budget, LRU sessions are evicted by
+//! dropping their maps — the disk file already holds their artifacts, so
+//! re-opening is another cheap map, not a rebuild. A registry can thereby
+//! advertise a corpus set many times its budget while its heap working set
+//! stays bounded.
 //!
 //! ## Live corpora
 //!
@@ -76,7 +76,7 @@ use wiki_query::CorrespondenceDictionary;
 use wikimatch::snapshot::{EngineSnapshot, FORMAT_VERSION};
 use wikimatch::{
     corpus_fingerprint, ComputeMode, CorpusDelta, DeltaJournal, DeltaReport, EngineStats,
-    MappedSnapshot, MatchEngine, SnapshotError, DIRECT_FORMAT_VERSION,
+    MappedSnapshot, MatchEngine, SnapshotError,
 };
 
 /// Journal length at which [`Registry::mutate`] compacts: the whole chain
@@ -95,25 +95,6 @@ enum SpillMode {
     /// Spill on a background thread (LRU-pressure evictions, which run on
     /// whatever request worker tipped the capacity).
     Background,
-}
-
-/// On-disk encoding the registry spills sessions in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SnapshotFormat {
-    /// The compact varint wire/archive encoding (format v3).
-    Compact,
-    /// The directly-addressable layout (format v4), memory-mappable by the
-    /// out-of-core tier.
-    Direct,
-}
-
-impl SnapshotFormat {
-    fn version(self) -> u32 {
-        match self {
-            SnapshotFormat::Compact => FORMAT_VERSION,
-            SnapshotFormat::Direct => DIRECT_FORMAT_VERSION,
-        }
-    }
 }
 
 /// Attempts a spill makes before declaring the disk tier degraded for
@@ -179,13 +160,12 @@ fn quarantine(path: &Path, entry: &CorpusEntry, kind: &str, copy: bool) {
 /// the stale target (which the journal may have moved past, and which
 /// this process can evidently no longer refresh) is quarantined so the
 /// next cold load rebuilds instead of resurrecting it.
-fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine, format: SnapshotFormat) {
-    // A disk snapshot already at the engine's fingerprint, in the wanted
+fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine) {
+    // A disk snapshot already at the engine's fingerprint, in the current
     // format, makes the capture redundant — the common case when a mapped,
-    // never-mutated session is evicted under the resident budget: dropping
-    // the map *is* the spill.
+    // never-mutated session is evicted: dropping the map *is* the spill.
     if let Ok((version, fingerprint)) = EngineSnapshot::peek_header(path) {
-        if version == format.version() && fingerprint == engine.fingerprint() {
+        if version == FORMAT_VERSION && fingerprint == engine.fingerprint() {
             return;
         }
     }
@@ -203,10 +183,7 @@ fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine, format: Snap
         let result = wiki_fault::check_io("registry.spill")
             .map_err(SnapshotError::Io)
             .and_then(|()| EngineSnapshot::capture(engine))
-            .and_then(|snapshot| match format {
-                SnapshotFormat::Compact => snapshot.save(path),
-                SnapshotFormat::Direct => snapshot.save_direct(path),
-            });
+            .and_then(|snapshot| snapshot.save(path));
         match result {
             Ok(()) => {
                 entry.snapshot_saves.fetch_add(1, Ordering::Relaxed);
@@ -599,14 +576,12 @@ impl Registry {
         self
     }
 
-    /// Enables the out-of-core resident-bytes budget: snapshots are written
-    /// in the directly-addressable (v4) format, cold loads memory-map them
-    /// instead of decoding onto the heap, and whenever the *materialized*
-    /// bytes across resident sessions exceed `mb` megabytes, least-recently
-    /// used sessions are evicted (their maps dropped) until the total is
-    /// back under budget — always keeping at least the most recent session
-    /// resident. Requires a snapshot directory, which is where the mapped
-    /// files live.
+    /// Enables the out-of-core resident-bytes budget: whenever the
+    /// *materialized* bytes across resident sessions exceed `mb` megabytes,
+    /// least-recently used sessions are evicted (their maps dropped) until
+    /// the total is back under budget — always keeping at least the most
+    /// recent session resident. Requires a snapshot directory, which is
+    /// where the mapped files live.
     ///
     /// # Panics
     ///
@@ -642,17 +617,6 @@ impl Registry {
                     ),
                 }
             }
-        }
-    }
-
-    /// The format [`spill_to`] writes: directly-addressable under a
-    /// resident budget (so the next cold load can map it), compact
-    /// otherwise.
-    fn snapshot_format(&self) -> SnapshotFormat {
-        if self.resident_budget.is_some() {
-            SnapshotFormat::Direct
-        } else {
-            SnapshotFormat::Compact
         }
     }
 
@@ -819,28 +783,17 @@ impl Registry {
         let mut journal = self.resident_journal(entry, base_fingerprint);
 
         let snapshot = self.snapshot_path(&entry.spec.name).and_then(|path| {
-            // Under a resident budget the out-of-core open is preferred:
-            // a directly-addressable (v4) file is validated and *mapped* —
-            // its artifacts borrow from the file and materialize lazily. A
-            // compact (v3) file falls back to the owned decoder; the next
-            // spill rewrites it in the direct form.
-            let loaded = if self.resident_budget.is_some() {
-                match MappedSnapshot::open(&path) {
-                    Ok(mapped) => Ok(mapped.snapshot),
-                    Err(SnapshotError::UnsupportedVersion { .. }) => EngineSnapshot::load(&path),
-                    Err(err) => Err(err),
-                }
-            } else {
-                EngineSnapshot::load(&path)
-            };
-            match loaded {
-                Ok(snapshot) => Some(snapshot),
+            // The file is validated and *mapped*: its artifacts borrow from
+            // it and materialize lazily.
+            match MappedSnapshot::open(&path) {
+                Ok(mapped) => Some(mapped.snapshot),
                 // No snapshot yet: the common cold-start case, not an error.
                 Err(SnapshotError::Io(err)) if err.kind() == std::io::ErrorKind::NotFound => None,
                 Err(err) => {
                     // Degrade to a rebuild and quarantine the file: a
-                    // snapshot that failed validation once will fail it
-                    // on every future cold load too.
+                    // snapshot that failed validation once (an older
+                    // format version included) will fail it on every
+                    // future cold load too.
                     eprintln!(
                         "warning: unreadable snapshot {} for corpus {:?}: {err}; rebuilding",
                         path.display(),
@@ -966,7 +919,7 @@ impl Registry {
         let Some(path) = self.snapshot_path(&entry.spec.name) else {
             return;
         };
-        spill_to(&path, entry, engine, self.snapshot_format());
+        spill_to(&path, entry, engine);
     }
 
     /// Spills every currently resident session to the disk tier — the
@@ -1310,18 +1263,15 @@ impl Registry {
             // session meanwhile — the artifacts are identical either way,
             // and the save is atomic).
             if let Some(path) = self.snapshot_path(name) {
-                let format = self.snapshot_format();
                 match mode {
-                    SpillMode::Synchronous => spill_to(&path, &entry, cached.engine(), format),
+                    SpillMode::Synchronous => spill_to(&path, &entry, cached.engine()),
                     // LRU pressure evicts on whatever worker thread tipped
                     // the capacity — that request must not pay for a
                     // multi-megabyte serialization of an unrelated corpus,
                     // so the spill moves to a background thread.
                     SpillMode::Background => {
                         let entry = Arc::clone(&entry);
-                        std::thread::spawn(move || {
-                            spill_to(&path, &entry, cached.engine(), format)
-                        });
+                        std::thread::spawn(move || spill_to(&path, &entry, cached.engine()));
                     }
                 }
             }
@@ -1974,7 +1924,7 @@ mod tests {
     fn a_budgeted_registry_maps_snapshots_and_reports_residency() {
         let dir = snapshot_dir("mapped");
         // Warm under a generous budget: the write-through spill lands in
-        // the directly-addressable format.
+        // the current format.
         let first = registry_with(&["a"], 1)
             .with_snapshot_dir(&dir)
             .with_resident_budget_mb(1024);
@@ -1982,7 +1932,7 @@ mod tests {
         let reference = warmed.engine().align("film").unwrap().cross_pairs();
         drop(warmed);
         let (version, _) = EngineSnapshot::peek_header(&dir.join("a.snap")).unwrap();
-        assert_eq!(version, DIRECT_FORMAT_VERSION);
+        assert_eq!(version, FORMAT_VERSION);
 
         // A restarted budgeted registry memory-maps the file: zero artifact
         // builds, mapped bytes reported, page-ins grow as channels are

@@ -14,7 +14,7 @@ use wikimatch_suite::adversarial::{adversarial_pt_en, AdversarialFlavor};
 use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Article, AttributeValue, Dataset, Infobox, Language, Link, SyntheticConfig};
-use wikimatch::{CorpusDelta, DeltaOp, MatchEngine};
+use wikimatch::{CorpusDelta, DeltaOp, EngineSnapshot, MappedSnapshot, MatchEngine};
 
 fn config_with_seed(seed: u64) -> SyntheticConfig {
     SyntheticConfig {
@@ -225,16 +225,36 @@ fn assert_bit_identical(patched: &MatchEngine, cold: &MatchEngine) {
     assert_eq!(a, b, "alignments diverge");
 }
 
+/// An engine over `engine`'s corpus restored from a mapped snapshot of
+/// it, and the temp directory holding the mapped file.
+fn restored_from_mapped(engine: &MatchEngine, tag: &str) -> (std::path::PathBuf, MatchEngine) {
+    let dir = std::env::temp_dir().join(format!("wm-delta-eq-{tag}-{}", std::process::id()));
+    let path = dir.join("corpus.snap");
+    EngineSnapshot::capture(engine)
+        .expect("exact-mode engine captures")
+        .save(&path)
+        .expect("snapshot saves");
+    let mapped = MappedSnapshot::open(&path).expect("mapped open");
+    let restored = MatchEngine::builder(engine.dataset())
+        .build_from_snapshot(mapped.snapshot)
+        .expect("mapped snapshot restores");
+    (dir, restored)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// For any seed, a random mutation sequence applied through
     /// `apply_delta` leaves the engine bit-identical to a cold rebuild of
-    /// the mutated corpus — after *every* step, not just at the end.
+    /// the mutated corpus — after *every* step, not just at the end. The
+    /// same sequence runs on a second engine restored from a mapped
+    /// snapshot of the starting corpus, whose patches share its restored
+    /// LSI factors and borrowed evidence.
     #[test]
     fn patched_engine_is_bit_identical_to_cold_rebuild(seed in 0u64..1_000) {
         let dataset = Dataset::pt_en(&config_with_seed(seed));
         let engine = MatchEngine::builder(dataset).eager().build();
+        let (dir, restored) = restored_from_mapped(&engine, &format!("seed-{seed}"));
         let types = engine.dataset().types.len();
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
 
@@ -244,23 +264,29 @@ proptest! {
                 continue;
             };
             let report = engine.apply_delta(&delta);
+            let restored_report = restored.apply_delta(&delta);
             applied += 1;
             // Types the delta provably cannot reach carry over untouched;
             // the bit-identity check below is what proves the skips sound.
             prop_assert!(report.types_patched <= types);
             prop_assert_eq!(report.fingerprint, engine.fingerprint());
+            prop_assert_eq!(restored_report.fingerprint, report.fingerprint);
 
             // Cold rebuild over the *same* mutated corpus value.
             let cold = MatchEngine::builder(engine.dataset()).eager().build();
             assert_bit_identical(&engine, &cold);
+            assert_bit_identical(&restored, &cold);
         }
         prop_assert!(applied > 0, "every generated delta degenerated to None");
 
         let stats = engine.stats();
         prop_assert_eq!(stats.deltas_applied, applied);
         // The eager build built each type exactly once; every delta was
-        // served by patching, never by a fresh artifact build.
+        // served by patching, never by a fresh artifact build — and the
+        // restored engine never built one at all.
         prop_assert_eq!(stats.artifact_builds, types as u64);
+        prop_assert_eq!(restored.stats().artifact_builds, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The same patch-vs-cold-rebuild contract on the adversarial corpus

@@ -1,14 +1,14 @@
-//! Out-of-core equivalence: for any synthetic corpus, decoding a
-//! directly-addressable (v4) snapshot **mapped** (zero-copy views that
-//! materialize lazily) must be bit-identical to decoding it **owned** —
-//! `to_bits`-equal similarity tables, identical `align_all` output, zero
-//! artifact builds on either restored side — and a v4 file with a
-//! truncated or misaligned offset directory must be rejected with a typed
-//! error, never decoded into garbage.
+//! Out-of-core equivalence: for any synthetic corpus, decoding a snapshot
+//! **mapped** (zero-copy views over the file that materialize lazily) must
+//! be bit-identical to decoding it from **heap bytes** and to a fresh build
+//! — `to_bits`-equal similarity tables, identical `align_all` output, zero
+//! artifact builds on either restored side — and a damaged file must be
+//! rejected with a typed error, never decoded into garbage or a panic.
 //!
-//! This is the golden-hash safety net under the out-of-core tentpole: the
+//! This is the golden-hash safety net under the out-of-core tier: the
 //! serving tier is allowed to swap heap-owned artifacts for mapped ones
-//! only because this suite pins the two decode paths to the same bits.
+//! only because this suite pins both byte sources of the one decoder to
+//! the same bits.
 
 use std::sync::Arc;
 
@@ -17,9 +17,10 @@ use proptest::prelude::*;
 use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Dataset, SyntheticConfig};
+use wikimatch::snapshot::FORMAT_VERSION;
 use wikimatch::{
-    CandidatePair, ComputeMode, EngineSnapshot, MappedSnapshot, MatchEngine, SimilarityTable,
-    SnapshotError, DIRECT_FORMAT_VERSION,
+    AttributeAlignment, CandidatePair, ComputeMode, EngineSnapshot, MappedSnapshot, MatchEngine,
+    SimilarityTable, SnapshotError, WikiMatchConfig,
 };
 
 const HEADER_LEN: usize = 36;
@@ -35,23 +36,30 @@ fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
     }
 }
 
-/// A warmed exact-mode engine plus its snapshot in the v4 encoding.
-fn warmed_direct(dataset: &Dataset) -> (MatchEngine, Vec<u8>) {
-    let fresh = MatchEngine::new(dataset.clone());
+/// A warmed engine of `mode` plus its snapshot bytes.
+fn warmed_in(dataset: &Dataset, mode: ComputeMode) -> (MatchEngine, Vec<u8>) {
+    let fresh = MatchEngine::builder(dataset.clone())
+        .compute_mode(mode)
+        .build();
     fresh.prepare_all();
-    let direct = EngineSnapshot::capture(&fresh)
+    let bytes = EngineSnapshot::capture(&fresh)
         .expect("exact-mode engine captures")
-        .to_direct_bytes();
+        .to_bytes();
     assert_eq!(
-        u32::from_le_bytes(direct[8..12].try_into().unwrap()),
-        DIRECT_FORMAT_VERSION
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+        FORMAT_VERSION
     );
-    (fresh, direct)
+    (fresh, bytes)
 }
 
-/// The FNV-1a payload checksum of the snapshot header (same algorithm for
-/// v3 and v4), reimplemented here so corruption tests can re-stamp it and
-/// reach the structural validation they target.
+/// A warmed default (`Pruned`) engine plus its snapshot bytes.
+fn warmed(dataset: &Dataset) -> (MatchEngine, Vec<u8>) {
+    warmed_in(dataset, ComputeMode::Pruned)
+}
+
+/// The FNV-1a payload checksum of the snapshot header, reimplemented here
+/// so corruption tests can re-stamp it and reach the structural validation
+/// they target.
 fn restamp_checksum(bytes: &mut [u8]) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let payload = &bytes[HEADER_LEN..];
@@ -97,50 +105,49 @@ fn assert_lookups_match_the_oracle(oracle: &SimilarityTable, table: &SimilarityT
     }
 }
 
-/// A v4 file written to a fresh temp directory and opened mapped.
-fn open_mapped(direct: &[u8], tag: &str) -> (std::path::PathBuf, MappedSnapshot) {
+/// A snapshot file written to a fresh temp directory and opened mapped.
+fn open_mapped(bytes: &[u8], tag: &str) -> (std::path::PathBuf, MappedSnapshot) {
     let dir = std::env::temp_dir().join(format!("wm-mmap-eq-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("corpus.snap");
-    std::fs::write(&path, direct).expect("write snapshot");
+    std::fs::write(&path, bytes).expect("write snapshot");
     let mapped = MappedSnapshot::open(&path).expect("mapped open");
     (dir, mapped)
 }
 
 fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
-    let (fresh, direct) = warmed_direct(&dataset);
+    let (fresh, bytes) = warmed(&dataset);
 
-    // Owned decode: the generic reader accepts v4 and heap-allocates.
-    let owned_snapshot = EngineSnapshot::from_bytes(&direct).expect("owned decode");
+    // Heap decode: the same decoder over a copy of the bytes.
+    let owned_snapshot = EngineSnapshot::from_bytes(&bytes).expect("heap decode");
     let owned = MatchEngine::builder(Arc::new(dataset.clone()))
         .build_from_snapshot(owned_snapshot)
-        .expect("owned snapshot restores");
+        .expect("heap snapshot restores");
 
     // Mapped decode: the same file, opened out-of-core.
-    let (dir, mapped_snapshot) = open_mapped(&direct, tag);
+    let (dir, mapped_snapshot) = open_mapped(&bytes, tag);
     let region = Arc::clone(&mapped_snapshot.region);
     let mapped = MatchEngine::builder(Arc::new(dataset.clone()))
         .build_from_snapshot(mapped_snapshot.snapshot)
         .expect("mapped snapshot restores");
 
-    // Every lookup of the built, v3-restored and v4 tables carries the
-    // Dense oracle's bits.
-    let v3 = EngineSnapshot::capture(&fresh)
-        .expect("exact-mode engine captures")
-        .to_bytes();
-    let restored = MatchEngine::builder(Arc::new(dataset.clone()))
-        .build_from_snapshot(EngineSnapshot::from_bytes(&v3).expect("v3 decode"))
-        .expect("v3 snapshot restores");
-    let dense = MatchEngine::builder(dataset)
-        .compute_mode(ComputeMode::Dense)
-        .build();
+    // The `Dense` oracle is capturable too; its snapshot, mapped, restores
+    // tables that score through the persisted factors.
+    let (dense, dense_bytes) = warmed_in(&dataset, ComputeMode::Dense);
+    let (dense_dir, dense_snapshot) = open_mapped(&dense_bytes, &format!("{tag}-dense"));
+    let dense_mapped = MatchEngine::builder(Arc::new(dataset))
+        .build_from_snapshot(dense_snapshot.snapshot)
+        .expect("dense snapshot restores");
+
+    // Every lookup of the built, heap-restored, mapped and dense-captured
+    // tables carries the Dense oracle's bits.
     for pairing in &fresh.dataset().types.clone() {
         let oracle = dense.similarity(&pairing.type_id).unwrap();
         for (label, engine) in [
             ("built", &fresh),
-            ("v3-restored", &restored),
-            ("v4-owned", &owned),
-            ("v4-mapped", &mapped),
+            ("heap-restored", &owned),
+            ("mapped", &mapped),
+            ("dense-captured mapped", &dense_mapped),
         ] {
             let table = engine.similarity(&pairing.type_id).unwrap();
             assert_lookups_match_the_oracle(
@@ -152,7 +159,7 @@ fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
     }
 
     // Golden-hash equivalence: every similarity channel of every type is
-    // bit-identical across fresh build, owned decode and mapped decode.
+    // bit-identical across fresh build, heap decode and mapped decode.
     for pairing in &fresh.dataset().types.clone() {
         let reference = fresh.similarity(&pairing.type_id).unwrap();
         let from_owned = owned.similarity(&pairing.type_id).unwrap();
@@ -175,7 +182,7 @@ fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
-                    "{label} diverges owned for {} pair ({}, {})",
+                    "{label} diverges heap-restored for {} pair ({}, {})",
                     pairing.type_id,
                     a.p,
                     a.q
@@ -192,10 +199,14 @@ fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
         }
     }
 
-    // Full alignment output is identical across all three engines, and the
+    // Full alignment output is identical across the engines, and the
     // restored engines never built an artifact to produce it.
     let reference = fresh.align_all();
-    for (label, engine) in [("owned", &owned), ("mapped", &mapped)] {
+    for (label, engine) in [
+        ("heap-restored", &owned),
+        ("mapped", &mapped),
+        ("dense-captured mapped", &dense_mapped),
+    ] {
         let alignments = engine.align_all();
         assert_eq!(reference.len(), alignments.len());
         for (a, b) in reference.iter().zip(&alignments) {
@@ -213,19 +224,21 @@ fn assert_mapped_matches_owned(dataset: Dataset, tag: &str) {
     // channels in lazily, and its stats account for the mapped region.
     assert!(region.page_in_count() > 0, "mapped engine never paged in");
     let stats = mapped.stats();
-    assert_eq!(stats.mapped_bytes, direct.len() as u64);
+    assert_eq!(stats.mapped_bytes, bytes.len() as u64);
     assert!(stats.resident_bytes > 0);
     assert!(stats.page_ins > 0);
 
     drop((mapped, mapped_snapshot.region, region));
+    drop((dense_mapped, dense_snapshot.region));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dense_dir);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// For any seed, the mapped decode path is bit-identical to the owned
-    /// decode path (Pt-En).
+    /// For any seed, the mapped decode path is bit-identical to the heap
+    /// decode path and to a fresh build (Pt-En).
     #[test]
     fn mapped_decode_is_bit_identical_pt_en(seed in 0u64..1_000) {
         assert_mapped_matches_owned(
@@ -244,14 +257,13 @@ proptest! {
         );
     }
 
-    /// Truncating a v4 file anywhere — header, offset directory, section
-    /// bytes — must yield a typed rejection from the owned decoder, never a
-    /// partial snapshot.
+    /// Truncating a snapshot anywhere — header, offset directory, section
+    /// bytes — must yield a typed rejection, never a partial snapshot.
     #[test]
-    fn truncated_v4_files_are_rejected(cut_fraction in 0.0f64..1.0) {
-        let (_, direct) = warmed_direct(&Dataset::pt_en(&config_with(7, 0)));
-        let cut = ((direct.len() - 1) as f64 * cut_fraction) as usize;
-        match EngineSnapshot::from_bytes(&direct[..cut]) {
+    fn truncated_snapshots_are_rejected(cut_fraction in 0.0f64..1.0) {
+        let (_, bytes) = warmed(&Dataset::pt_en(&config_with(7, 0)));
+        let cut = ((bytes.len() - 1) as f64 * cut_fraction) as usize;
+        match EngineSnapshot::from_bytes(&bytes[..cut]) {
             Err(SnapshotError::Truncated) | Err(SnapshotError::ChecksumMismatch { .. }) => {}
             other => prop_assert!(false, "cut at {cut} not rejected: {other:?}"),
         }
@@ -263,11 +275,11 @@ proptest! {
 /// the structural validation itself is what stops them.
 #[test]
 fn misaligned_and_out_of_bounds_directories_are_rejected() {
-    let (_, direct) = warmed_direct(&Dataset::pt_en(&config_with(11, 0)));
+    let (_, bytes) = warmed(&Dataset::pt_en(&config_with(11, 0)));
     let rec_off_at = HEADER_LEN + 24; // first type record's offset slot
 
     // Offset nudged off its 8-byte alignment.
-    let mut misaligned = direct.clone();
+    let mut misaligned = bytes.clone();
     let old = u64::from_le_bytes(misaligned[rec_off_at..rec_off_at + 8].try_into().unwrap());
     misaligned[rec_off_at..rec_off_at + 8].copy_from_slice(&(old + 4).to_le_bytes());
     restamp_checksum(&mut misaligned);
@@ -277,8 +289,8 @@ fn misaligned_and_out_of_bounds_directories_are_rejected() {
     ));
 
     // Offset pointing past the end of the file.
-    let mut oob = direct.clone();
-    oob[rec_off_at..rec_off_at + 8].copy_from_slice(&(direct.len() as u64 + 64).to_le_bytes());
+    let mut oob = bytes.clone();
+    oob[rec_off_at..rec_off_at + 8].copy_from_slice(&(bytes.len() as u64 + 64).to_le_bytes());
     restamp_checksum(&mut oob);
     assert!(matches!(
         EngineSnapshot::from_bytes(&oob),
@@ -298,8 +310,8 @@ fn misaligned_and_out_of_bounds_directories_are_rejected() {
 }
 
 /// `pair` answers an index at or past `attribute_count()` with `None`,
-/// never with another pair's scores, on built, filtered, v3-restored and
-/// v4-mapped tables alike.
+/// never with another pair's scores, on built, filtered, heap-restored and
+/// mapped tables alike.
 #[test]
 fn out_of_range_lookups_find_no_pair() {
     let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
@@ -310,17 +322,17 @@ fn out_of_range_lookups_find_no_pair() {
         .build();
     let snapshot = EngineSnapshot::capture(&built).expect("exact-mode engine captures");
     let restored = MatchEngine::builder(dataset.clone())
-        .build_from_snapshot(EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("v3 decode"))
-        .expect("v3 snapshot restores");
-    let (dir, mapped_snapshot) = open_mapped(&snapshot.to_direct_bytes(), "out-of-range");
+        .build_from_snapshot(EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("heap decode"))
+        .expect("heap snapshot restores");
+    let (dir, mapped_snapshot) = open_mapped(&snapshot.to_bytes(), "out-of-range");
     let mapped = MatchEngine::builder(dataset)
         .build_from_snapshot(mapped_snapshot.snapshot)
         .expect("mapped snapshot restores");
     for (label, engine) in [
         ("built", &built),
         ("filtered", &filtered),
-        ("v3-restored", &restored),
-        ("v4-mapped", &mapped),
+        ("heap-restored", &restored),
+        ("mapped", &mapped),
     ] {
         let table = engine.similarity("film").unwrap();
         let n = table.attribute_count();
@@ -357,8 +369,8 @@ fn alignment_never_walks_every_pair() {
         assert_eq!(prepared.table.stored_pair_walks(), 0, "built {type_id}");
     }
 
-    let (_, direct) = warmed_direct(&dataset);
-    let (dir, mapped_snapshot) = open_mapped(&direct, "hot-path");
+    let (_, bytes) = warmed(&dataset);
+    let (dir, mapped_snapshot) = open_mapped(&bytes, "hot-path");
     let region = Arc::clone(&mapped_snapshot.region);
     let mapped = MatchEngine::builder(dataset)
         .build_from_snapshot(mapped_snapshot.snapshot)
@@ -372,5 +384,159 @@ fn alignment_never_walks_every_pair() {
         "the align read film's evidence once"
     );
     assert_eq!(film.table.stored_pair_walks(), 0, "mapped film");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads every artifact of a decoded snapshot in full: every `pair(p, q)`
+/// lookup, every vector's entries and terms, every arena term, and an
+/// alignment, which walks the evidence rows with their LSI. On an accepted
+/// mutant this must neither panic nor read out of bounds.
+fn materialize(snapshot: &EngineSnapshot) -> usize {
+    let mut touched = 0usize;
+    for (_, prepared) in &snapshot.types {
+        let n = prepared.table.attribute_count();
+        for p in 0..n {
+            for q in p..n {
+                touched += usize::from(prepared.table.pair(p, q).is_some());
+            }
+        }
+        let config = WikiMatchConfig::default();
+        touched += AttributeAlignment::new(&prepared.schema, &prepared.table, config)
+            .run()
+            .clusters()
+            .len();
+        for attr in &prepared.schema.attributes {
+            for vector in [
+                &attr.values,
+                &attr.translated_values,
+                &attr.raw_values,
+                &attr.translated_raw_values,
+                &attr.links,
+            ] {
+                touched += vector.id_entries().len();
+                touched += vector.iter().map(|(term, _)| term.len()).sum::<usize>();
+            }
+        }
+        touched += prepared.arena.terms().map(str::len).sum::<usize>();
+    }
+    touched
+}
+
+/// Decodes one input under a panic barrier that names it: true when it is
+/// accepted and materializes, false when it is rejected with a
+/// `SnapshotError`.
+fn accepts(label: &str, decode: impl FnOnce() -> Result<EngineSnapshot, SnapshotError>) -> bool {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        decode().map(|snapshot| materialize(&snapshot))
+    }));
+    match outcome {
+        Ok(result) => result.is_ok(),
+        Err(_) => panic!("{label}: decoding or materializing panicked"),
+    }
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// The byte positions the flip sweep must cover: the header fields before
+/// the checksum, the offset directory, each record's meta, and each
+/// record's evidence row starts and partners and LSI factor sections. The
+/// table fields close the meta as nine `u64`s: attribute count, evidence
+/// entries, the starts / partners / vsim / lsim offsets, the rank and the
+/// singular-value / vector offsets, relative to the 8-aligned section
+/// base after the meta.
+fn sweep_positions(bytes: &[u8]) -> Vec<usize> {
+    let mut positions: Vec<usize> = (0..28).collect();
+    let types = u64_at(bytes, HEADER_LEN + 16);
+    positions.extend(HEADER_LEN..HEADER_LEN + 24 + 16 * types);
+    for t in 0..types {
+        let rec_off = u64_at(bytes, HEADER_LEN + 24 + 16 * t);
+        let meta_len = u64_at(bytes, rec_off);
+        let meta_end = rec_off + 8 + meta_len;
+        positions.extend(rec_off..meta_end);
+        let base = rec_off + (8 + meta_len).div_ceil(8) * 8;
+        let field = |i: usize| u64_at(bytes, meta_end - 72 + 8 * i);
+        let (n, entries, rank) = (field(0), field(1), field(6));
+        positions.extend(base + field(2)..base + field(2) + 8 * (n + 1));
+        positions.extend(base + field(3)..base + field(3) + 4 * entries);
+        positions.extend(base + field(7)..base + field(7) + 8 * rank);
+        positions.extend(base + field(8)..base + field(8) + 8 * n * rank);
+    }
+    positions
+}
+
+/// Totality of the one decoder over a `pt-tiny` snapshot: every
+/// truncation, and a seeded single-byte flip (checksum re-stamped) of every
+/// byte [`sweep_positions`] names plus a seeded sample of the rest, goes
+/// through both `EngineSnapshot::from_bytes` and `MappedSnapshot::open`.
+/// Each must be rejected with a `SnapshotError` or decode to artifacts that
+/// materialize in full — never panic. The snapshot holds `album`, the type
+/// with the fewest structural bytes, so the sweep stays a few thousand
+/// mutants in a debug build.
+#[test]
+fn every_truncation_and_flip_is_rejected_or_materializes() {
+    let engine = MatchEngine::new(Dataset::pt_en(&SyntheticConfig::tiny()));
+    engine.prepared("album").expect("album type exists");
+    let bytes = EngineSnapshot::capture(&engine)
+        .expect("exact-mode engine captures")
+        .to_bytes();
+    let dir = std::env::temp_dir().join(format!("wm-mmap-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("mutant.snap");
+
+    // Every truncation, the mapped side shrinking one file in place.
+    std::fs::write(&path, &bytes).expect("write snapshot");
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("reopen snapshot");
+    for cut in (0..bytes.len()).rev() {
+        file.set_len(cut as u64).expect("truncate snapshot");
+        assert!(!accepts(&format!("from_bytes cut {cut}"), || {
+            EngineSnapshot::from_bytes(&bytes[..cut])
+        }));
+        assert!(!accepts(&format!("mapped cut {cut}"), || {
+            MappedSnapshot::open(&path).map(|mapped| mapped.snapshot)
+        }));
+    }
+    drop(file);
+
+    // Seeded flips: every structural byte, then a sample of the rest.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut positions = sweep_positions(&bytes);
+    positions.extend((0..256).map(|_| HEADER_LEN + next() % (bytes.len() - HEADER_LEN)));
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for at in positions {
+        let mut mutant = bytes.clone();
+        mutant[at] ^= (next() % 255 + 1) as u8;
+        restamp_checksum(&mut mutant);
+        std::fs::write(&path, &mutant).expect("write mutant");
+        for ok in [
+            accepts(&format!("from_bytes flip at {at}"), || {
+                EngineSnapshot::from_bytes(&mutant)
+            }),
+            accepts(&format!("mapped flip at {at}"), || {
+                MappedSnapshot::open(&path).map(|mapped| mapped.snapshot)
+            }),
+        ] {
+            if ok {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
