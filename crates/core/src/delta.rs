@@ -37,7 +37,9 @@ use wiki_text::{normalize, tokenize_value, TermVector};
 use wiki_translate::TitleDictionary;
 
 use crate::engine::PreparedType;
-use crate::schema::{AttributeStats, CandidateIndex, DualSchema};
+use crate::schema::{
+    dual_pairs, walk_attribute_groups, AttributeGroups, AttributeStats, CandidateIndex, DualSchema,
+};
 use crate::similarity::{lsim, vsim, Evidence, SimilarityTable};
 
 /// One entity mutation of a [`CorpusDelta`].
@@ -346,8 +348,6 @@ impl<'a> PatchContext<'a> {
 /// [`DualSchema::build`]'s first pass derives *except* the token streams,
 /// plus the instance list the dirty analysis compares.
 struct AttrWalk {
-    language: Language,
-    name: String,
     occurrences: usize,
     occurrence_pattern: Vec<bool>,
     /// Every infobox attribute entry contributing to this group, as
@@ -355,64 +355,39 @@ struct AttrWalk {
     instances: Vec<(ArticleId, usize)>,
 }
 
-/// The skeleton of one type's dual schema: the cross-language pair list and
-/// the attribute groups in first-seen order, mirroring [`DualSchema::build`]
-/// exactly — but without tokenising a single value.
+/// The skeleton of one type's dual schema: the dual infobox count and the
+/// attribute groups in first-seen order, from the walk
+/// [`DualSchema::build`] takes — but without tokenising a single value.
 struct TypeWalk {
-    pairs: Vec<(ArticleId, ArticleId)>,
+    dual_count: usize,
+    groups: AttributeGroups,
     attrs: Vec<AttrWalk>,
-    index: HashMap<(Language, String), usize>,
 }
 
 fn walk_type(corpus: &Corpus, other: &Language, label_other: &str, label_en: &str) -> TypeWalk {
-    let english = Language::En;
-    let pairs: Vec<(ArticleId, ArticleId)> = corpus
-        .cross_language_pairs(&english, other)
-        .into_iter()
-        .filter_map(|(en_id, other_id)| {
-            let en_article = corpus.get(en_id)?;
-            let other_article = corpus.get(other_id)?;
-            (en_article.entity_type == label_en && other_article.entity_type == label_other)
-                .then_some((en_id, other_id))
-        })
-        .collect();
+    let pairs = dual_pairs(corpus, other, label_other, label_en);
     let dual_count = pairs.len();
-
     let mut attrs: Vec<AttrWalk> = Vec::new();
-    let mut index: HashMap<(Language, String), usize> = HashMap::new();
-    for (j, &(en_id, other_id)) in pairs.iter().enumerate() {
-        let en_article = corpus.get(en_id).expect("pair ids are live");
-        let other_article = corpus.get(other_id).expect("pair ids are live");
-        for (language, article) in [(&english, en_article), (other, other_article)] {
-            for (pos, attr) in article.infobox.attributes.iter().enumerate() {
-                let name = attr.normalized_name();
-                if name.is_empty() {
-                    continue;
-                }
-                let key = (language.clone(), name.clone());
-                let idx = *index.entry(key).or_insert_with(|| {
-                    attrs.push(AttrWalk {
-                        language: language.clone(),
-                        name: name.clone(),
-                        occurrences: 0,
-                        occurrence_pattern: vec![false; dual_count],
-                        instances: Vec::new(),
-                    });
-                    attrs.len() - 1
-                });
-                let walk = &mut attrs[idx];
-                if !walk.occurrence_pattern[j] {
-                    walk.occurrence_pattern[j] = true;
-                    walk.occurrences += 1;
-                }
-                walk.instances.push((article.id, pos));
-            }
+    let groups = walk_attribute_groups(&pairs, other, |occurrence| {
+        if occurrence.group == attrs.len() {
+            attrs.push(AttrWalk {
+                occurrences: 0,
+                occurrence_pattern: vec![false; dual_count],
+                instances: Vec::new(),
+            });
         }
-    }
+        let walk = &mut attrs[occurrence.group];
+        if !walk.occurrence_pattern[occurrence.pair] {
+            walk.occurrence_pattern[occurrence.pair] = true;
+            walk.occurrences += 1;
+        }
+        walk.instances
+            .push((occurrence.article.id, occurrence.position));
+    });
     TypeWalk {
-        pairs,
+        dual_count,
+        groups,
         attrs,
-        index,
     }
 }
 
@@ -431,6 +406,7 @@ struct DirtyTokens {
 /// returned when every token of every channel is provably unchanged.
 fn is_dirty(
     ctx: &PatchContext<'_>,
+    language: &Language,
     new_walk: &AttrWalk,
     old_walk: Option<&AttrWalk>,
     old_attr: Option<&AttributeStats>,
@@ -468,7 +444,7 @@ fn is_dirty(
     }
     // Foreign attributes re-translate when the dictionary entry of any of
     // their value terms changed.
-    if new_walk.language != Language::En && !ctx.changed_keys.is_empty() {
+    if *language != Language::En && !ctx.changed_keys.is_empty() {
         for vector in [&old_attr.values, &old_attr.raw_values] {
             for (term, _) in vector.iter() {
                 if ctx.changed_keys.contains(&normalize(term)) {
@@ -509,7 +485,8 @@ pub(crate) fn patch_prepared_type(
         &pairing.label_other,
         &pairing.label_en,
     );
-    let dual_count = new_walk.pairs.len();
+    let dual_count = new_walk.dual_count;
+    let keys = &new_walk.groups.keys;
 
     // Map each new attribute to its old schema position (if any). The old
     // walk and the old schema were derived from the same corpus by the same
@@ -517,72 +494,55 @@ pub(crate) fn patch_prepared_type(
     // degrades to a full per-attribute rebuild if they ever did not.
     let walks_coincide = old_walk.attrs.len() == old.schema.attributes.len()
         && old_walk
-            .attrs
+            .groups
+            .keys
             .iter()
             .zip(&old.schema.attributes)
-            .all(|(w, a)| w.language == a.language && w.name == a.name);
-
+            .all(|((language, name), a)| *language == a.language && *name == a.name);
+    let old_of: Vec<Option<usize>> = keys
+        .iter()
+        .map(|key| {
+            walks_coincide
+                .then(|| old_walk.groups.index.get(key).copied())
+                .flatten()
+        })
+        .collect();
     let dirty: Vec<bool> = new_walk
         .attrs
         .iter()
-        .map(|walk| {
-            let key = (walk.language.clone(), walk.name.clone());
-            let old_idx = walks_coincide
-                .then(|| old_walk.index.get(&key).copied())
-                .flatten();
+        .zip(keys)
+        .zip(&old_of)
+        .map(|((walk, (language, _)), &old_idx)| {
             is_dirty(
                 ctx,
+                language,
                 walk,
                 old_idx.map(|i| &old_walk.attrs[i]),
                 old_idx.map(|i| &old.schema.attributes[i]),
             )
         })
         .collect();
-    let old_of: Vec<Option<usize>> = new_walk
-        .attrs
-        .iter()
-        .map(|walk| {
-            walks_coincide
-                .then(|| {
-                    old_walk
-                        .index
-                        .get(&(walk.language.clone(), walk.name.clone()))
-                        .copied()
-                })
-                .flatten()
-        })
-        .collect();
 
-    // Re-collect token streams for the dirty attributes only, walking the
-    // same pair sequence the cold build would.
+    // Re-collect token streams for the dirty attributes only, from their
+    // instances: a group's instances are its occurrences in the order the
+    // cold build walks them.
     let english = Language::En;
-    let mut tokens: HashMap<usize, DirtyTokens> = new_walk
-        .attrs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| dirty[*i])
-        .map(|(i, _)| (i, DirtyTokens::default()))
-        .collect();
-    for &(en_id, other_id) in &new_walk.pairs {
-        let en_article = ctx.new_corpus.get(en_id).expect("pair ids are live");
-        let other_article = ctx.new_corpus.get(other_id).expect("pair ids are live");
-        for (language, article) in [(&english, en_article), (&other, other_article)] {
-            for attr in &article.infobox.attributes {
-                let name = attr.normalized_name();
-                if name.is_empty() {
-                    continue;
-                }
-                let idx = new_walk.index[&(language.clone(), name)];
-                let Some(streams) = tokens.get_mut(&idx) else {
-                    continue;
-                };
-                streams.values.extend(tokenize_value(&attr.value));
-                streams.raw_values.extend(split_value_atoms(&attr.value));
-                for link in &attr.links {
-                    if let Some(target) = ctx.new_corpus.get_by_title(language, &link.target) {
-                        if let Some(cluster) = ctx.new_clusters.cluster_of(target.id) {
-                            streams.links.push(format!("e{}", cluster.0));
-                        }
+    let mut tokens: HashMap<usize, DirtyTokens> = HashMap::new();
+    for (i, walk) in new_walk.attrs.iter().enumerate() {
+        if !dirty[i] {
+            continue;
+        }
+        let language = &keys[i].0;
+        let streams = tokens.entry(i).or_default();
+        for &(id, pos) in &walk.instances {
+            let article = ctx.new_corpus.get(id).expect("instance ids are live");
+            let attr = &article.infobox.attributes[pos];
+            streams.values.extend(tokenize_value(&attr.value));
+            streams.raw_values.extend(split_value_atoms(&attr.value));
+            for link in &attr.links {
+                if let Some(target) = ctx.new_corpus.get_by_title(language, &link.target) {
+                    if let Some(cluster) = ctx.new_clusters.cluster_of(target.id) {
+                        streams.links.push(format!("e{}", cluster.0));
                     }
                 }
             }
@@ -603,7 +563,7 @@ pub(crate) fn patch_prepared_type(
     };
     let mut extension: HashSet<String> = HashSet::new();
     for (&idx, streams) in &tokens {
-        let foreign = new_walk.attrs[idx].language != english;
+        let foreign = keys[idx].0 != english;
         for term in streams.values.iter().chain(&streams.raw_values) {
             if foreign {
                 if let Some(translation) = translated(term) {
@@ -629,8 +589,9 @@ pub(crate) fn patch_prepared_type(
     let attributes: Vec<AttributeStats> = new_walk
         .attrs
         .iter()
+        .zip(keys)
         .enumerate()
-        .map(|(i, walk)| {
+        .map(|(i, (walk, (language, name)))| {
             if let Some(streams) = tokens.get(&i) {
                 let values =
                     TermVector::from_id_occurrences(Arc::clone(&arena), ids_of(&streams.values));
@@ -638,7 +599,7 @@ pub(crate) fn patch_prepared_type(
                     Arc::clone(&arena),
                     ids_of(&streams.raw_values),
                 );
-                let (translated_values, translated_raw_values) = if walk.language != english {
+                let (translated_values, translated_raw_values) = if *language != english {
                     let mut translate_ids = |stream: &[String]| -> Vec<u32> {
                         stream
                             .iter()
@@ -666,8 +627,8 @@ pub(crate) fn patch_prepared_type(
                 let links =
                     TermVector::from_id_occurrences(Arc::clone(&arena), ids_of(&streams.links));
                 AttributeStats {
-                    language: walk.language.clone(),
-                    name: walk.name.clone(),
+                    language: language.clone(),
+                    name: name.clone(),
                     occurrences: walk.occurrences,
                     values,
                     translated_values,
@@ -680,8 +641,8 @@ pub(crate) fn patch_prepared_type(
                 let old_attr =
                     &old.schema.attributes[old_of[i].expect("clean attrs map to the old schema")];
                 AttributeStats {
-                    language: walk.language.clone(),
-                    name: walk.name.clone(),
+                    language: language.clone(),
+                    name: name.clone(),
                     occurrences: walk.occurrences,
                     values: old_attr.values.remapped(Arc::clone(&arena), &remap),
                     translated_values: old_attr

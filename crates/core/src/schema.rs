@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wiki_corpus::{Corpus, Language};
+use wiki_corpus::{Article, ArticleId, AttributeValue, Corpus, Language};
 use wiki_text::tokenize::split_value_atoms;
 use wiki_text::{tokenize_value, TermArena, TermArenaBuilder, TermVector};
 use wiki_translate::TitleDictionary;
@@ -87,12 +87,121 @@ pub struct DualSchema {
     index: HashMap<(Language, String), usize>,
 }
 
+/// The English side of every dual schema.
+static ENGLISH: Language = Language::En;
+
+/// The cross-linked `(English, foreign)` article pairs whose articles carry
+/// the type's two labels: the dual infoboxes of the type's schema, in the
+/// order that numbers them.
+pub(crate) fn dual_pairs<'c>(
+    corpus: &'c Corpus,
+    other: &Language,
+    label_other: &str,
+    label_en: &str,
+) -> Vec<(&'c Article, &'c Article)> {
+    corpus
+        .cross_language_pairs(&ENGLISH, other)
+        .into_iter()
+        .filter_map(|(en_id, other_id)| {
+            let en_article = corpus.get(en_id)?;
+            let other_article = corpus.get(other_id)?;
+            (en_article.entity_type == label_en && other_article.entity_type == label_other)
+                .then_some((en_article, other_article))
+        })
+        .collect()
+}
+
+/// The attribute groups of a dual schema: each group's `(language,
+/// normalised name)` key in first-seen order, and the lookup from key to
+/// group.
+#[derive(Default)]
+pub(crate) struct AttributeGroups {
+    pub(crate) keys: Vec<(Language, String)>,
+    pub(crate) index: HashMap<(Language, String), usize>,
+}
+
+impl AttributeGroups {
+    /// The group of a normalised name, opened if it is new; `None` for an
+    /// empty name, which belongs to no group.
+    fn group_of(&mut self, language: &Language, name: String) -> Option<usize> {
+        if name.is_empty() {
+            return None;
+        }
+        let key = (language.clone(), name);
+        if let Some(&group) = self.index.get(&key) {
+            return Some(group);
+        }
+        self.keys.push(key.clone());
+        self.index.insert(key, self.keys.len() - 1);
+        Some(self.keys.len() - 1)
+    }
+}
+
+/// One attribute occurrence met by [`walk_attribute_groups`].
+pub(crate) struct Occurrence<'c> {
+    /// The dual infobox (index into the pairs) it occurs in.
+    pub(crate) pair: usize,
+    /// Its attribute group.
+    pub(crate) group: usize,
+    /// The language of its side of the pair.
+    pub(crate) language: &'c Language,
+    /// The article whose infobox holds it.
+    pub(crate) article: &'c Article,
+    /// Its position in that infobox.
+    pub(crate) position: usize,
+}
+
+impl<'c> Occurrence<'c> {
+    /// The infobox entry itself.
+    pub(crate) fn attribute(&self) -> &'c AttributeValue {
+        &self.article.infobox.attributes[self.position]
+    }
+}
+
+/// Walks the attribute occurrences of `pairs` in the order that defines a
+/// dual schema — pair by pair, the English infobox before the foreign one,
+/// each in infobox order — and hands `visit` every occurrence whose name
+/// normalises to a non-empty label, with its attribute group. Groups are
+/// numbered in first-seen order, so the occurrence that opens a group comes
+/// with `group` equal to the number of groups before it.
+///
+/// Each distinct raw name of each language is normalised once per walk; the
+/// groups are those of normalising every occurrence's name, as the group of
+/// a raw name depends on nothing else. [`DualSchema::build`] and the delta
+/// patcher's skeleton walk both go through here, so they cannot disagree
+/// on a group.
+pub(crate) fn walk_attribute_groups<'c>(
+    pairs: &[(&'c Article, &'c Article)],
+    other: &'c Language,
+    mut visit: impl FnMut(Occurrence<'c>),
+) -> AttributeGroups {
+    let mut groups = AttributeGroups::default();
+    let mut by_raw_name: HashMap<(&Language, &str), Option<usize>> = HashMap::new();
+    for (pair, &(en_article, other_article)) in pairs.iter().enumerate() {
+        for (language, article) in [(&ENGLISH, en_article), (other, other_article)] {
+            for (position, attr) in article.infobox.attributes.iter().enumerate() {
+                let group = *by_raw_name
+                    .entry((language, attr.name.as_str()))
+                    .or_insert_with(|| groups.group_of(language, attr.normalized_name()));
+                if let Some(group) = group {
+                    visit(Occurrence {
+                        pair,
+                        group,
+                        language,
+                        article,
+                        position,
+                    });
+                }
+            }
+        }
+    }
+    groups
+}
+
 /// Per-attribute term-occurrence streams recorded while walking the corpus,
 /// before the type's vocabulary is frozen: each channel is a list of
 /// *provisional* arena-builder ids, one per token occurrence.
 struct AttributeCollector {
-    language: Language,
-    name: String,
     occurrences: usize,
     values: Vec<u32>,
     raw_values: Vec<u32>,
@@ -101,10 +210,8 @@ struct AttributeCollector {
 }
 
 impl AttributeCollector {
-    fn new(language: Language, name: String, dual_count: usize) -> Self {
+    fn new(dual_count: usize) -> Self {
         Self {
-            language,
-            name,
             occurrences: 0,
             values: Vec::new(),
             raw_values: Vec::new(),
@@ -142,75 +249,75 @@ impl DualSchema {
         dictionary: &TitleDictionary,
     ) -> Self {
         let _span = wiki_obs::Span::enter("schema_build");
-        let english = Language::En;
         let clusters = corpus.entity_clusters();
-
-        // Collect the dual-language infobox pairs of this type.
-        let pairs: Vec<_> = corpus
-            .cross_language_pairs(&english, other)
-            .into_iter()
-            .filter_map(|(en_id, other_id)| {
-                let en_article = corpus.get(en_id)?;
-                let other_article = corpus.get(other_id)?;
-                (en_article.entity_type == label_en && other_article.entity_type == label_other)
-                    .then_some((en_article, other_article))
-            })
-            .collect();
+        let pairs = dual_pairs(corpus, other, label_other, label_en);
         let dual_count = pairs.len();
 
         // Pass 1 — walk the corpus once, interning every token into a
         // provisional vocabulary and recording per-attribute occurrence
         // streams. No translation happens here: the dictionary is consulted
         // once per *distinct* term below, not once per occurrence.
+        //
+        // String work is done once per distinct string. A value string's
+        // first occurrence tokenizes it, interning its value tokens and then
+        // its raw atoms into `value_ids`, and `value_spans` records where
+        // the two runs start and end; a repeat copies those ids. A link
+        // target is resolved to its cluster's token once, and a cluster's
+        // token is spelled once. A first occurrence interns what a
+        // per-occurrence walk interns there, in the same order, so every
+        // provisional id is unchanged.
         let intern_span = wiki_obs::Span::enter("arena_intern");
         let mut terms = TermArenaBuilder::new();
         let mut collectors: Vec<AttributeCollector> = Vec::new();
-        let mut index: HashMap<(Language, String), usize> = HashMap::new();
+        let mut value_spans: HashMap<&str, [usize; 3]> = HashMap::new();
+        let mut value_ids: Vec<u32> = Vec::new();
+        let mut link_ids: HashMap<(&Language, &str), Option<u32>> = HashMap::new();
+        let mut cluster_ids: HashMap<ArticleId, u32> = HashMap::new();
 
-        for (j, (en_article, other_article)) in pairs.iter().enumerate() {
-            for (language, article) in [(&english, en_article), (other, other_article)] {
-                for attr in &article.infobox.attributes {
-                    let name = attr.normalized_name();
-                    if name.is_empty() {
-                        continue;
-                    }
-                    let key = (language.clone(), name.clone());
-                    let idx = *index.entry(key).or_insert_with(|| {
-                        collectors.push(AttributeCollector::new(
-                            language.clone(),
-                            name.clone(),
-                            dual_count,
-                        ));
-                        collectors.len() - 1
-                    });
-                    let stats = &mut collectors[idx];
-                    if !stats.occurrence_pattern[j] {
-                        stats.occurrence_pattern[j] = true;
-                        stats.occurrences += 1;
-                    }
+        let groups = walk_attribute_groups(&pairs, other, |occurrence| {
+            if occurrence.group == collectors.len() {
+                collectors.push(AttributeCollector::new(dual_count));
+            }
+            let stats = &mut collectors[occurrence.group];
+            if !stats.occurrence_pattern[occurrence.pair] {
+                stats.occurrence_pattern[occurrence.pair] = true;
+                stats.occurrences += 1;
+            }
+            let attr = occurrence.attribute();
+            let [start, split, end] =
+                *value_spans.entry(attr.value.as_str()).or_insert_with(|| {
+                    let start = value_ids.len();
                     // Canonical value tokens (dates/numbers normalised).
                     for token in tokenize_value(&attr.value) {
-                        stats.values.push(terms.intern_owned(token));
+                        value_ids.push(terms.intern_owned(token));
                     }
+                    let split = value_ids.len();
                     // Raw value atoms (surface strings as written).
                     for atom in split_value_atoms(&attr.value) {
-                        stats.raw_values.push(terms.intern_owned(atom));
+                        value_ids.push(terms.intern_owned(atom));
                     }
-                    // Link tokens: the cross-language cluster of the landing
-                    // article, so the same real-world entity yields the same
-                    // token regardless of language.
-                    for link in &attr.links {
-                        if let Some(target) = corpus.get_by_title(language, &link.target) {
-                            if let Some(cluster) = clusters.cluster_of(target.id) {
-                                stats
-                                    .links
-                                    .push(terms.intern_owned(format!("e{}", cluster.0)));
-                            }
-                        }
-                    }
-                }
+                    [start, split, value_ids.len()]
+                });
+            stats.values.extend_from_slice(&value_ids[start..split]);
+            stats.raw_values.extend_from_slice(&value_ids[split..end]);
+            // Link tokens: the cross-language cluster of the landing
+            // article, so the same real-world entity yields the same token
+            // regardless of language.
+            for link in &attr.links {
+                let token = *link_ids
+                    .entry((occurrence.language, link.target.as_str()))
+                    .or_insert_with(|| {
+                        let target = corpus.get_by_title(occurrence.language, &link.target)?;
+                        let cluster = clusters.cluster_of(target.id)?;
+                        Some(
+                            *cluster_ids
+                                .entry(cluster)
+                                .or_insert_with(|| terms.intern_owned(format!("e{}", cluster.0))),
+                        )
+                    });
+                stats.links.extend(token);
             }
-        }
+        });
 
         intern_span.finish();
 
@@ -220,7 +327,10 @@ impl DualSchema {
         // arena of the type.
         let (raw_arena, prov_to_raw) = terms.freeze();
         let mut needs_translation = vec![false; raw_arena.len()];
-        for collector in collectors.iter().filter(|c| &c.language == other) {
+        for (collector, (language, _)) in collectors.iter().zip(&groups.keys) {
+            if language != other {
+                continue;
+            }
             for &prov in collector.values.iter().chain(&collector.raw_values) {
                 needs_translation[prov_to_raw[prov as usize] as usize] = true;
             }
@@ -241,12 +351,14 @@ impl DualSchema {
             freeze_remap[raw_to_translated[prov_to_raw[prov as usize] as usize] as usize]
         };
 
+        let AttributeGroups { keys, index } = groups;
         let attributes = collectors
             .into_iter()
-            .map(|collector| {
+            .zip(keys)
+            .map(|(collector, (language, name))| {
                 let values = vector_from_occurrences(&arena, &collector.values, final_of);
                 let raw_values = vector_from_occurrences(&arena, &collector.raw_values, final_of);
-                let (translated_values, translated_raw_values) = if collector.language == *other {
+                let (translated_values, translated_raw_values) = if language == *other {
                     (
                         vector_from_occurrences(&arena, &collector.values, translated_of),
                         vector_from_occurrences(&arena, &collector.raw_values, translated_of),
@@ -257,8 +369,8 @@ impl DualSchema {
                 };
                 let links = vector_from_occurrences(&arena, &collector.links, final_of);
                 AttributeStats {
-                    language: collector.language,
-                    name: collector.name,
+                    language,
+                    name,
                     occurrences: collector.occurrences,
                     values,
                     translated_values,
@@ -271,7 +383,7 @@ impl DualSchema {
             .collect();
 
         Self {
-            languages: (other.clone(), english),
+            languages: (other.clone(), ENGLISH.clone()),
             label_other: label_other.to_string(),
             label_en: label_en.to_string(),
             attributes,

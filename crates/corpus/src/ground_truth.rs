@@ -117,12 +117,45 @@ impl TypeGroundTruth {
     }
 
     /// All gold cross-language pairs `(a in l1, b in l2)`, sorted.
+    ///
+    /// These are the [`Self::correspondents`] in `l2` of every name of
+    /// [`Self::attributes_in`]`(l1)`, found through two indexes built once
+    /// per call — the first `l1` sense of each name, which is the sense
+    /// [`Self::concepts_of`] finds, and the `l2` names of each concept —
+    /// instead of a scan of every sense for every name.
     pub fn gold_cross_pairs(&self, l1: &Language, l2: &Language) -> Vec<(String, String)> {
+        let mut first_sense: HashMap<&str, &BTreeSet<String>> = HashMap::new();
+        let mut names_of: HashMap<&str, Vec<&str>> = HashMap::new();
+        for sense in &self.senses {
+            if &sense.language == l1 {
+                first_sense.entry(&sense.name).or_insert(&sense.concepts);
+            }
+            if &sense.language == l2 {
+                for concept in &sense.concepts {
+                    names_of.entry(concept).or_default().push(&sense.name);
+                }
+            }
+        }
         let mut pairs = Vec::new();
         for a in self.attributes_in(l1) {
-            for b in self.correspondents(l1, &a, l2) {
-                pairs.push((a.clone(), b));
-            }
+            // `concepts_of` looks a name up by its label form, which a
+            // stored name need not be ("top 10" is looked up as "top").
+            let Some(concepts) = first_sense.get(wiki_text::normalize_label(&a).as_str()) else {
+                continue;
+            };
+            let mut correspondents: Vec<&str> = concepts
+                .iter()
+                .filter_map(|concept| names_of.get(concept.as_str()))
+                .flatten()
+                .copied()
+                .collect();
+            correspondents.sort_unstable();
+            correspondents.dedup();
+            pairs.extend(
+                correspondents
+                    .into_iter()
+                    .map(|b| (a.clone(), b.to_string())),
+            );
         }
         pairs.sort();
         pairs.dedup();
@@ -276,6 +309,98 @@ mod tests {
         assert_eq!(pairs.len(), 4);
         assert!(pairs.contains(&("died".into(), "falecimento".into())));
         assert_eq!(gt.total_cross_pairs(&Language::En, &Language::Pt), 4);
+    }
+
+    /// `gold_cross_pairs` as it was before its indexes: the correspondents
+    /// of every name, each found by a scan of every sense.
+    fn quadratic_gold_cross_pairs(
+        truth: &TypeGroundTruth,
+        l1: &Language,
+        l2: &Language,
+    ) -> Vec<(String, String)> {
+        let mut pairs = Vec::new();
+        for a in truth.attributes_in(l1) {
+            for b in truth.correspondents(l1, &a, l2) {
+                pairs.push((a.clone(), b));
+            }
+        }
+        pairs.sort();
+        pairs.dedup();
+        pairs
+    }
+
+    fn assert_gold_cross_pairs_match_the_oracle(truth: &TypeGroundTruth, languages: &[Language]) {
+        for l1 in languages {
+            for l2 in languages {
+                assert_eq!(
+                    truth.gold_cross_pairs(l1, l2),
+                    quadratic_gold_cross_pairs(truth, l1, l2),
+                    "{} {l1} {l2}",
+                    truth.type_id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gold_cross_pairs_oracle_hand_built() {
+        let mut truth = TypeGroundTruth {
+            type_id: "actor".into(),
+            ..Default::default()
+        };
+        // Polysemous senses on both sides, synonyms, and a name present in
+        // both languages.
+        truth.add_sense(Language::En, "born", "birth_date");
+        truth.add_sense(Language::En, "born", "birth_place");
+        truth.add_sense(Language::En, "died", "death_date");
+        truth.add_sense(Language::En, "spouse", "spouse");
+        truth.add_sense(Language::Pt, "nascimento", "birth_date");
+        truth.add_sense(Language::Pt, "nascimento", "birth_place");
+        truth.add_sense(Language::Pt, "local de nascimento", "birth_place");
+        truth.add_sense(Language::Pt, "falecimento", "death_date");
+        truth.add_sense(Language::Pt, "morte", "death_date");
+        truth.add_sense(Language::Pt, "spouse", "spouse");
+        // A concept with no Portuguese sense.
+        truth.add_sense(Language::En, "website", "website");
+        // Stored as "top 10", which `normalize_label` maps to "top": the
+        // lookup finds the "top" sense, and without one finds nothing.
+        truth.add_sense(Language::En, "Top 10 2", "ranking");
+        truth.add_sense(Language::Pt, "classificacao", "ranking");
+        truth.add_sense(Language::Pt, "Top 10 2", "ranking");
+        truth.add_sense(Language::En, "top", "award");
+        truth.add_sense(Language::Pt, "premio", "award");
+        // A name whose senses were pushed twice by hand: the first one wins.
+        truth.senses.push(AttributeSense {
+            language: Language::En,
+            name: "died".into(),
+            concepts: BTreeSet::from(["spouse".to_string()]),
+        });
+        assert!(truth
+            .senses
+            .iter()
+            .any(|s| s.name == "top 10" && s.language == Language::En));
+        let languages = [Language::En, Language::Pt, Language::Vn];
+        assert_gold_cross_pairs_match_the_oracle(&truth, &languages);
+        let pairs = truth.gold_cross_pairs(&Language::En, &Language::Pt);
+        assert!(pairs.contains(&("top 10".into(), "premio".into())));
+        assert!(!pairs.contains(&("top 10".into(), "classificacao".into())));
+        assert!(!pairs.iter().any(|(a, _)| a == "website"));
+        assert!(pairs.contains(&("spouse".into(), "spouse".into())));
+    }
+
+    #[test]
+    fn gold_cross_pairs_oracle_generated_tiers() {
+        use crate::{Dataset, ScaleTier};
+        for tier in [ScaleTier::Tiny, ScaleTier::Small, ScaleTier::Medium] {
+            for language in [Language::Pt, Language::Vn] {
+                let dataset = Dataset::generate(language.clone(), &tier.config());
+                let languages = [language.clone(), Language::En];
+                for type_id in dataset.ground_truth.type_ids() {
+                    let truth = dataset.ground_truth.for_type(type_id).unwrap();
+                    assert_gold_cross_pairs_match_the_oracle(truth, &languages);
+                }
+            }
+        }
     }
 
     #[test]

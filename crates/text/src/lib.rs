@@ -10,9 +10,12 @@
 //!   string-keyed results bit for bit.
 //! * [`mod@normalize`] — Unicode-aware lowercasing, diacritic folding for the
 //!   Latin-based languages used in the paper (English, Portuguese,
-//!   Vietnamese) and whitespace/punctuation canonicalisation.
+//!   Vietnamese) and whitespace/punctuation canonicalisation. Input that
+//!   folds to ASCII takes a one-pass fast path; any other input falls back
+//!   to the general path, which defines the result.
 //! * [`tokenize`] — word and value tokenisation used when building attribute
-//!   value vectors.
+//!   value vectors. An atom without an ASCII digit is text without a date
+//!   or number parse, and a chunk without a comma reuses its own parse.
 //! * [`vector`] — sparse term-frequency vectors with cosine similarity, the
 //!   workhorse of the paper's `vsim`/`lsim` measures.
 //! * [`region`] — the [`ByteRegion`] handle that lets arenas and vectors
@@ -33,6 +36,8 @@
 
 pub mod arena;
 pub mod normalize;
+#[cfg(test)]
+mod oracle;
 pub mod region;
 pub mod strsim;
 pub mod tokenize;

@@ -6,6 +6,14 @@
 //! measures in the paper operate on *normalised* tokens, so every string that
 //! enters a vector or a dictionary passes through [`normalize`] (values) or
 //! [`normalize_label`] (attribute names / entity-type labels).
+//!
+//! [`normalize`] is defined by its general path: fold diacritics, lowercase
+//! the whole string with Unicode rules, then collapse it character by
+//! character. Nearly every corpus string folds to ASCII, and for those it
+//! takes a fast path that folds, lowercases and collapses in one pass into
+//! one buffer, with the same result. The first character that does not fold
+//! to ASCII sends the whole input back to the general path, which stays the
+//! only path for such input.
 
 /// Folds Latin diacritics to their base ASCII character.
 ///
@@ -83,6 +91,9 @@ fn fold_char(c: char) -> char {
 /// assert_eq!(normalize("Estados Unidos"), "estados unidos");
 /// ```
 pub fn normalize(input: &str) -> String {
+    if let Some(out) = normalize_folding_to_ascii(input) {
+        return out;
+    }
     let folded = fold_diacritics(input).to_lowercase();
     let chars: Vec<char> = folded.chars().collect();
     let mut out = String::with_capacity(folded.len());
@@ -95,27 +106,55 @@ pub fn normalize(input: &str) -> String {
             && i + 1 < chars.len()
             && chars[i - 1].is_ascii_digit()
             && chars[i + 1].is_ascii_digit();
-        let mapped = if c.is_alphanumeric() || decimal_point {
-            Some(c)
-        } else if c.is_whitespace() || is_separator(c) {
-            Some(' ')
-        } else {
-            None
-        };
-        match mapped {
-            Some(' ') if !last_space => {
-                out.push(' ');
-                last_space = true;
-            }
-            // A space following a space is swallowed.
-            Some(' ') => {}
-            Some(ch) => {
-                out.push(ch);
-                last_space = false;
-            }
-            None => {}
-        }
+        push_collapsed(&mut out, c, decimal_point, &mut last_space);
     }
+    trim_trailing_space(out)
+}
+
+/// [`normalize`] in one pass into one buffer, for input whose every
+/// character folds to ASCII; `None` for any other input, which takes the
+/// general path.
+///
+/// Over such input, lowercasing the folded string is ASCII lowercasing
+/// character by character, and a neighbour of a `.` is an ASCII digit after
+/// folding exactly when it is one before (the fold table maps letters to
+/// letters), so the result is the general path's. Other input may lowercase
+/// by context (`Σ` at a word end), grow a character into two (`İ`) or turn
+/// a non-ASCII character into an ASCII one (U+212A KELVIN SIGN).
+fn normalize_folding_to_ascii(input: &str) -> Option<String> {
+    let mut out = String::with_capacity(input.len());
+    let mut last_space = true;
+    let mut after_digit = false;
+    let mut chars = input.chars().peekable();
+    while let Some(c) = chars.next() {
+        let c = fold_char(c);
+        if !c.is_ascii() {
+            return None;
+        }
+        let c = c.to_ascii_lowercase();
+        let decimal_point =
+            c == '.' && after_digit && chars.peek().is_some_and(char::is_ascii_digit);
+        after_digit = c.is_ascii_digit();
+        push_collapsed(&mut out, c, decimal_point, &mut last_space);
+    }
+    Some(trim_trailing_space(out))
+}
+
+/// Appends one folded, lowercased character as [`normalize`] maps it:
+/// alphanumerics and kept decimal points as themselves, whitespace and
+/// separators as a single space (none at the start, none after a space),
+/// anything else not at all.
+fn push_collapsed(out: &mut String, c: char, decimal_point: bool, last_space: &mut bool) {
+    if c.is_alphanumeric() || decimal_point {
+        out.push(c);
+        *last_space = false;
+    } else if (c.is_whitespace() || is_separator(c)) && !*last_space {
+        out.push(' ');
+        *last_space = true;
+    }
+}
+
+fn trim_trailing_space(mut out: String) -> String {
     while out.ends_with(' ') {
         out.pop();
     }

@@ -67,6 +67,14 @@ pub fn tokenize_value(input: &str) -> Vec<String> {
             out.push(parsed.canonical_token());
             continue;
         }
+        // A chunk without a comma is its own only atom, already parsed.
+        if !chunk.contains(',') {
+            let token = parsed.canonical_token();
+            if !token.is_empty() {
+                out.push(token);
+            }
+            continue;
+        }
         for atom in chunk.split(',') {
             let atom = atom.trim();
             if atom.is_empty() {

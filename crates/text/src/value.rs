@@ -167,7 +167,7 @@ fn parse_number_token(token: &str) -> Option<f64> {
 /// * `ngay 18 thang 12 nam 1950`, `18 thang 12 1950` (Vietnamese)
 /// * `1950 12 18` / `1950-12-18` (ISO, separators already normalised)
 /// * bare four-digit years
-fn parse_date(norm: &str) -> Option<CanonicalValue> {
+pub(crate) fn parse_date(norm: &str) -> Option<CanonicalValue> {
     let tokens: Vec<&str> = norm
         .split_whitespace()
         // Portuguese "de", Vietnamese "ngày/tháng/năm" and English "of" are
@@ -240,7 +240,7 @@ fn parse_date(norm: &str) -> Option<CanonicalValue> {
 }
 
 /// Parses a numeric value with optional magnitude word and unit.
-fn parse_number(norm: &str) -> Option<CanonicalValue> {
+pub(crate) fn parse_number(norm: &str) -> Option<CanonicalValue> {
     let tokens: Vec<&str> = norm.split_whitespace().collect();
     if tokens.is_empty() || tokens.len() > 3 {
         return None;
@@ -263,7 +263,8 @@ fn parse_number(norm: &str) -> Option<CanonicalValue> {
 ///
 /// The atom is normalised first; date interpretation is attempted before
 /// numeric interpretation so that `"december 18 1950"` does not degrade into
-/// the number 18.
+/// the number 18. Both need an ASCII digit (a year, a day or the number
+/// itself), so an atom without one is text at once.
 ///
 /// ```
 /// use wiki_text::{parse_value, CanonicalValue};
@@ -279,8 +280,8 @@ fn parse_number(norm: &str) -> Option<CanonicalValue> {
 /// ```
 pub fn parse_value(atom: &str) -> CanonicalValue {
     let norm = normalize(atom);
-    if norm.is_empty() {
-        return CanonicalValue::Text(String::new());
+    if !norm.bytes().any(|b| b.is_ascii_digit()) {
+        return CanonicalValue::Text(norm);
     }
     if let Some(date) = parse_date(&norm) {
         return date;
