@@ -5,14 +5,15 @@
 //! For each tier the Pt-En film schema is built once, then the full
 //! `SimilarityTable` construction is timed in two compute modes:
 //!
-//! * **pruned** — the exact baseline: the candidate index, every
-//!   non-certified-zero channel cosine and the LSI fit (scores are then
-//!   answered on demand from the factors);
-//! * **filtered** — prefix-mass / shared-count upper bounds skip every pair
-//!   that provably cannot reach the score threshold, without building the
-//!   candidate index's all-pairs bitsets. Surviving scores are
-//!   bit-identical to the exact table (asserted in-run against the pruned
-//!   oracle).
+//! * **pruned** — the exact baseline: candidate generation (every pair
+//!   that shares a value or link term), every non-certified-zero channel
+//!   cosine and the LSI fit (scores are then answered on demand from the
+//!   factors);
+//! * **filtered** — the same candidate generation, whose admission
+//!   predicates are prefix-mass / shared-count upper bounds: they skip
+//!   every pair that provably cannot reach the score threshold. Surviving
+//!   scores are bit-identical to the exact table (asserted in-run against
+//!   the pruned oracle).
 //!
 //! Each mode's [`PairCounts`] (channel cosines scored versus pruned) is
 //! recorded per tier — the same gauges `matchd` exposes on `/stats`.

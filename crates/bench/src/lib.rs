@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod kernels;
 pub mod report;
 
 pub use experiments::{ExperimentContext, StandardDatasets};

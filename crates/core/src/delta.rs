@@ -37,10 +37,11 @@ use wiki_text::{normalize, tokenize_value, TermVector};
 use wiki_translate::TitleDictionary;
 
 use crate::engine::PreparedType;
+use crate::filter::candidate_pairs;
 use crate::schema::{
-    dual_pairs, walk_attribute_groups, AttributeGroups, AttributeStats, CandidateIndex, DualSchema,
+    dual_pairs, walk_attribute_groups, AttributeGroups, AttributeStats, DualSchema,
 };
-use crate::similarity::{lsim, vsim, Evidence, SimilarityTable};
+use crate::similarity::{Evidence, SimilarityTable};
 
 /// One entity mutation of a [`CorpusDelta`].
 #[derive(Debug, Clone, PartialEq)]
@@ -678,28 +679,26 @@ pub(crate) fn patch_prepared_type(
         dual_count,
         arena,
     );
-    let index = CandidateIndex::build(&schema);
+    let candidates = candidate_pairs(&schema, |_, _, _| true, |_, _, _| true);
 
-    // Evidence pass over the new index's candidates, under the gating of a
-    // cold build — but a pair whose two endpoints are clean copies its
-    // cosines from the old table.
+    // Evidence pass over the new schema's candidates, scored as in a cold
+    // build — but a pair whose two endpoints are clean copies its cosines
+    // from the old table.
     let n = schema.len();
     let old_table = &old.table;
     let mut evidence = Evidence::builder();
-    index.for_each_candidate(|p, q, value, link| {
-        let (vsim_score, lsim_score) = if !dirty[p] && !dirty[q] {
+    for candidate in candidates {
+        let (p, q) = (candidate.p as usize, candidate.q as usize);
+        let (vsim, lsim) = if !dirty[p] && !dirty[q] {
             old_table.evidence_of(
                 old_of[p].expect("clean attrs map to the old schema"),
                 old_of[q].expect("clean attrs map to the old schema"),
             )
         } else {
-            (
-                if value { vsim(&schema, p, q) } else { 0.0 },
-                if link { lsim(&schema, p, q) } else { 0.0 },
-            )
+            candidate.scores(&schema)
         };
-        evidence.push(p, q, vsim_score, lsim_score);
-    });
+        evidence.push(p, q, vsim, lsim);
+    }
     // Every pair with a dirty endpoint counts as recomputed, candidate or
     // not; all other pairs keep their exact bits.
     let pair_count = |k: u64| k * k.saturating_sub(1) / 2;

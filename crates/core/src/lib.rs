@@ -121,11 +121,8 @@ pub use delta::{CorpusDelta, DeltaOp, DeltaReport};
 pub use direct::MappedSnapshot;
 pub use engine::{EngineStats, MatchEngine, MatchEngineBuilder, PreparedType, SchemaMatcher};
 pub use matches::{MatchCluster, MatchSet};
-pub use pipeline::{TypeAlignment, WikiMatch};
-// `schema::CandidateIndex` / `schema::PairSet` are deliberately not
-// re-exported here: they are pruning machinery consumed by the similarity
-// build, reachable for the curious but outside the headline API surface.
 pub use mmap::MappedRegion;
+pub use pipeline::{TypeAlignment, WikiMatch};
 pub use schema::{AttributeStats, DualSchema};
 pub use similarity::{
     CandidatePair, ComputeMode, PairCounts, ParseComputeModeError, SimilarityTable,

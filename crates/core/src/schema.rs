@@ -23,8 +23,6 @@ use wiki_text::tokenize::split_value_atoms;
 use wiki_text::{tokenize_value, TermArena, TermArenaBuilder, TermVector};
 use wiki_translate::TitleDictionary;
 
-use crate::similarity::{triangular_index, PairCursor};
-
 /// Pooled evidence for one attribute label of one language.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeStats {
@@ -409,8 +407,8 @@ impl DualSchema {
     ) -> Self {
         // Unify the vocabulary: callers may hand in vectors on arbitrary
         // (per-vector) arenas; every vector is rebuilt against the union so
-        // the schema upholds the one-arena invariant the candidate index
-        // and the snapshot encoder rely on.
+        // the schema upholds the one-arena invariant the candidate
+        // generator's id-keyed postings and the snapshot encoder rely on.
         let mut terms = TermArenaBuilder::new();
         for attr in &attributes {
             for vector in [
@@ -583,168 +581,6 @@ impl DualSchema {
     }
 }
 
-/// A bit-packed set of unordered attribute pairs `(p, q)` with `p != q`.
-///
-/// Backs the [`CandidateIndex`]: bit `i` is the pair at canonical position
-/// `i`, so a membership test is a single word load and the set's pairs come
-/// out in canonical order by walking its set bits.
-#[derive(Debug, Clone)]
-pub struct PairSet {
-    n: usize,
-    words: Vec<u64>,
-}
-
-impl PairSet {
-    /// Creates an empty set over `n` attributes, backed by one bit per
-    /// strict-upper-triangle pair (`n·(n-1)/2` bits).
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            words: vec![0u64; (n * n.saturating_sub(1) / 2).div_ceil(64)],
-        }
-    }
-
-    fn bit(&self, p: usize, q: usize) -> (usize, u64) {
-        let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-        let idx = triangular_index(self.n, lo, hi);
-        (idx / 64, 1u64 << (idx % 64))
-    }
-
-    /// Inserts the unordered pair `(p, q)`; ignores `p == q`.
-    pub fn insert(&mut self, p: usize, q: usize) {
-        if p == q {
-            return;
-        }
-        let (word, mask) = self.bit(p, q);
-        self.words[word] |= mask;
-    }
-
-    /// True when the unordered pair `(p, q)` is in the set.
-    pub fn contains(&self, p: usize, q: usize) -> bool {
-        if p == q {
-            return false;
-        }
-        let (word, mask) = self.bit(p, q);
-        self.words[word] & mask != 0
-    }
-
-    /// Number of pairs in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no pair has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-}
-
-/// Inverted index over the schema's attribute terms, used to prune the
-/// similarity-table build.
-///
-/// For every term of every attribute's value vectors (raw **and**
-/// dictionary-translated, so both the same-language and the cross-language
-/// variant of `vsim` are covered) the index records which attributes
-/// contain it; the same is done for link-cluster tokens. Postings are keyed
-/// by the schema arena's dense `u32` term ids — a flat `Vec` indexed by id
-/// instead of a string-hashed map, so building the index neither hashes nor
-/// compares a single string. Two attributes are a *value candidate* (resp.
-/// *link candidate*) when they share at least one such term. Because all
-/// vector weights are positive term counts, a pair that is **not** a
-/// candidate provably has a cosine of exactly `0.0` — so the pruned
-/// [`crate::similarity::SimilarityTable`] build can skip the cosine and
-/// write `0.0` without changing any result bit.
-#[derive(Debug, Clone)]
-pub struct CandidateIndex {
-    value_pairs: PairSet,
-    link_pairs: PairSet,
-}
-
-impl CandidateIndex {
-    /// Builds the index over all attributes of a schema.
-    pub fn build(schema: &DualSchema) -> Self {
-        let _span = wiki_obs::Span::enter("candidate_index");
-        let n = schema.len();
-        // Dense id-indexed postings over the schema's shared vocabulary.
-        let n_terms = schema.arena().len();
-        let mut value_postings: Vec<Vec<u32>> = vec![Vec::new(); n_terms];
-        let mut link_postings: Vec<Vec<u32>> = vec![Vec::new(); n_terms];
-        for (i, attr) in schema.attributes.iter().enumerate() {
-            // Union of raw and translated value terms: `vsim` compares raw
-            // vectors for same-language pairs and translated vectors for
-            // cross-language pairs, and a sound candidate test must cover
-            // both.
-            attr.values.union_ids(&attr.translated_values, |id| {
-                value_postings[id as usize].push(i as u32);
-            });
-            for (id, _) in attr.links.id_entries() {
-                link_postings[*id as usize].push(i as u32);
-            }
-        }
-        Self {
-            value_pairs: postings_to_pairs(n, &value_postings),
-            link_pairs: postings_to_pairs(n, &link_postings),
-        }
-    }
-
-    /// True when `p` and `q` share at least one value term (raw or
-    /// translated) — i.e. `vsim` may be non-zero.
-    pub fn value_candidate(&self, p: usize, q: usize) -> bool {
-        self.value_pairs.contains(p, q)
-    }
-
-    /// True when `p` and `q` share at least one link-cluster token — i.e.
-    /// `lsim` may be non-zero.
-    pub fn link_candidate(&self, p: usize, q: usize) -> bool {
-        self.link_pairs.contains(p, q)
-    }
-
-    /// Number of value-candidate pairs.
-    pub fn value_candidates(&self) -> usize {
-        self.value_pairs.len()
-    }
-
-    /// Number of link-candidate pairs.
-    pub fn link_candidates(&self) -> usize {
-        self.link_pairs.len()
-    }
-
-    /// Calls `f(p, q, value, link)` for every pair that is a value or a
-    /// link candidate, in canonical order, by walking the set bits of the
-    /// two pair sets' union: O(n²/64 + candidates), no per-pair test.
-    pub(crate) fn for_each_candidate(&self, mut f: impl FnMut(usize, usize, bool, bool)) {
-        // `insert` sets no padding bit past the last pair, so every set bit
-        // names a pair.
-        let mut cursor = PairCursor::new(self.value_pairs.n);
-        let words = self.value_pairs.words.iter().zip(&self.link_pairs.words);
-        for (w, (&value, &link)) in words.enumerate() {
-            let mut bits = value | link;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let (p, q) = cursor.locate(w * 64 + bit as usize);
-                f(p, q, value >> bit & 1 == 1, link >> bit & 1 == 1);
-            }
-        }
-    }
-}
-
-/// Expands per-term postings into the pair set of attributes sharing a
-/// term. Postings are visited in term-id order, so the construction is
-/// fully deterministic (the string-keyed predecessor iterated a `HashMap`;
-/// the resulting set was identical, but the insertion order was not).
-fn postings_to_pairs(n: usize, postings: &[Vec<u32>]) -> PairSet {
-    let mut pairs = PairSet::new(n);
-    for attrs in postings {
-        for (i, &p) in attrs.iter().enumerate() {
-            for &q in &attrs[i + 1..] {
-                pairs.insert(p as usize, q as usize);
-            }
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,36 +729,27 @@ mod tests {
     }
 
     #[test]
-    fn pair_set_insert_and_lookup_are_order_insensitive() {
-        let mut set = PairSet::new(5);
-        assert!(set.is_empty());
-        set.insert(3, 1);
-        set.insert(2, 2); // ignored: p == q
-        assert!(set.contains(1, 3));
-        assert!(set.contains(3, 1));
-        assert!(!set.contains(2, 2));
-        assert!(!set.contains(0, 4));
-        assert_eq!(set.len(), 1);
-        set.insert(1, 3); // duplicate
-        assert_eq!(set.len(), 1);
-    }
-
-    #[test]
     fn candidate_index_is_sound_for_vsim_and_lsim() {
         let corpus = tiny_corpus();
         let schema = build_schema(&corpus);
-        let index = CandidateIndex::build(&schema);
+        let candidates = crate::filter::candidate_pairs(&schema, |_, _, _| true, |_, _, _| true);
+        let candidate = |p: usize, q: usize| {
+            candidates
+                .iter()
+                .find(|c| (c.p as usize, c.q as usize) == (p.min(q), p.max(q)))
+        };
         for p in 0..schema.len() {
             for q in (p + 1)..schema.len() {
                 let a = schema.attribute(p);
                 let b = schema.attribute(q);
-                // Soundness: a non-candidate pair must have exactly zero
-                // similarity on the corresponding evidence channel.
-                if !index.value_candidate(p, q) {
+                // Soundness: a pair the generator does not flag on a
+                // channel must have exactly zero similarity on it.
+                let (value, link) = candidate(p, q).map_or((false, false), |c| (c.value, c.link));
+                if !value {
                     assert_eq!(a.values.cosine(&b.values), 0.0);
                     assert_eq!(a.translated_values.cosine(&b.translated_values), 0.0);
                 }
-                if !index.link_candidate(p, q) {
+                if !link {
                     assert_eq!(a.links.cosine(&b.links), 0.0);
                 }
             }
@@ -932,13 +759,13 @@ mod tests {
         // numeric token but no links.
         let directed = schema.index_of(&Language::En, "directed by").unwrap();
         let direcao = schema.index_of(&Language::Pt, "direção").unwrap();
-        assert!(index.value_candidate(directed, direcao));
-        assert!(index.link_candidate(directed, direcao));
+        let both = candidate(directed, direcao).expect("a candidate pair");
+        assert!(both.value && both.link);
         let time = schema.index_of(&Language::En, "running time").unwrap();
         let duracao = schema.index_of(&Language::Pt, "duração").unwrap();
-        assert!(index.value_candidate(time, duracao));
-        assert!(!index.link_candidate(time, duracao));
-        assert!(index.value_candidates() >= 2);
+        let value_only = candidate(time, duracao).expect("a candidate pair");
+        assert!(value_only.value && !value_only.link);
+        assert!(candidates.iter().filter(|c| c.value).count() >= 2);
     }
 
     #[test]

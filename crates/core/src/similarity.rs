@@ -33,7 +33,8 @@ use serde::{Deserialize, Serialize};
 use wiki_linalg::{LsiConfig, LsiModel, Matrix};
 use wiki_text::ByteRegion;
 
-use crate::schema::{CandidateIndex, DualSchema};
+use crate::filter::candidate_pairs;
+use crate::schema::DualSchema;
 
 /// How [`SimilarityTable::compute`] traverses the attribute-pair space.
 ///
@@ -47,11 +48,12 @@ use crate::schema::{CandidateIndex, DualSchema};
 /// the table.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ComputeMode {
-    /// Candidate-pruned build (the default): a [`CandidateIndex`] over the
-    /// attributes' value and link terms decides which pairs can have
-    /// non-zero `vsim` / `lsim`; only those cosines are computed, by
-    /// walking the index's set bits (non-candidates are exactly `0.0` by
-    /// construction), and LSI is scored on demand from the fitted factors.
+    /// Candidate-pruned build (the default): a join over the attributes'
+    /// value and link term postings (see [`crate::filter`]) finds the pairs
+    /// that share a term, which are the only pairs that can have non-zero
+    /// `vsim` / `lsim`; only those cosines are computed (non-candidates are
+    /// exactly `0.0` by construction), and LSI is scored on demand from the
+    /// fitted factors.
     #[default]
     Pruned,
     /// The exact-equivalence fallback: the straightforward dense
@@ -59,8 +61,8 @@ pub enum ComputeMode {
     /// also stores every LSI score it computes. Kept as the semantic ground
     /// truth the pruned path is tested against.
     Dense,
-    /// Threshold-filtered sparse build: an index-probe pass counts shared
-    /// terms per pair and a provable weight-mass upper bound (see
+    /// Threshold-filtered sparse build: the same join counts shared terms
+    /// per pair, and a provable weight-mass upper bound (see
     /// [`crate::filter`]) skips every pair that cannot reach `threshold`
     /// on either direct channel. The table stores exactly the pairs with
     /// `vsim >= threshold` or `lsim >= threshold`; stored scores at or
@@ -249,42 +251,10 @@ pub fn lsim(schema: &DualSchema, p: usize, q: usize) -> f64 {
 }
 
 /// Position of the unordered pair `(lo, hi)`, `lo < hi < n`, in the
-/// canonical pair order: row-major over the strict upper triangle. Every
-/// persisted channel and both candidate-index bitsets use this order.
+/// canonical pair order: row-major over the strict upper triangle. The
+/// `Dense` oracle stores its LSI channel in this order.
 pub(crate) fn triangular_index(n: usize, lo: usize, hi: usize) -> usize {
     lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
-}
-
-/// Turns ascending canonical pair positions back into `(p, q)` pairs, in
-/// amortized O(1) per position.
-pub(crate) struct PairCursor {
-    n: usize,
-    p: usize,
-    row_start: usize,
-    row_end: usize,
-}
-
-impl PairCursor {
-    /// A cursor over the pairs of `n` attributes, at row 0.
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            n,
-            p: 0,
-            row_start: 0,
-            row_end: n.saturating_sub(1),
-        }
-    }
-
-    /// The pair at canonical position `index`. Positions must be below
-    /// `n·(n-1)/2` and must not decrease from one call to the next.
-    pub(crate) fn locate(&mut self, index: usize) -> (usize, usize) {
-        while index >= self.row_end {
-            self.p += 1;
-            self.row_start = self.row_end;
-            self.row_end += self.n - 1 - self.p;
-        }
-        (self.p, self.p + 1 + (index - self.row_start))
-    }
 }
 
 /// The pairs `p < q` whose direct evidence is not `+0.0` on both channels,
@@ -672,14 +642,22 @@ impl SimilarityTable {
                 (table, PairCounts::of_total(schema.len(), scored))
             }
             ComputeMode::Pruned => {
-                let index = CandidateIndex::build(schema);
+                let candidates = candidate_pairs(schema, |_, _, _| true, |_, _, _| true);
                 let _span = wiki_obs::Span::enter("similarity_pruned");
-                let table = Self::compute_pruned_with(schema, lsi_config, &index);
-                // The pruned pass evaluates exactly one cosine per
-                // candidate pair per channel; every other pair is a
-                // certified 0.0.
-                let scored = (index.value_candidates() + index.link_candidates()) as u64;
-                (table, PairCounts::of_total(schema.len(), scored))
+                // One cosine per candidate pair and channel, and the LSI
+                // factors; every other pair is a certified 0.0.
+                let n = schema.len();
+                let (mut evidence, mut scored) = (Evidence::builder(), 0);
+                for candidate in candidates {
+                    let (vsim, lsim) = candidate.scores(schema);
+                    evidence.push(candidate.p as usize, candidate.q as usize, vsim, lsim);
+                    scored += candidate.cosines();
+                }
+                let lsi = Self::fit_factors(schema, lsi_config);
+                (
+                    Self::exact(n, evidence.finish(n), lsi),
+                    PairCounts::of_total(n, scored),
+                )
             }
             ComputeMode::Filtered { threshold } => {
                 let _span = wiki_obs::Span::enter("similarity_filtered");
@@ -798,24 +776,6 @@ impl SimilarityTable {
         }
         let lsi = Arc::new(LsiSource::Channel { scores, model });
         Self::exact(n, evidence.finish(n), lsi)
-    }
-
-    /// The candidate-pruned pass: one cosine per candidate pair and
-    /// channel, found by walking the candidate index's set bits, and the
-    /// LSI factors; no per-pair work for the other pairs.
-    fn compute_pruned_with(
-        schema: &DualSchema,
-        lsi_config: LsiConfig,
-        index: &CandidateIndex,
-    ) -> Self {
-        let n = schema.len();
-        let mut evidence = Evidence::builder();
-        index.for_each_candidate(|p, q, value, link| {
-            let vsim = if value { vsim(schema, p, q) } else { 0.0 };
-            let lsim = if link { lsim(schema, p, q) } else { 0.0 };
-            evidence.push(p, q, vsim, lsim);
-        });
-        Self::exact(n, evidence.finish(n), Self::fit_factors(schema, lsi_config))
     }
 
     /// Fits the LSI model on the attribute × dual-infobox occurrence matrix.

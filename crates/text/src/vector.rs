@@ -536,25 +536,15 @@ impl TermVector {
         (self.dot(other) / denom).clamp(0.0, 1.0)
     }
 
-    /// Calls `f` once per distinct term of the union of the two vectors'
-    /// term sets, in ascending term order (an O(n + m) merge walk).
+    /// Calls `f` once per distinct term **id** of the union of the two
+    /// vectors' term sets, in ascending id order (an O(n + m) merge walk).
+    /// Both vectors must share one arena.
     ///
     /// This is the term-set primitive inverted-index builders need (e.g.
-    /// the candidate index in `wikimatch`): it lives here, next to the
-    /// sorted-entries invariant it depends on, so out-of-crate callers
-    /// never hand-roll their own walk over the representation.
-    pub fn union_terms<'a>(&'a self, other: &'a TermVector, mut f: impl FnMut(&'a str)) {
-        merge_join(self, other, |step| match step {
-            MergeStep::Left((id, _)) | MergeStep::Both((id, _), _) => f(self.arena.resolve(*id)),
-            MergeStep::Right((id, _)) => f(other.arena.resolve(*id)),
-        });
-    }
-
-    /// Calls `f` once per distinct term **id** of the union of the two
-    /// vectors' term sets, in ascending id order. Both vectors must share
-    /// one arena — this is the all-integer variant of
-    /// [`union_terms`](Self::union_terms) that the candidate index uses to
-    /// key its postings by id instead of by string.
+    /// the candidate generator in `wikimatch`, which keys its postings by
+    /// id): it lives here, next to the sorted-entries invariant it depends
+    /// on, so out-of-crate callers never hand-roll their own walk over the
+    /// representation.
     ///
     /// # Panics
     /// Panics when the vectors are backed by different arenas (their ids
@@ -734,7 +724,7 @@ enum MergeStep<'a> {
 /// terms are compared, which visits entries in exactly the same order (id
 /// order is term order within each arena), so both paths produce identical
 /// results. Every pairwise [`TermVector`] operation (`dot`, `merge`,
-/// `union_terms`, the intersection behind `jaccard`/`overlap_coefficient`)
+/// `union_ids`, the intersection behind `jaccard`/`overlap_coefficient`)
 /// instantiates this single walk, so the sorted-entries invariant has
 /// exactly one consumer to update if the representation ever changes.
 fn merge_join<'a>(a: &'a TermVector, b: &'a TermVector, mut f: impl FnMut(MergeStep<'a>)) {
@@ -1067,31 +1057,32 @@ mod tests {
     }
 
     #[test]
-    fn union_terms_visits_each_distinct_term_once_in_order() {
-        let a = TermVector::from_terms(["b", "d", "a"]);
-        let b = TermVector::from_terms(["c", "b", "e"]);
-        let mut seen = Vec::new();
-        a.union_terms(&b, |t| seen.push(t.to_string()));
-        assert_eq!(seen, vec!["a", "b", "c", "d", "e"]);
-        let mut left_only = Vec::new();
-        a.union_terms(&TermVector::new(), |t| left_only.push(t.to_string()));
-        assert_eq!(left_only, vec!["a", "b", "d"]);
-    }
-
-    #[test]
     fn union_ids_matches_union_terms_on_a_shared_arena() {
-        let a = TermVector::from_terms(["b", "d", "a"]);
-        let b = {
-            let mut v = TermVector::in_arena(Arc::clone(a.arena()));
-            v.add("b", 1.0);
-            v.add("d", 3.0);
-            v
-        };
-        let mut by_term = Vec::new();
-        a.union_terms(&b, |t| by_term.push(t.to_string()));
+        let mut builder = crate::TermArenaBuilder::new();
+        for term in ["a", "b", "c", "d"] {
+            builder.intern(term);
+        }
+        let (arena, _) = builder.freeze();
+        let a =
+            TermVector::from_ids(Arc::clone(&arena), vec![(0, 1.0), (1, 2.0), (3, 1.0)]).unwrap();
+        let b = TermVector::from_ids(arena, vec![(1, 1.0), (2, 1.0), (3, 3.0)]).unwrap();
+        // The reference: a plain merge of the two vectors' id entries.
+        let ids = |v: &TermVector| v.id_entries().iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        let mut merged = ids(&a);
+        merged.extend(ids(&b));
+        merged.sort_unstable();
+        merged.dedup();
         let mut by_id = Vec::new();
-        a.union_ids(&b, |id| by_id.push(a.arena().resolve(id).to_string()));
-        assert_eq!(by_term, by_id);
+        a.union_ids(&b, |id| by_id.push(id));
+        assert_eq!(by_id, merged);
+        let terms: Vec<&str> = by_id.iter().map(|&id| a.arena().resolve(id)).collect();
+        assert_eq!(terms, vec!["a", "b", "c", "d"]);
+        // An empty side contributes nothing.
+        let mut left_only = Vec::new();
+        a.union_ids(&TermVector::in_arena(Arc::clone(a.arena())), |id| {
+            left_only.push(id)
+        });
+        assert_eq!(left_only, ids(&a));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   threshold on both direct channels under the `Dense` reference pass;
 //! * every stored pair's at-threshold channels and LSI score are
 //!   bit-identical (`f64::to_bits`) to the dense table's;
+//! * the exact (`Pruned`) build scores one cosine per pair and channel on
+//!   which the pair shares a term, and no other (a brute-force count);
 //! * the operations that contractually require exactness (snapshot
 //!   capture/restore) refuse sparse engines outright.
 //!
@@ -24,7 +26,7 @@ use wikimatch_suite::adversarial::{adversarial_pt_en, AdversarialFlavor};
 use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Dataset, ScaleTier, SyntheticConfig};
-use wikimatch::{ComputeMode, MatchEngine, SnapshotError};
+use wikimatch::{AttributeStats, ComputeMode, DualSchema, MatchEngine, SnapshotError};
 use wikimatch::{EngineSnapshot, SimilarityTable};
 
 fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
@@ -36,6 +38,30 @@ fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
         extra_concepts_per_type: extra_concepts,
         ..SyntheticConfig::default()
     }
+}
+
+/// The brute-force count of the channel cosines an exact build scores: for
+/// every pair `p < q`, one when the two attributes' union value-id sets
+/// (`values` ∪ `translated_values`) intersect, and one when their link-id
+/// sets do.
+fn reference_cosines(schema: &DualSchema) -> u64 {
+    let value_ids = |a: &AttributeStats| {
+        let mut ids = Vec::new();
+        a.values.union_ids(&a.translated_values, |id| ids.push(id));
+        ids
+    };
+    let link_ids = |a: &AttributeStats| a.links.id_entries().iter().map(|(id, _)| *id).collect();
+    let values: Vec<Vec<u32>> = schema.attributes.iter().map(value_ids).collect();
+    let links: Vec<Vec<u32>> = schema.attributes.iter().map(link_ids).collect();
+    let meet = |a: &[u32], b: &[u32]| a.iter().any(|id| b.binary_search(id).is_ok());
+    let mut cosines = 0;
+    for p in 0..schema.len() {
+        for q in (p + 1)..schema.len() {
+            cosines +=
+                u64::from(meet(&values[p], &values[q])) + u64::from(meet(&links[p], &links[q]));
+        }
+    }
+    cosines
 }
 
 /// The soundness proof: on every type of `dataset`, the filtered table at
@@ -52,6 +78,17 @@ fn assert_filter_sound(dataset: Dataset, threshold: f64) {
         let type_id = pairing.type_id.as_str();
         let oracle = dense.similarity(type_id).unwrap();
         let sparse = filtered.similarity(type_id).unwrap();
+
+        // The exact build scores one cosine per pair and channel on which
+        // the pair shares a term, and no other.
+        let schema = &dense.prepared(type_id).unwrap().schema;
+        let (_, counts) =
+            SimilarityTable::compute_counted(schema, dense.config().lsi, ComputeMode::Pruned);
+        assert_eq!(
+            counts.scored,
+            reference_cosines(schema),
+            "{type_id}: pruned build scored other than the candidate channels"
+        );
 
         // Forward direction: every oracle pair at or above the threshold
         // on a direct channel survives the filter bit for bit; below it,

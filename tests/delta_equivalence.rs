@@ -43,7 +43,7 @@ fn pick_article(dataset: &Dataset, language: &Language, k: u64) -> Option<Articl
 
 /// One pseudo-random mutation against the *current* corpus state. Covers
 /// every interesting axis: value edits (dirty vectors), attribute additions
-/// (skeleton changes), link edits (link channel + candidate index),
+/// (skeleton changes), link edits (link channel + candidate generation),
 /// removals (pair-list changes), cross-linked inserts (new pairs, new
 /// dictionary entries, new clusters) and batched combinations.
 fn random_delta(dataset: &Dataset, state: &mut u64, step: usize) -> Option<CorpusDelta> {
