@@ -1,22 +1,14 @@
-//! Candidate-frontier experiment — exhaustive versus bound-filtered
-//! similarity builds across the synthetic scale tiers, the record behind
-//! `BENCH_7.json`.
+//! Candidate-frontier experiment — the exact similarity build across the
+//! synthetic scale tiers, the record behind `BENCH_7.json`.
 //!
 //! For each tier the Pt-En film schema is built once, then the full
-//! `SimilarityTable` construction is timed in two compute modes:
-//!
-//! * **pruned** — the exact baseline: candidate generation (every pair
-//!   that shares a value or link term), every non-certified-zero channel
-//!   cosine and the LSI fit (scores are then answered on demand from the
-//!   factors);
-//! * **filtered** — the same candidate generation, whose admission
-//!   predicates are prefix-mass / shared-count upper bounds: they skip
-//!   every pair that provably cannot reach the score threshold. Surviving
-//!   scores are bit-identical to the exact table (asserted in-run against
-//!   the pruned oracle).
-//!
-//! Each mode's [`PairCounts`] (channel cosines scored versus pruned) is
-//! recorded per tier — the same gauges `matchd` exposes on `/stats`.
+//! `SimilarityTable` construction is timed in the default `pruned` mode:
+//! candidate generation (every pair that shares a value or link term),
+//! every non-certified-zero channel cosine and the LSI fit (scores are then
+//! answered on demand from the factors). Its [`wikimatch::PairCounts`] (channel
+//! cosines scored versus pruned) is recorded per tier — the same gauges
+//! `matchd` exposes on `/stats`. `BENCH_7.json` also holds the columns of
+//! two sparse modes that no longer exist; they are history.
 //!
 //! ```text
 //! cargo run --release -p wiki-bench --bin candidate_frontier \
@@ -24,12 +16,9 @@
 //! ```
 //!
 //! `--smoke` (tiny + medium, one run) is the CI guard that keeps this
-//! binary from rotting; the checked-in `BENCH_7.json` is produced with
+//! binary from rotting; the checked-in `BENCH_7.json` was produced with
 //! `--out BENCH_7.json` under `taskset -c 0` for a stable single-core
-//! number. The acceptance bars of the candidate-frontier tentpole — a
-//! filtered `large` build under 300 ms and a filtered `xlarge` build under
-//! the 1.2 s the exact `large` build used to cost — are enforced when
-//! those tiers are measured.
+//! number.
 
 use std::time::{Duration, Instant};
 
@@ -39,9 +28,9 @@ use wiki_corpus::synthetic::SyntheticGenerator;
 use wiki_corpus::Language;
 use wiki_linalg::LsiConfig;
 use wiki_translate::TitleDictionary;
-use wikimatch::{ComputeMode, DualSchema, PairCounts, SimilarityTable};
+use wikimatch::{ComputeMode, DualSchema, SimilarityTable};
 
-/// One compute mode's measurements at one tier.
+/// The exact build's measurements at one tier.
 #[derive(serde::Serialize)]
 struct ModeResult {
     mode: String,
@@ -57,10 +46,7 @@ struct ModeResult {
 struct TierResult {
     tier: String,
     attribute_groups: usize,
-    threshold: f64,
     pruned: ModeResult,
-    filtered: ModeResult,
-    filtered_speedup: f64,
 }
 
 /// The whole run, as checked in at the repo root.
@@ -90,21 +76,6 @@ fn time_best<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("runs >= 1"))
 }
 
-fn mode_result(
-    mode: ComputeMode,
-    build_ms: f64,
-    counts: PairCounts,
-    stored_pairs: usize,
-) -> ModeResult {
-    ModeResult {
-        mode: mode.to_string(),
-        build_ms,
-        pairs_scored: counts.scored,
-        pairs_pruned: counts.pruned,
-        stored_pairs,
-    }
-}
-
 fn measure_tier(tier: &str, runs: usize) -> TierResult {
     let config = tier_config(tier).unwrap_or_else(|| {
         eprintln!("unknown tier {tier:?} ({})", tier_names());
@@ -116,48 +87,20 @@ fn measure_tier(tier: &str, runs: usize) -> TierResult {
     let schema = DualSchema::build(&corpus, &Language::Pt, "Filme", "Film", &dictionary);
     let n = schema.len();
 
-    let threshold = ComputeMode::DEFAULT_FILTER_THRESHOLD;
-    let filtered_mode = ComputeMode::filtered(threshold);
-    let lsi = LsiConfig::default();
-
-    let (pruned_ms, (oracle, oracle_counts)) = time_best(runs, || {
-        SimilarityTable::compute_counted(&schema, lsi, ComputeMode::Pruned)
+    let mode = ComputeMode::Pruned;
+    let (build_ms, (_, counts)) = time_best(runs, || {
+        SimilarityTable::compute_counted(&schema, LsiConfig::default(), mode)
     });
-    let (filtered_ms, (filtered, filtered_counts)) = time_best(runs, || {
-        SimilarityTable::compute_counted(&schema, lsi, filtered_mode)
-    });
-
-    // The filtered table must be a *correct* shortcut: every stored pair
-    // carries the oracle's exact bits. The walk also counts its stored
-    // pairs; the exact table stores all n·(n-1)/2, so neither count
-    // materializes the exact table's pairs.
-    let filtered_pairs = filtered.pairs();
-    for pair in &filtered_pairs {
-        let exact = oracle
-            .pair(pair.p, pair.q)
-            .expect("the exact table covers every pair");
-        assert_eq!(pair.vsim.to_bits(), exact.vsim.to_bits(), "vsim diverged");
-        assert_eq!(pair.lsim.to_bits(), exact.lsim.to_bits(), "lsim diverged");
-        assert_eq!(pair.lsi.to_bits(), exact.lsi.to_bits(), "lsi diverged");
-    }
-
     TierResult {
         tier: tier.to_string(),
         attribute_groups: n,
-        threshold,
-        filtered_speedup: pruned_ms / filtered_ms.max(1e-9),
-        pruned: mode_result(
-            ComputeMode::Pruned,
-            pruned_ms,
-            oracle_counts,
-            n * n.saturating_sub(1) / 2,
-        ),
-        filtered: mode_result(
-            filtered_mode,
-            filtered_ms,
-            filtered_counts,
-            filtered_pairs.len(),
-        ),
+        pruned: ModeResult {
+            mode: mode.to_string(),
+            build_ms,
+            pairs_scored: counts.scored,
+            pairs_pruned: counts.pruned,
+            stored_pairs: n * n.saturating_sub(1) / 2,
+        },
     }
 }
 
@@ -221,8 +164,9 @@ fn main() {
         "tier",
         "attrs",
         "pruned ms",
-        "filtered ms",
-        "speedup",
+        "scored",
+        "pruned",
+        "stored",
         "pruned %",
     ]
     .iter()
@@ -231,30 +175,27 @@ fn main() {
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
-            let total = (r.filtered.pairs_scored + r.filtered.pairs_pruned).max(1);
+            let m = &r.pruned;
+            let total = (m.pairs_scored + m.pairs_pruned).max(1);
             vec![
                 r.tier.clone(),
                 r.attribute_groups.to_string(),
-                f2(r.pruned.build_ms),
-                f2(r.filtered.build_ms),
-                format!("{}x", f2(r.filtered_speedup)),
-                format!(
-                    "{:.1}",
-                    100.0 * r.filtered.pairs_pruned as f64 / total as f64
-                ),
+                f2(m.build_ms),
+                m.pairs_scored.to_string(),
+                m.pairs_pruned.to_string(),
+                m.stored_pairs.to_string(),
+                format!("{:.1}", 100.0 * m.pairs_pruned as f64 / total as f64),
             ]
         })
         .collect();
-    println!("=== Candidate frontier — exact vs filtered builds (Pt-En film) ===");
+    println!("=== Candidate frontier — exact pruned builds (Pt-En film) ===");
     println!("{}", format_table(&header, &rows));
 
     let report = Report {
         bench: "candidate_frontier".to_string(),
         pr: 7,
-        note: "single-core (taskset -c 0) full SimilarityTable builds of the Pt-En film \
-               schema; filtered = bound-filtered sparse table at the default threshold \
-               (surviving scores asserted bit-identical to the exact oracle in-run); \
-               pairs_scored/pairs_pruned are the /stats gauges"
+        note: "single-core (taskset -c 0) full exact SimilarityTable builds of the \
+               Pt-En film schema; pairs_scored/pairs_pruned are the /stats gauges"
             .to_string(),
         runs,
         tiers: results,
@@ -265,29 +206,5 @@ fn main() {
             Ok(json) => std::fs::write(&path, json + "\n").expect("write --out file"),
             Err(err) => eprintln!("warning: cannot serialise report: {err}"),
         }
-    }
-
-    // The tentpole's acceptance bars, enforced when those tiers ran.
-    let mut failed = false;
-    if let Some(large) = report.tiers.iter().find(|r| r.tier == "large") {
-        let ok = large.filtered.build_ms < 300.0;
-        println!(
-            "large filtered build: {} ms (target < 300 ms) — {}",
-            f2(large.filtered.build_ms),
-            if ok { "OK" } else { "FAIL" }
-        );
-        failed |= !ok;
-    }
-    if let Some(xlarge) = report.tiers.iter().find(|r| r.tier == "xlarge") {
-        let ok = xlarge.filtered.build_ms < 1200.0;
-        println!(
-            "xlarge filtered build: {} ms (target < 1200 ms, the old exact large cost) — {}",
-            f2(xlarge.filtered.build_ms),
-            if ok { "OK" } else { "FAIL" }
-        );
-        failed |= !ok;
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

@@ -93,7 +93,6 @@ fn main() {
         // Persist the warmed session once, then time pure loads.
         let path = dir.join(format!("pt-{tier}.snap"));
         EngineSnapshot::capture(&reference)
-            .expect("exact-mode engine captures")
             .save(&path)
             .expect("snapshot saves");
         let snapshot_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

@@ -679,7 +679,7 @@ pub(crate) fn patch_prepared_type(
         dual_count,
         arena,
     );
-    let candidates = candidate_pairs(&schema, |_, _, _| true, |_, _, _| true);
+    let candidates = candidate_pairs(&schema);
 
     // Evidence pass over the new schema's candidates, scored as in a cold
     // build — but a pair whose two endpoints are clean copies its cosines

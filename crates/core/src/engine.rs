@@ -212,8 +212,8 @@ pub struct EngineStats {
     pub rows_recomputed: u64,
     /// Direct-channel cosine evaluations performed by full table builds,
     /// cumulatively across the session (two per unordered pair under
-    /// [`ComputeMode::Dense`]; fewer under the pruned / filtered
-    /// candidate generators). Together with
+    /// [`ComputeMode::Dense`]; fewer under the pruned candidate
+    /// generator). Together with
     /// [`pairs_pruned`](Self::pairs_pruned) this measures how much of the
     /// quadratic frontier the active mode actually walks.
     pub pairs_scored: u64,
@@ -316,16 +316,11 @@ impl MatchEngineBuilder {
     }
 
     /// Overrides how similarity tables are computed. The default is the
-    /// candidate-pruned parallel build ([`ComputeMode::Pruned`]);
-    /// [`ComputeMode::Dense`] selects the exact-equivalence fallback — the
-    /// single-threaded all-pairs reference pass, which produces
-    /// bit-identical tables (and is pinned to do so by tests).
-    ///
-    /// [`ComputeMode::Filtered`] builds **sparse** tables (see
-    /// [`crate::filter`]): stored scores stay bit-identical to the dense
-    /// pass, but sub-threshold pairs are absent. Sparse sessions trade the
-    /// exactness contracts away: snapshot capture is refused and corpus
-    /// deltas drop the caches for lazy rebuild instead of patching.
+    /// candidate-pruned build ([`ComputeMode::Pruned`]);
+    /// [`ComputeMode::Dense`] selects the test oracle — the single-threaded
+    /// all-pairs reference pass, which produces bit-identical tables (and
+    /// is pinned to do so by tests). Sessions of either mode snapshot,
+    /// restore and patch alike.
     pub fn compute_mode(mut self, mode: ComputeMode) -> Self {
         self.compute_mode = mode;
         self
@@ -385,12 +380,6 @@ impl MatchEngineBuilder {
         self,
         snapshot: EngineSnapshot,
     ) -> Result<MatchEngine, SnapshotError> {
-        // A snapshot holds exact-mode artifacts; adopting them into a
-        // sparse-mode session would serve dense tables where the session
-        // contract promises filtered ones.
-        if !self.compute_mode.is_exact() {
-            return Err(SnapshotError::InexactMode(self.compute_mode.to_string()));
-        }
         let expected = corpus_fingerprint(&self.dataset);
         if snapshot.fingerprint != expected {
             return Err(SnapshotError::FingerprintMismatch {
@@ -731,35 +720,6 @@ impl MatchEngine {
             new_dataset.english(),
         );
         dictionary_span.finish();
-        if !self.compute_mode.is_exact() {
-            // Sparse (filtered) tables cannot be patched: the patch
-            // contract is "bit-identical to a cold rebuild", and a sparse
-            // table's membership depends on global state a row-level patch
-            // does not see. Swap in the mutated corpus and drop the caches —
-            // the next request rebuilds lazily against the new state.
-            let fingerprint = corpus_fingerprint(&new_dataset);
-            let new_dataset_bytes = dataset_bytes(&new_dataset, &new_dictionary);
-            {
-                let mut state = recover(self.state.write());
-                state.dataset_bytes = new_dataset_bytes;
-                state.dataset = Arc::new(new_dataset);
-                state.dictionary = Arc::new(new_dictionary);
-                state.fingerprint = fingerprint;
-                state.type_matches = None;
-                state.prepared = HashMap::new();
-            }
-            self.counters.deltas_applied.fetch_add(1, Ordering::Relaxed);
-            observe_delta(0);
-            return DeltaReport {
-                inserted,
-                updated,
-                removed,
-                types_patched: 0,
-                rows_recomputed: 0,
-                fingerprint_before,
-                fingerprint,
-            };
-        }
         let patch_span = wiki_obs::Span::enter("delta_patch");
         let patched: Vec<(String, PreparedType, u64, bool)> = {
             let ctx = PatchContext::new(
@@ -1031,81 +991,15 @@ mod tests {
                 dense.align(type_id).unwrap().cross_pairs()
             );
         }
-    }
-
-    #[test]
-    fn filtered_engine_serves_sparse_at_threshold_tables() {
-        let dataset = Arc::new(Dataset::pt_en(&SyntheticConfig::tiny()));
-        let dense = MatchEngine::builder(Arc::clone(&dataset))
-            .compute_mode(ComputeMode::Dense)
-            .build();
-        let threshold = ComputeMode::DEFAULT_FILTER_THRESHOLD;
-        let filtered = MatchEngine::builder(Arc::clone(&dataset))
-            .compute_mode(ComputeMode::filtered(threshold))
-            .build();
-        let oracle = dense.prepared("film").unwrap();
-        let sparse = filtered.prepared("film").unwrap();
-        // Stored pairs are exactly the at-threshold ones, bit-identical.
-        let mut stored = 0usize;
-        for pair in oracle.table.pairs() {
-            let hit = sparse.table.pair(pair.p, pair.q);
-            if pair.vsim >= threshold || pair.lsim >= threshold {
-                let found = hit.expect("at-threshold pair must be stored");
-                stored += 1;
-                if pair.vsim >= threshold {
-                    assert_eq!(found.vsim.to_bits(), pair.vsim.to_bits());
-                }
-                if pair.lsim >= threshold {
-                    assert_eq!(found.lsim.to_bits(), pair.lsim.to_bits());
-                }
-                assert_eq!(found.lsi.to_bits(), pair.lsi.to_bits());
-            } else {
-                assert!(hit.is_none(), "sub-threshold pair must be absent");
-            }
-        }
-        assert_eq!(sparse.table.pairs().len(), stored);
-        // The counters split the full quadratic frontier, and the filter
-        // actually pruned something on this corpus.
-        let n = sparse.schema.len() as u64;
-        let stats = filtered.stats();
-        assert_eq!(stats.pairs_scored + stats.pairs_pruned, n * (n - 1));
-        assert!(stats.pairs_pruned > 0);
-        // The dense session walked everything.
-        let dense_stats = dense.stats();
-        assert_eq!(dense_stats.pairs_scored, n * (n - 1));
-        assert_eq!(dense_stats.pairs_pruned, 0);
-    }
-
-    #[test]
-    fn sparse_mode_delta_drops_caches_and_rebuilds_lazily() {
-        use wiki_corpus::{Article, AttributeValue, Infobox};
-        let engine = MatchEngine::builder(Dataset::pt_en(&SyntheticConfig::tiny()))
-            .compute_mode(ComputeMode::filtered(0.5))
-            .build();
-        engine.prepare_all();
-        let types = engine.dataset().types.len();
-        assert_eq!(engine.cached_types(), types);
-
-        let mut infobox = Infobox::new("Infobox Film");
-        infobox.push(AttributeValue::text("titulo", "Novo Filme"));
-        let article = Article::new("Novo Filme", Language::Pt, "Filme", infobox);
-        let report = engine.insert_entity(article);
-        assert_eq!(report.inserted, 1);
-        // Sparse tables are never patched: the delta swapped the corpus in
-        // and dropped every cached artifact for lazy rebuild.
-        assert_eq!(report.types_patched, 0);
-        assert_eq!(report.rows_recomputed, 0);
-        assert_ne!(report.fingerprint, report.fingerprint_before);
-        assert_eq!(engine.cached_types(), 0);
-        assert_eq!(engine.stats().deltas_applied, 1);
-
-        // The lazily rebuilt table matches a cold build over the mutated
-        // corpus exactly.
-        let rebuilt = engine.similarity("film").unwrap();
-        let cold = MatchEngine::builder(engine.dataset())
-            .compute_mode(ComputeMode::filtered(0.5))
-            .build();
-        assert_eq!(rebuilt.pairs(), cold.similarity("film").unwrap().pairs());
+        // The dense session scored every channel of every pair; the pruned
+        // one split the same grid and skipped some of it.
+        let (dense, pruned) = (dense.stats(), pruned.stats());
+        assert_eq!(dense.pairs_pruned, 0);
+        assert_eq!(
+            dense.pairs_scored,
+            pruned.pairs_scored + pruned.pairs_pruned
+        );
+        assert!(pruned.pairs_pruned > 0);
     }
 
     #[test]

@@ -76,9 +76,9 @@
 //!   attribute groups with value vectors, link vectors and occurrence
 //!   patterns.
 //! * [`similarity`] — `vsim`, `lsim` and the LSI correlation table.
-//! * [`filter`] — threshold-filtered sparse similarity build behind
-//!   `ComputeMode::Filtered` (provable weight-mass upper bounds in the
-//!   style of the similarity-join prefix/length filters).
+//! * [`filter`] — candidate generation: the attribute pairs that share a
+//!   value or link term, the only pairs a similarity build or a delta
+//!   patch scores.
 //! * [`mod@matches`] — match clusters (synonym sets spanning both languages).
 //! * [`alignment`] — the `AttributeAlignment`, `IntegrateMatches` and
 //!   `ReviseUncertain` algorithms (Algorithms 1 and 2 of the paper).

@@ -732,7 +732,7 @@ mod tests {
     fn candidate_index_is_sound_for_vsim_and_lsim() {
         let corpus = tiny_corpus();
         let schema = build_schema(&corpus);
-        let candidates = crate::filter::candidate_pairs(&schema, |_, _, _| true, |_, _, _| true);
+        let candidates = crate::filter::candidate_pairs(&schema);
         let candidate = |p: usize, q: usize| {
             candidates
                 .iter()

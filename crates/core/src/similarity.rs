@@ -38,15 +38,10 @@ use crate::schema::DualSchema;
 
 /// How [`SimilarityTable::compute`] traverses the attribute-pair space.
 ///
-/// The two *exact* modes (`Pruned`, `Dense`) produce tables that answer
-/// every pair with **identical bits** (pinned by the
-/// `pruned_table_is_byte_identical_to_dense` tests); they differ only in
-/// how much work they do per pair. The sparse
-/// `Filtered` mode relaxes completeness — not accuracy — for scale: every
-/// score it *does* store is still produced by the exact same float
-/// operations as the dense pass, but sub-threshold pairs are dropped from
-/// the table.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Both modes produce tables that answer every pair with **identical
+/// bits** (pinned by the `pruned_table_is_byte_identical_to_dense` tests);
+/// they differ only in how much work they do per pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComputeMode {
     /// Candidate-pruned build (the default): a join over the attributes'
     /// value and link term postings (see [`crate::filter`]) finds the pairs
@@ -61,58 +56,14 @@ pub enum ComputeMode {
     /// also stores every LSI score it computes. Kept as the semantic ground
     /// truth the pruned path is tested against.
     Dense,
-    /// Threshold-filtered sparse build: the same join counts shared terms
-    /// per pair, and a provable weight-mass upper bound (see
-    /// [`crate::filter`]) skips every pair that cannot reach `threshold`
-    /// on either direct channel. The table stores exactly the pairs with
-    /// `vsim >= threshold` or `lsim >= threshold`; stored scores at or
-    /// above the threshold are bit-identical to `Dense`, channels below it
-    /// are reported as `0.0`.
-    Filtered {
-        /// Minimum per-channel cosine a pair must reach to be stored;
-        /// validated finite and in `(0, 1]` by every public constructor.
-        threshold: f64,
-    },
-}
-
-// `PartialEq` is derived, so `Eq` only needs the no-NaN promise for the
-// `threshold` field — upheld because `ComputeMode::filtered`, `FromStr`
-// and `Deserialize` all validate the threshold as finite and in (0, 1].
-impl Eq for ComputeMode {}
-
-impl ComputeMode {
-    /// Threshold used by a bare `"filtered"` mode string.
-    pub const DEFAULT_FILTER_THRESHOLD: f64 = 0.6;
-
-    /// The threshold-filtered mode.
-    ///
-    /// # Panics
-    /// When `threshold` is not a finite number in `(0, 1]` — a threshold
-    /// of zero would make every pair a keeper (use `Dense`), and anything
-    /// above one stores nothing.
-    pub fn filtered(threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0 && threshold <= 1.0,
-            "filter threshold must be finite and in (0, 1], got {threshold}"
-        );
-        ComputeMode::Filtered { threshold }
-    }
-
-    /// True for the modes whose tables are bit-identical to `Dense` on
-    /// **every** pair. Snapshot capture and delta patching require an
-    /// exact mode; the sparse mode trades completeness for scale.
-    pub fn is_exact(self) -> bool {
-        matches!(self, ComputeMode::Pruned | ComputeMode::Dense)
-    }
 }
 
 impl std::fmt::Display for ComputeMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ComputeMode::Pruned => f.write_str("pruned"),
-            ComputeMode::Dense => f.write_str("dense"),
-            ComputeMode::Filtered { threshold } => write!(f, "filtered:{threshold}"),
-        }
+        f.write_str(match self {
+            ComputeMode::Pruned => "pruned",
+            ComputeMode::Dense => "dense",
+        })
     }
 }
 
@@ -124,8 +75,7 @@ impl std::fmt::Display for ParseComputeModeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown compute mode {:?}; expected \"pruned\", \"dense\" \
-             or \"filtered[:T]\" with T finite in (0, 1]",
+            "unknown compute mode {:?}; expected \"pruned\" or \"dense\"",
             self.0
         )
     }
@@ -136,37 +86,22 @@ impl std::error::Error for ParseComputeModeError {}
 impl std::str::FromStr for ComputeMode {
     type Err = ParseComputeModeError;
 
-    /// Parses `"pruned"` / `"dense"` / `"filtered[:T]"` (case-insensitive,
-    /// also accepting the capitalised variant names), so the mode can be
-    /// set from `matchd` configuration and bench CLI flags. Bare
-    /// `"filtered"` uses [`DEFAULT_FILTER_THRESHOLD`](Self::DEFAULT_FILTER_THRESHOLD).
+    /// Parses `"pruned"` / `"dense"` (case-insensitive, also accepting the
+    /// capitalised variant names), so the mode can be set from the bench
+    /// binaries' `--mode` flag.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.trim().to_ascii_lowercase();
-        let err = || ParseComputeModeError(s.to_string());
-        if let Some(rest) = lower.strip_prefix("filtered") {
-            let threshold = match rest.strip_prefix(':') {
-                Some(spec) => spec.parse::<f64>().map_err(|_| err())?,
-                None if rest.is_empty() => Self::DEFAULT_FILTER_THRESHOLD,
-                None => return Err(err()),
-            };
-            if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) {
-                return Err(err());
-            }
-            return Ok(ComputeMode::Filtered { threshold });
-        }
-        match lower.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "pruned" => Ok(ComputeMode::Pruned),
             "dense" => Ok(ComputeMode::Dense),
-            _ => Err(err()),
+            _ => Err(ParseComputeModeError(s.to_string())),
         }
     }
 }
 
-// The mode serializes as its `Display` string (`"pruned"`,
-// `"filtered:0.6"`, ...) rather than a derived variant tree: configuration
-// and the `/stats` endpoint show the same text a CLI flag accepts, and the
-// string round-trips through `FromStr` (which also validates the
-// parameters, so a snapshot cannot smuggle in a NaN threshold).
+// The mode serializes as its `Display` string (`"pruned"`, `"dense"`)
+// rather than a derived variant tree: configuration and the `/stats`
+// endpoint show the same text a CLI flag accepts, and the string
+// round-trips through `FromStr`.
 impl Serialize for ComputeMode {
     fn serialize_value(&self) -> serde::Value {
         serde::Value::Str(self.to_string())
@@ -192,8 +127,7 @@ impl Deserialize for ComputeMode {
 pub struct PairCounts {
     /// Channel cosines actually evaluated.
     pub scored: u64,
-    /// Channel cosines skipped — via an exact zero certificate (`Pruned`)
-    /// or a sound upper bound (`Filtered`).
+    /// Channel cosines skipped on an exact zero certificate (`Pruned`).
     pub pruned: u64,
 }
 
@@ -576,24 +510,21 @@ impl EvidenceSection {
 }
 
 /// All pairwise similarity evidence for one dual-language schema, factored
-/// into three parts instead of one record per pair:
+/// into two parts instead of one record per pair:
 ///
 /// * the **evidence**: the pairs with non-zero `vsim` or `lsim`, as
-///   compressed sparse rows (for `Filtered`, its survivors);
-/// * the **stored-pair predicate**: every unordered pair for `Pruned`,
-///   `Dense` and restored tables, the evidence pairs only for `Filtered`;
+///   compressed sparse rows; every other pair reads `0.0` on both;
 /// * the **LSI source**: the factors — fitted, or restored from a
 ///   snapshot — or, for the `Dense` oracle, its reference scores.
 ///
-/// [`pair`](Self::pair) answers any stored pair in O(log degree + k) with
-/// the bits the dense reference pass computes; [`pairs`](Self::pairs) and
-/// [`above_lsi`](Self::above_lsi) walk every stored pair and retain nothing.
+/// [`pair`](Self::pair) answers any of the `n·(n-1)/2` pairs in
+/// O(log degree + k) with the bits the dense reference pass computes;
+/// [`pairs`](Self::pairs) and [`above_lsi`](Self::above_lsi) walk every
+/// pair and retain nothing.
 #[derive(Debug)]
 pub struct SimilarityTable {
     /// Number of attributes in the schema the table was built for.
     len: usize,
-    /// The stored-pair predicate: every pair, or the evidence pairs only.
-    stores_every_pair: bool,
     /// Set at construction, except for a restored table, which reads it
     /// from its snapshot section on first touch (the per-table page-in of
     /// the out-of-core tier).
@@ -602,7 +533,7 @@ pub struct SimilarityTable {
     section: Option<EvidenceSection>,
     /// Shared with a delta-patched successor when the skeleton is kept.
     lsi: Arc<LsiSource>,
-    /// Walks over every stored pair so far (see
+    /// Walks over every pair so far (see
     /// [`stored_pair_walks`](Self::stored_pair_walks)).
     walks: AtomicU64,
 }
@@ -642,7 +573,7 @@ impl SimilarityTable {
                 (table, PairCounts::of_total(schema.len(), scored))
             }
             ComputeMode::Pruned => {
-                let candidates = candidate_pairs(schema, |_, _, _| true, |_, _, _| true);
+                let candidates = candidate_pairs(schema);
                 let _span = wiki_obs::Span::enter("similarity_pruned");
                 // One cosine per candidate pair and channel, and the LSI
                 // factors; every other pair is a certified 0.0.
@@ -659,28 +590,18 @@ impl SimilarityTable {
                     PairCounts::of_total(n, scored),
                 )
             }
-            ComputeMode::Filtered { threshold } => {
-                let _span = wiki_obs::Span::enter("similarity_filtered");
-                crate::filter::compute_filtered(schema, lsi_config, threshold)
-            }
         }
     }
 
-    fn new(len: usize, stores_every_pair: bool, evidence: Evidence, lsi: Arc<LsiSource>) -> Self {
+    /// A built or delta-patched table over `len` attributes.
+    pub(crate) fn exact(len: usize, evidence: Evidence, lsi: Arc<LsiSource>) -> Self {
         Self {
             len,
-            stores_every_pair,
             evidence: OnceLock::from(evidence),
             section: None,
             lsi,
             walks: AtomicU64::new(0),
         }
-    }
-
-    /// A table that stores every pair of `len` attributes: the shape of a
-    /// built or delta-patched exact table.
-    pub(crate) fn exact(len: usize, evidence: Evidence, lsi: Arc<LsiSource>) -> Self {
-        Self::new(len, true, evidence, lsi)
     }
 
     /// The LSI source fitted on `schema`, for [`exact`](Self::exact).
@@ -699,23 +620,12 @@ impl SimilarityTable {
         }))
     }
 
-    /// A sparse (`Filtered`) table: only the evidence pairs are stored.
-    pub(crate) fn sparse(schema: &DualSchema, lsi_config: LsiConfig, evidence: Evidence) -> Self {
-        Self::new(
-            schema.len(),
-            false,
-            evidence,
-            Self::fit_factors(schema, lsi_config),
-        )
-    }
-
-    /// A table restored from a snapshot, over every pair of `len`
-    /// attributes: its evidence rows stay in the snapshot region until
-    /// first touch, and `lsi` is the source of its persisted factors.
+    /// A table restored from a snapshot, over `len` attributes: its
+    /// evidence rows stay in the snapshot region until first touch, and
+    /// `lsi` is the source of its persisted factors.
     pub(crate) fn restored(len: usize, section: EvidenceSection, lsi: Arc<LsiSource>) -> Self {
         Self {
             len,
-            stores_every_pair: true,
             evidence: OnceLock::new(),
             section: Some(section),
             lsi,
@@ -827,20 +737,14 @@ impl SimilarityTable {
     }
 
     /// The candidate pair for `(p, q)` (order-insensitive, reported as
-    /// `p < q`). `None` when `p == q`, when either index is not below
-    /// [`attribute_count`](Self::attribute_count), and, in a sparse
-    /// table, when the pair was filtered out — no evidence, not evidence of
-    /// zero.
+    /// `p < q`). `None` when `p == q` or when either index is not below
+    /// [`attribute_count`](Self::attribute_count).
     pub fn pair(&self, p: usize, q: usize) -> Option<CandidatePair> {
         if p == q || p >= self.len || q >= self.len {
             return None;
         }
         let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-        let (vsim, lsim) = match self.evidence().get(lo, hi) {
-            Some(evidence) => evidence,
-            None if self.stores_every_pair => (0.0, 0.0),
-            None => return None,
-        };
+        let (vsim, lsim) = self.evidence_of(lo, hi);
         Some(CandidatePair {
             p: lo,
             q: hi,
@@ -850,18 +754,12 @@ impl SimilarityTable {
         })
     }
 
-    /// Calls `f` on every stored pair in canonical order — for an exact
-    /// table all `n·(n-1)/2` of them, each with its LSI computed or read.
+    /// Calls `f` on every pair in canonical order — all `n·(n-1)/2` of
+    /// them, each with its LSI computed or read.
     fn for_each_pair(&self, mut f: impl FnMut(CandidatePair)) {
         self.walks.fetch_add(1, Ordering::Relaxed);
         let evidence = self.evidence();
         let n = self.len;
-        if !self.stores_every_pair {
-            for pair in self.evidence_pairs() {
-                f(pair);
-            }
-            return;
-        }
         for p in 0..n {
             let mut row = evidence.row(p).peekable();
             for q in (p + 1)..n {
@@ -880,15 +778,15 @@ impl SimilarityTable {
         }
     }
 
-    /// Every stored pair (unordered, `p < q`), materialized: O(n²·k) for an
-    /// exact table. Nothing on the alignment or serving path calls this.
+    /// Every pair (unordered, `p < q`), materialized: O(n²·k). Nothing on
+    /// the alignment or serving path calls this.
     pub fn pairs(&self) -> Vec<CandidatePair> {
         let mut out = Vec::new();
         self.for_each_pair(|pair| out.push(pair));
         out
     }
 
-    /// Stored pairs with an LSI score above `threshold`, sorted by
+    /// The pairs with an LSI score above `threshold`, sorted by
     /// decreasing LSI score (deterministic tie-break by indices): an
     /// O(n²·k) walk, which only the Random and −InductiveGrouping queues
     /// need.
@@ -903,18 +801,12 @@ impl SimilarityTable {
         out
     }
 
-    /// How many times a caller walked every stored pair of this table —
+    /// How many times a caller walked every pair of this table —
     /// through [`pairs`](Self::pairs) or [`above_lsi`](Self::above_lsi).
     /// Alignment under a configuration whose zero-evidence pairs are inert,
     /// a served read and the snapshot encoder never do.
     pub fn stored_pair_walks(&self) -> u64 {
         self.walks.load(Ordering::Relaxed)
-    }
-
-    /// True when the table stores every unordered pair, as the snapshot
-    /// encoder requires; false for a sparse (`Filtered`) table.
-    pub(crate) fn stores_every_pair(&self) -> bool {
-        self.stores_every_pair
     }
 
     /// True when the table's evidence rows are borrowed from a snapshot's
@@ -1246,45 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_table_stores_exactly_the_at_threshold_pairs() {
-        let (schema, _) = schema_and_table();
-        let dense = SimilarityTable::compute_dense(&schema, LsiConfig::default());
-        let total = (schema.len() * (schema.len() - 1)) as u64;
-        for threshold in [0.2, 0.5, 0.9] {
-            let (filtered, counts) = SimilarityTable::compute_counted(
-                &schema,
-                LsiConfig::default(),
-                ComputeMode::filtered(threshold),
-            );
-            assert_eq!(counts.scored + counts.pruned, total);
-            for d in dense.pairs() {
-                let stored = filtered.pair(d.p, d.q);
-                if d.vsim >= threshold || d.lsim >= threshold {
-                    let s = stored.expect("above-threshold pair must be stored");
-                    if d.vsim >= threshold {
-                        assert_eq!(s.vsim.to_bits(), d.vsim.to_bits());
-                    } else {
-                        assert_eq!(s.vsim, 0.0);
-                    }
-                    if d.lsim >= threshold {
-                        assert_eq!(s.lsim.to_bits(), d.lsim.to_bits());
-                    } else {
-                        assert_eq!(s.lsim, 0.0);
-                    }
-                    assert_eq!(s.lsi.to_bits(), d.lsi.to_bits());
-                } else {
-                    assert!(
-                        stored.is_none(),
-                        "sub-threshold pair ({}, {}) must be dropped",
-                        d.p,
-                        d.q
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn packed_patterns_match_boolean_co_occurrence() {
         let (schema, _) = schema_and_table();
         let bits = PackedPatterns::pack(&schema);
@@ -1301,8 +1154,6 @@ mod tests {
         for (mode, text) in [
             (ComputeMode::Pruned, "pruned"),
             (ComputeMode::Dense, "dense"),
-            (ComputeMode::filtered(0.6), "filtered:0.6"),
-            (ComputeMode::filtered(0.25), "filtered:0.25"),
         ] {
             // Display / FromStr.
             assert_eq!(mode.to_string(), text);
@@ -1322,32 +1173,22 @@ mod tests {
 
     #[test]
     fn compute_mode_parsing_applies_defaults_and_validates_parameters() {
-        // Bare names pick the documented defaults.
-        assert_eq!(
-            "filtered".parse::<ComputeMode>().unwrap(),
-            ComputeMode::filtered(ComputeMode::DEFAULT_FILTER_THRESHOLD)
-        );
-        // Invalid parameters are rejected, never constructed.
+        assert_eq!(" Pruned ".parse::<ComputeMode>(), Ok(ComputeMode::Pruned));
+        // The modes take no parameters, and the removed `filtered[:T]` and
+        // `lsh` spellings are rejected, never constructed.
         for bad in [
-            "filtered:0",
-            "filtered:-0.5",
-            "filtered:1.5",
-            "filtered:nan",
-            "filtered:inf",
-            "filtered:",
-            "filteredx",
+            "",
+            "filtered",
+            "filtered:0.6",
             "lsh",
             "lsh:16x4",
+            "pruned:1",
         ] {
             assert!(
                 bad.parse::<ComputeMode>().is_err(),
                 "{bad} should not parse"
             );
         }
-        // Exactness classification: the sparse modes are not oracles.
-        assert!(ComputeMode::Pruned.is_exact());
-        assert!(ComputeMode::Dense.is_exact());
-        assert!(!ComputeMode::filtered(0.6).is_exact());
     }
 
     #[test]

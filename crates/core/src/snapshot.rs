@@ -46,7 +46,7 @@
 //! engine.align("film");
 //!
 //! // Persist the session's cached artifacts ...
-//! let bytes = EngineSnapshot::capture(&engine).unwrap().to_bytes();
+//! let bytes = EngineSnapshot::capture(&engine).to_bytes();
 //!
 //! // ... and warm-start a new session from them: zero artifact builds.
 //! let snapshot = EngineSnapshot::from_bytes(&bytes).unwrap();
@@ -141,11 +141,6 @@ pub enum SnapshotError {
         /// Checksum recorded in the header.
         expected: u64,
     },
-    /// The engine runs the sparse compute mode (`filtered`), whose
-    /// artifacts do not satisfy the snapshot contract — a restored
-    /// snapshot must be bit-identical to a cold rebuild, and a sparse
-    /// table's membership is not. The payload names the offending mode.
-    InexactMode(String),
     /// The file ends before the length its header (or a length prefix
     /// inside the payload) promises.
     Truncated,
@@ -171,11 +166,6 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot payload is corrupted \
                  (checksum {found:#018x}, header says {expected:#018x})"
-            ),
-            SnapshotError::InexactMode(mode) => write!(
-                f,
-                "compute mode {mode:?} builds sparse artifacts that cannot satisfy \
-                 the snapshot's bit-identical-rebuild contract"
             ),
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
             SnapshotError::Malformed(detail) => write!(f, "malformed snapshot: {detail}"),
@@ -453,22 +443,12 @@ impl EngineSnapshot {
     /// Captures the engine's dictionary plus every per-type artifact set
     /// currently cached. Call [`MatchEngine::prepare_all`] first to capture
     /// a fully warmed session.
-    ///
-    /// Fails with [`SnapshotError::InexactMode`] when the engine runs a
-    /// sparse compute mode (`filtered`): those tables drop pairs by
-    /// design, so a snapshot of them could never honor the
-    /// bit-identical-to-a-cold-rebuild restore contract.
-    pub fn capture(engine: &MatchEngine) -> Result<Self, SnapshotError> {
-        if !engine.compute_mode().is_exact() {
-            return Err(SnapshotError::InexactMode(
-                engine.compute_mode().to_string(),
-            ));
-        }
-        Ok(Self {
+    pub fn capture(engine: &MatchEngine) -> Self {
+        Self {
             fingerprint: engine.fingerprint(),
             dictionary: engine.dictionary().as_ref().clone(),
             types: engine.cached_artifacts(),
-        })
+        }
     }
 
     /// Number of per-type artifact sets in the snapshot.
@@ -962,7 +942,7 @@ mod tests {
         let engine = MatchEngine::new(dataset.clone());
         engine.align("film").unwrap();
         engine.align("actor").unwrap();
-        let bytes = EngineSnapshot::capture(&engine).unwrap().to_bytes();
+        let bytes = EngineSnapshot::capture(&engine).to_bytes();
         (dataset, bytes)
     }
 
@@ -1125,32 +1105,6 @@ mod tests {
                 found: 1,
                 supported: FORMAT_VERSION
             })
-        ));
-    }
-
-    #[test]
-    fn sparse_mode_engines_are_refused_by_capture_and_restore() {
-        use crate::similarity::ComputeMode;
-        let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
-        let mode = ComputeMode::filtered(0.5);
-        let engine = MatchEngine::builder(dataset.clone())
-            .compute_mode(mode)
-            .build();
-        engine.align("film").unwrap();
-        assert!(matches!(
-            EngineSnapshot::capture(&engine),
-            Err(SnapshotError::InexactMode(_))
-        ));
-        // Restoring an exact snapshot into a sparse-mode session is
-        // refused for the same reason.
-        let exact = MatchEngine::new(dataset.clone());
-        exact.align("film").unwrap();
-        let snapshot = EngineSnapshot::capture(&exact).unwrap();
-        assert!(matches!(
-            MatchEngine::builder(dataset)
-                .compute_mode(mode)
-                .build_from_snapshot(snapshot),
-            Err(SnapshotError::InexactMode(_))
         ));
     }
 

@@ -145,12 +145,11 @@ impl SyntheticConfig {
     /// schema, hundreds of millions of raw attribute pairs) — the tier
     /// that stresses the quadratic frontier. On the film schema
     /// (31,232 attribute groups), `wikimatch`'s exact build scores about
-    /// 1.5 million channel cosines and its weight-mass candidate filter
-    /// (`ComputeMode::Filtered`) about 220 thousand; each build takes
-    /// seconds, not minutes, on one core. Concepts beyond the `large`
-    /// boundary draw from the diversified long-tail kind cycle (see
-    /// [`Catalog::scaled`]), so term neighbourhoods stay realistic instead
-    /// of collapsing into near-duplicate cliques.
+    /// 1.5 million channel cosines and takes seconds, not minutes, on one
+    /// core. Concepts beyond the `large` boundary draw from the diversified
+    /// long-tail kind cycle (see [`Catalog::scaled`]), so term
+    /// neighbourhoods stay realistic instead of collapsing into
+    /// near-duplicate cliques.
     ///
     /// The tier is deliberately *wide and shallow*: far more concepts than
     /// `large` but fewer dual entities per type. Attribute-group count `n`

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! matchd [--addr 127.0.0.1:8743] [--workers N] [--queue N] [--capacity N]
-//!        [--mode pruned|filtered[:T]]
 //!        [--tiers tiny,small,medium,large,xlarge]
 //!        [--warm corpus[,corpus...]] [--snapshot-dir DIR] [--persist]
 //!        [--max-resident-mb N]
@@ -34,13 +33,6 @@ OPTIONS:
     --workers N        worker threads (default: available parallelism)
     --queue N          pending-connection queue bound (default 256)
     --capacity N       resident engine sessions in the LRU (default 4)
-    --mode MODE        similarity compute mode (default pruned):
-                         pruned                   exact, snapshot-capable
-                         filtered[:T]             sparse table at score
-                                                  threshold T (default 0.6);
-                                                  exact scores, no snapshots
-                       (dense, the all-pairs reference pass, is the test
-                       oracle and is refused here)
     --tiers LIST       comma-separated scale tiers to register
                        (default tiny,small,medium,large; xlarge available)
     --warm LIST        comma-separated corpus names to warm at startup
@@ -107,7 +99,6 @@ fn main() -> ExitCode {
         }
     }
     let mut capacity = 4usize;
-    let mut mode = ComputeMode::default();
     let mut tiers = "tiny,small,medium,large".to_string();
     let mut warm = Vec::new();
     let mut snapshot_dir: Option<String> = None;
@@ -140,16 +131,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|n| capacity = n)
                     .map_err(|_| format!("bad --capacity {v:?}"))
-            }),
-            "--mode" => value("--mode").and_then(|v| match v.parse::<ComputeMode>() {
-                Ok(ComputeMode::Dense) => Err("--mode dense is the test oracle, not a serving \
-                                               mode; pruned builds the same exact tables"
-                    .to_string()),
-                Ok(m) => {
-                    mode = m;
-                    Ok(())
-                }
-                Err(e) => Err(e.to_string()),
             }),
             "--tiers" => value("--tiers").map(|v| tiers = v),
             "--warm" => value("--warm").map(|v| {
@@ -218,7 +199,7 @@ fn main() -> ExitCode {
     if max_resident_mb.is_some() && snapshot_dir.is_none() {
         return fail("--max-resident-mb requires --snapshot-dir");
     }
-    let mut registry = Registry::new(capacity, mode);
+    let mut registry = Registry::new(capacity, ComputeMode::default());
     if let Some(dir) = &snapshot_dir {
         registry = registry.with_snapshot_dir(dir);
     }
@@ -254,11 +235,10 @@ fn main() -> ExitCode {
         Err(err) => return fail(&format!("failed to bind: {err}")),
     };
     eprintln!(
-        "matchd: listening on http://{} ({} workers, capacity {}, mode {}, corpora: {}{}{})",
+        "matchd: listening on http://{} ({} workers, capacity {}, corpora: {}{}{})",
         server.addr(),
         workers,
         registry.capacity(),
-        registry.mode(),
         registry.names().join(", "),
         match registry.snapshot_dir() {
             Some(dir) => format!(", snapshots in {}", dir.display()),

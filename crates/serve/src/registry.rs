@@ -178,20 +178,12 @@ fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine) {
         if attempt > 1 {
             std::thread::sleep(backoff.next_delay());
         }
-        // Sparse-mode engines (`--mode filtered`) refuse
-        // capture: their registries simply run without a disk tier.
         let result = wiki_fault::check_io("registry.spill")
             .map_err(SnapshotError::Io)
-            .and_then(|()| EngineSnapshot::capture(engine))
-            .and_then(|snapshot| snapshot.save(path));
+            .and_then(|()| EngineSnapshot::capture(engine).save(path));
         match result {
             Ok(()) => {
                 entry.snapshot_saves.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(SnapshotError::InexactMode(_)) => {
-                // Deterministic refusal, not a transient fault: retrying
-                // (or quarantining a snapshot that cannot exist) is noise.
                 return;
             }
             Err(err) => eprintln!(
@@ -976,11 +968,6 @@ impl Registry {
         self.capacity
     }
 
-    /// The compute mode engines are built with.
-    pub fn mode(&self) -> ComputeMode {
-        self.mode
-    }
-
     /// Names of the registered corpora, in registration order.
     pub fn names(&self) -> Vec<String> {
         recover(self.entries.read())
@@ -1444,16 +1431,16 @@ mod tests {
 
     /// The `/stats` payload carries the candidate-frontier gauges: after a
     /// full warm, `pairs_scored + pairs_pruned` covers every ordered pair of
-    /// every type, and a filtered-mode registry actually prunes.
+    /// every type, and the default registry actually prunes.
     #[test]
     fn stats_expose_candidate_frontier_gauges() {
-        let registry = Registry::new(2, ComputeMode::filtered(0.5));
+        let registry = Registry::new(2, ComputeMode::default());
         registry.register_all([test_spec("a")]);
         registry.warm("a").unwrap();
         let stats = registry.stats();
         let engine = stats.corpora[0].engine.as_ref().expect("resident engine");
         assert!(engine.pairs_scored > 0, "warm scored no pairs");
-        assert!(engine.pairs_pruned > 0, "filtered mode pruned nothing");
+        assert!(engine.pairs_pruned > 0, "the pruned build pruned nothing");
         let json = serde_json::to_string(&stats).expect("stats serialize");
         assert!(json.contains("\"pairs_scored\""));
         assert!(json.contains("\"pairs_pruned\""));

@@ -231,7 +231,6 @@ fn restored_from_mapped(engine: &MatchEngine, tag: &str) -> (std::path::PathBuf,
     let dir = std::env::temp_dir().join(format!("wm-delta-eq-{tag}-{}", std::process::id()));
     let path = dir.join("corpus.snap");
     EngineSnapshot::capture(engine)
-        .expect("exact-mode engine captures")
         .save(&path)
         .expect("snapshot saves");
     let mapped = MappedSnapshot::open(&path).expect("mapped open");

@@ -42,9 +42,7 @@ fn warmed_in(dataset: &Dataset, mode: ComputeMode) -> (MatchEngine, Vec<u8>) {
         .compute_mode(mode)
         .build();
     fresh.prepare_all();
-    let bytes = EngineSnapshot::capture(&fresh)
-        .expect("exact-mode engine captures")
-        .to_bytes();
+    let bytes = EngineSnapshot::capture(&fresh).to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
         FORMAT_VERSION
@@ -310,17 +308,14 @@ fn misaligned_and_out_of_bounds_directories_are_rejected() {
 }
 
 /// `pair` answers an index at or past `attribute_count()` with `None`,
-/// never with another pair's scores, on built, filtered, heap-restored and
-/// mapped tables alike.
+/// never with another pair's scores, on built, heap-restored and mapped
+/// tables alike.
 #[test]
 fn out_of_range_lookups_find_no_pair() {
     let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
     let built = MatchEngine::new(dataset.clone());
     built.prepared("film").expect("film type exists");
-    let filtered = MatchEngine::builder(dataset.clone())
-        .compute_mode(ComputeMode::filtered(0.5))
-        .build();
-    let snapshot = EngineSnapshot::capture(&built).expect("exact-mode engine captures");
+    let snapshot = EngineSnapshot::capture(&built);
     let restored = MatchEngine::builder(dataset.clone())
         .build_from_snapshot(EngineSnapshot::from_bytes(&snapshot.to_bytes()).expect("heap decode"))
         .expect("heap snapshot restores");
@@ -330,7 +325,6 @@ fn out_of_range_lookups_find_no_pair() {
         .expect("mapped snapshot restores");
     for (label, engine) in [
         ("built", &built),
-        ("filtered", &filtered),
         ("heap-restored", &restored),
         ("mapped", &mapped),
     ] {
@@ -479,9 +473,7 @@ fn sweep_positions(bytes: &[u8]) -> Vec<usize> {
 fn every_truncation_and_flip_is_rejected_or_materializes() {
     let engine = MatchEngine::new(Dataset::pt_en(&SyntheticConfig::tiny()));
     engine.prepared("album").expect("album type exists");
-    let bytes = EngineSnapshot::capture(&engine)
-        .expect("exact-mode engine captures")
-        .to_bytes();
+    let bytes = EngineSnapshot::capture(&engine).to_bytes();
     let dir = std::env::temp_dir().join(format!("wm-mmap-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("mutant.snap");

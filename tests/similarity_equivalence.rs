@@ -351,40 +351,6 @@ proptest! {
     }
 }
 
-/// The sparse `Filtered` pipeline has golden hashes of its own: the FNV
-/// fold over every *stored* pair's bits at the default threshold. The
-/// constants were captured from the first filtered build on these exact
-/// datasets; because every stored score is pinned bit-identical to the
-/// dense oracle and the stored set is exactly the at-threshold set, any
-/// drift in the bound derivation, the survivor re-filter or the sparse
-/// LSI pass moves these hashes.
-#[test]
-fn filtered_table_bits_match_the_golden_values() {
-    let cases: [(&str, Dataset, u64); 2] = [
-        (
-            "pt_tiny_filtered",
-            Dataset::pt_en(&SyntheticConfig::tiny()),
-            0x413b5e58cd21e196,
-        ),
-        (
-            "vn_tiny_filtered",
-            Dataset::vn_en(&SyntheticConfig::tiny()),
-            0x9c784470ea842aad,
-        ),
-    ];
-    for (name, dataset, expected) in cases {
-        let engine = MatchEngine::builder(dataset)
-            .compute_mode(ComputeMode::filtered(ComputeMode::DEFAULT_FILTER_THRESHOLD))
-            .build();
-        let found = table_bits_hash(&engine);
-        assert_eq!(
-            found, expected,
-            "{name}: filtered table bits diverged from the captured seed \
-             (found {found:#018x}, golden {expected:#018x})"
-        );
-    }
-}
-
 /// The direct `SimilarityTable` entry points agree with the engine modes.
 #[test]
 fn compute_entry_points_are_consistent() {

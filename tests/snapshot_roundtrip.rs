@@ -31,9 +31,7 @@ fn config_with(seed: u64, extra_concepts: usize) -> SyntheticConfig {
 fn assert_round_trip_is_bit_identical(dataset: Dataset) {
     let fresh = MatchEngine::new(dataset.clone());
     fresh.prepare_all();
-    let bytes = EngineSnapshot::capture(&fresh)
-        .expect("exact-mode engine captures")
-        .to_bytes();
+    let bytes = EngineSnapshot::capture(&fresh).to_bytes();
     let snapshot = EngineSnapshot::from_bytes(&bytes).expect("snapshot round-trips");
     // Decoding loses nothing the encoder writes: the restored snapshot
     // re-encodes to the same bytes.
@@ -117,9 +115,7 @@ fn truncated_corrupted_and_version_bumped_files_are_rejected() {
     let dataset = Dataset::vn_en(&config_with(3, 0));
     let engine = MatchEngine::new(dataset.clone());
     engine.align("film").unwrap();
-    let bytes = EngineSnapshot::capture(&engine)
-        .expect("exact-mode engine captures")
-        .to_bytes();
+    let bytes = EngineSnapshot::capture(&engine).to_bytes();
 
     // Truncation at several depths (header, payload, one byte short).
     for cut in [0, 10, 36, bytes.len() / 2, bytes.len() - 1] {
@@ -204,7 +200,7 @@ fn snapshot_bytes_match_their_pins() {
     for (name, dataset, pin) in cases {
         let engine = MatchEngine::new(dataset);
         engine.prepare_all();
-        let snapshot = EngineSnapshot::capture(&engine).expect("exact-mode engine captures");
+        let snapshot = EngineSnapshot::capture(&engine);
         let found = fnv1a(&snapshot.to_bytes());
         assert_eq!(found, pin, "{name}: bytes moved (found {found:#018x})");
     }
