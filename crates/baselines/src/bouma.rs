@@ -43,7 +43,7 @@ impl BoumaMatcher {
     /// The value-equality score of a pair: the maximum of the raw-value
     /// overlap and the link-cluster overlap.
     ///
-    /// Bouma's criterion is literal: two values match when they are the
+    /// Bouma's matching rule is literal: two values match when they are the
     /// *same string* or when their link targets are connected by a
     /// cross-language link. The raw (non-canonicalised) value atoms are used
     /// on purpose — a Portuguese date such as "18 de Dezembro de 1950" does

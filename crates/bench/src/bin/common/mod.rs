@@ -1,39 +1,29 @@
 //! Helpers shared by the reproduction binaries.
 
 use wiki_bench::{ExperimentContext, StandardDatasets};
-use wikimatch::ComputeMode;
 
-/// Builds the experiment context from the command line:
-///
-/// * `--quick` switches to the reduced datasets (useful for smoke runs);
-/// * `--mode {pruned,dense}` selects the similarity-table compute mode
-///   instead of hard-coding the default (both modes are bit-identical;
-///   `dense` is the single-threaded reference pass).
+/// Builds the experiment context from the command line. The one accepted
+/// argument is `--quick`, which switches to the reduced datasets (useful
+/// for smoke runs). Any other argument is a usage error: the binary exits
+/// with status 2 before a dataset is generated, so a mistyped flag cannot
+/// silently run the default experiment.
 pub fn context_from_args() -> ExperimentContext {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mode = match args.iter().position(|a| a == "--mode") {
-        Some(i) => {
-            let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-            value.parse::<ComputeMode>().unwrap_or_else(|err| {
-                eprintln!("--mode: {err}");
-                std::process::exit(2);
-            })
+    let bin = env!("CARGO_BIN_NAME");
+    let mut quick = false;
+    for arg in std::env::args_os().skip(1) {
+        if arg != "--quick" {
+            eprintln!("{bin}: unknown argument {arg:?}; usage: {bin} [--quick]");
+            std::process::exit(2);
         }
-        None => ComputeMode::default(),
-    };
-    if quick {
-        eprintln!("(running on the reduced --quick datasets)");
-    }
-    if mode != ComputeMode::default() {
-        eprintln!("(similarity tables computed in {mode} mode)");
+        quick = true;
     }
     let datasets = if quick {
+        eprintln!("(running on the reduced --quick datasets)");
         StandardDatasets::quick()
     } else {
         StandardDatasets::standard()
     };
-    ExperimentContext::with_mode(datasets, mode)
+    ExperimentContext::new(datasets)
 }
 
 /// The two language-pair names in report order.

@@ -23,7 +23,7 @@ use wiki_baselines::{
 use wiki_corpus::{Dataset, Language, SyntheticConfig};
 use wiki_eval::{mean_average_precision, type_overlap, weighted_scores, MacroAggregator, Scores};
 use wiki_query::{run_case_study_with_engine, CaseStudyCurve};
-use wikimatch::{ComputeMode, MatchEngine, SchemaMatcher, WikiMatch, WikiMatchConfig};
+use wikimatch::{MatchEngine, SchemaMatcher, WikiMatch, WikiMatchConfig};
 
 /// The two evaluation datasets used throughout the paper.
 #[derive(Debug, Clone)]
@@ -144,19 +144,11 @@ pub struct ExperimentContext {
 
 impl ExperimentContext {
     /// Creates the context over the given datasets, opening one engine
-    /// session per pair with the default similarity compute mode.
+    /// session per pair.
     pub fn new(datasets: StandardDatasets) -> Self {
-        Self::with_mode(datasets, ComputeMode::default())
-    }
-
-    /// Creates the context with an explicit similarity compute mode
-    /// (selected by the `--mode {pruned,dense}` flag of the experiment
-    /// binaries). Both modes produce bit-identical tables; `dense` is the
-    /// single-threaded reference pass.
-    pub fn with_mode(datasets: StandardDatasets, mode: ComputeMode) -> Self {
         Self {
-            pt: MatchEngine::builder(datasets.pt).compute_mode(mode).build(),
-            vn: MatchEngine::builder(datasets.vn).compute_mode(mode).build(),
+            pt: MatchEngine::new(datasets.pt),
+            vn: MatchEngine::new(datasets.vn),
         }
     }
 
@@ -595,18 +587,6 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&first, &second));
         assert_eq!(engine.cached_types(), cached);
         assert!(first.dual_count > 0);
-    }
-
-    #[test]
-    fn with_mode_threads_the_compute_mode_into_both_engines() {
-        let ctx = ExperimentContext::with_mode(StandardDatasets::quick(), ComputeMode::Dense);
-        for pair in ["Portuguese-English", "Vietnamese-English"] {
-            assert_eq!(ctx.engine(pair).compute_mode(), ComputeMode::Dense);
-        }
-        let ctx = ExperimentContext::quick();
-        for pair in ["Portuguese-English", "Vietnamese-English"] {
-            assert_eq!(ctx.engine(pair).compute_mode(), ComputeMode::Pruned);
-        }
     }
 
     #[test]

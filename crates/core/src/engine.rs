@@ -482,12 +482,6 @@ impl MatchEngine {
         Arc::clone(&recover(self.state.read()).dataset)
     }
 
-    /// Shared handle to the dataset (alias of [`dataset`](Self::dataset),
-    /// kept for call sites that spell the intent explicitly).
-    pub fn dataset_arc(&self) -> Arc<Dataset> {
-        self.dataset()
-    }
-
     /// The WikiMatch configuration in use.
     pub fn config(&self) -> &WikiMatchConfig {
         &self.config

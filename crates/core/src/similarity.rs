@@ -87,8 +87,7 @@ impl std::str::FromStr for ComputeMode {
     type Err = ParseComputeModeError;
 
     /// Parses `"pruned"` / `"dense"` (case-insensitive, also accepting the
-    /// capitalised variant names), so the mode can be set from the bench
-    /// binaries' `--mode` flag.
+    /// capitalised variant names).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "pruned" => Ok(ComputeMode::Pruned),

@@ -100,8 +100,7 @@ impl SyntheticConfig {
     }
 
     /// The **small** scale tier: a few times the attribute count of
-    /// [`tiny`](Self::tiny), still comfortably dense-computable. First rung
-    /// of the scaling benchmark (`benches/scaling.rs`).
+    /// [`tiny`](Self::tiny), still comfortably dense-computable.
     pub fn small() -> Self {
         Self {
             pairs_per_type_pt: 40,
@@ -179,7 +178,7 @@ impl SyntheticConfig {
 
 /// The named synthetic scale tiers, in ascending size order.
 ///
-/// Every `--tiers` flag in the workspace (matchd, the bench bins,
+/// Every `--tiers` flag in the workspace (matchd, `coldhit`,
 /// matchbench corpus names) parses tier names through this enum, so adding
 /// a tier here threads it through every surface at once. `Display` and
 /// [`FromStr`](std::str::FromStr) round-trip exactly.
@@ -1237,8 +1236,8 @@ mod tests {
             "medium tier should be ~an order of magnitude over tiny ({tiny} -> {medium})"
         );
         // The large tier targets ~100× tiny; checked structurally via the
-        // catalog (generation itself is exercised by the scaling bench —
-        // too slow for a debug-mode unit test).
+        // catalog (generation itself is pinned by the release-mode
+        // `corpus_golden` run — too slow for a debug-mode unit test).
         let large_concepts = Catalog::scaled(SyntheticConfig::large().extra_concepts_per_type)
             .entity_type("film")
             .unwrap()

@@ -13,9 +13,9 @@
 //!
 //! The entire framework hides behind one process-wide armed-point counter.
 //! When nothing is armed, every hook is a single `Relaxed` atomic load and a
-//! predictable branch — no locks, no string hashing, no allocation. The
-//! `degrade` bench pins this: the disarmed hook is low-single-digit
-//! nanoseconds and invisible on a warm align p50.
+//! predictable branch — no locks, no string hashing, no allocation.
+//! `BENCH_10.json` records a disarmed hook at 1.5 ns and no measurable
+//! cost on a warm align p50.
 //!
 //! # Arming
 //!

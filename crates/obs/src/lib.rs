@@ -16,9 +16,7 @@
 //!
 //! Library layers (core, text) record through the process-wide
 //! [`registry()`] so a single scrape covers build phases, snapshot I/O and
-//! delta patches alongside the serving tier's request histograms. The
-//! whole layer can be switched off with [`set_enabled`] to measure its
-//! own overhead.
+//! delta patches alongside the serving tier's request histograms.
 
 #![warn(missing_docs)]
 
@@ -32,24 +30,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry}
 pub use span::Span;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-
-/// Master switch: when off, spans are inert and [`record_phase`] is a
-/// no-op. Defaults to on.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables span recording process-wide. Metrics handles keep
-/// working either way; only the span/phase layer is gated, so the
-/// instrumentation overhead itself can be benchmarked.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span recording is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// The process-wide metrics registry. Everything recorded here — engine
 /// build phases, snapshot counters, request segments — appears in one
@@ -64,9 +45,6 @@ pub fn registry() -> &'static MetricsRegistry {
 /// open on this thread, into its segment list. Called by [`Span`] on
 /// finish; callable directly for pre-measured durations.
 pub fn record_phase(phase: &'static str, nanos: u64) {
-    if !enabled() {
-        return;
-    }
     // Resolved handles are cached per thread (phases are 'static, the set
     // is small and stable), so steady-state recording is two relaxed
     // atomic adds — the registry's read-lock-and-scan lookup would

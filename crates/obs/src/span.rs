@@ -10,8 +10,7 @@
 //!
 //! Spans are deliberately cheap: entering is a thread-local push and an
 //! `Instant::now()`; finishing is a pop, a subtraction and one histogram
-//! record. The global kill switch ([`crate::set_enabled`]) turns both into
-//! near no-ops so the instrumentation overhead itself can be measured.
+//! record.
 //!
 //! Spans are `!Send` — a span must finish on the thread that entered it,
 //! which the type system enforces. Drop order is LIFO by construction
@@ -39,8 +38,7 @@ thread_local! {
 /// recording happens in [`finish`](Span::finish) or on drop.
 #[must_use = "a span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
-    /// False once finished, and for spans created while the kill switch
-    /// is off.
+    /// False once finished.
     active: bool,
     /// Opts out of `Send`/`Sync`: the frame lives in this thread's stack.
     _not_send: PhantomData<*const ()>,
@@ -52,12 +50,6 @@ impl Span {
     /// `phase` becomes the `phase` label of `wm_phase_seconds`, so it must
     /// be low-cardinality (a fixed set of compile-time names).
     pub fn enter(phase: &'static str) -> Self {
-        if !crate::enabled() {
-            return Self {
-                active: false,
-                _not_send: PhantomData,
-            };
-        }
         STACK.with(|stack| {
             stack.borrow_mut().push(Frame {
                 phase,
@@ -71,8 +63,7 @@ impl Span {
         }
     }
 
-    /// Closes the span now and returns its **exclusive** nanoseconds
-    /// (zero when the kill switch was off at entry).
+    /// Closes the span now and returns its **exclusive** nanoseconds.
     pub fn finish(mut self) -> u64 {
         self.complete()
     }
@@ -107,15 +98,10 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use std::time::Duration;
-
-    /// Serialises tests that read or toggle the process-wide kill switch.
-    static KILL_SWITCH: Mutex<()> = Mutex::new(());
 
     #[test]
     fn nested_spans_attribute_exclusive_time() {
-        let _guard = KILL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let outer = Span::enter("test_outer");
         std::thread::sleep(Duration::from_millis(10));
         let inner = Span::enter("test_inner");
@@ -136,14 +122,5 @@ mod tests {
             outer_ns < Duration::from_millis(20).as_nanos() as u64,
             "outer must not absorb the inner phase: {outer_ns}"
         );
-    }
-
-    #[test]
-    fn disabled_spans_are_inert() {
-        let _guard = KILL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-        crate::set_enabled(false);
-        let span = Span::enter("test_disabled");
-        assert_eq!(span.finish(), 0);
-        crate::set_enabled(true);
     }
 }

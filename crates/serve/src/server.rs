@@ -646,9 +646,6 @@ fn observe_request(shared: &Shared, request: &Request, response: &Response, tota
         counters.push(((endpoint, class), counter));
     });
     let context = wiki_obs::request::take().unwrap_or_default();
-    if !wiki_obs::enabled() {
-        return;
-    }
     HISTOGRAMS.with(|histograms| {
         let mut histograms = histograms.borrow_mut();
         if let Some((_, histogram)) = histograms.iter().find(|(name, _)| *name == endpoint) {
@@ -1101,8 +1098,8 @@ fn aligned_response(
     }
     let compute_span = Span::enter("req_compute");
     // Latency hook for the compute phase: an injected sleep here is what
-    // the deadline tests (and the `degrade` bench) use to manufacture a
-    // slow pipeline without touching the engine.
+    // the deadline tests use to manufacture a slow pipeline without
+    // touching the engine.
     wiki_fault::pause("serve.compute");
     let body = corpus.response(&cache_key, || {
         let engine = corpus.engine();

@@ -112,20 +112,31 @@ fn scale_tier_display_from_str_round_trips() {
 
 /// The counted entry point reports a complete partition of the channel
 /// work: `scored + pruned` covers every ordered channel evaluation of the
-/// build, in both modes, on the same schema.
+/// build, in both modes, on the same schema. The exact build's split of
+/// Pt-En `film` is pinned at `tiny` and `medium`, the counts `BENCH_7.json`
+/// records.
 #[test]
 fn pair_counts_partition_the_channel_work() {
-    let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
-    let engine = MatchEngine::new(dataset);
-    let prepared = engine.prepared("film").unwrap();
-    let n = prepared.schema.len() as u64;
-    for mode in [ComputeMode::Dense, ComputeMode::Pruned] {
-        let (_, counts) =
-            SimilarityTable::compute_counted(&prepared.schema, engine.config().lsi, mode);
-        assert_eq!(
-            counts.scored + counts.pruned,
-            n * (n - 1),
-            "{mode}: counts do not partition the n(n-1) channel grid"
-        );
+    // (tier, attribute groups, pruned-mode scored, pruned-mode pruned)
+    let pins = [
+        (ScaleTier::Tiny, 44, 226, 1_666),
+        (ScaleTier::Medium, 578, 5_996, 327_510),
+    ];
+    for (tier, groups, scored, pruned) in pins {
+        let engine = MatchEngine::new(Dataset::pt_en(&tier.config()));
+        let schema = engine.schema("film").unwrap();
+        let n = schema.len() as u64;
+        assert_eq!(n, groups, "{tier}: film attribute groups");
+        for mode in [ComputeMode::Dense, ComputeMode::Pruned] {
+            let (_, counts) = SimilarityTable::compute_counted(&schema, engine.config().lsi, mode);
+            assert_eq!(
+                counts.scored + counts.pruned,
+                n * (n - 1),
+                "{tier} {mode}: counts do not partition the n(n-1) channel grid"
+            );
+            if mode == ComputeMode::Pruned {
+                assert_eq!((counts.scored, counts.pruned), (scored, pruned), "{tier}");
+            }
+        }
     }
 }

@@ -355,10 +355,13 @@ fn single_entity_mutations_round_trip() {
     let cold = MatchEngine::builder(engine.dataset()).eager().build();
     assert_bit_identical(&engine, &cold);
 
-    // Update it in place.
+    // Update it in place: a value edit of a cross-linked article dirties
+    // similarity rows of its own type and of no other.
     article.infobox.attributes[0].value = "Obra Renomeada".to_string();
     let report = engine.update_entity(article);
     assert_eq!((report.inserted, report.updated, report.removed), (0, 1, 0));
+    assert_eq!(report.types_patched, 1);
+    assert!(report.rows_recomputed > 0, "the edit recomputed no row");
     let cold = MatchEngine::builder(engine.dataset()).eager().build();
     assert_bit_identical(&engine, &cold);
 
