@@ -18,34 +18,3 @@ pub mod report;
 
 pub use experiments::{ExperimentContext, StandardDatasets};
 pub use report::{format_table, write_report};
-
-use wiki_corpus::{ScaleTier, SyntheticConfig};
-
-/// Resolves a `--tiers` token to its generator config via [`ScaleTier`],
-/// so every recording binary accepts the same tier names (including
-/// `xlarge`) and cannot drift from the corpus crate's catalog.
-pub fn tier_config(tier: &str) -> Option<SyntheticConfig> {
-    tier.parse::<ScaleTier>().ok().map(|t| t.config())
-}
-
-/// The usage-error text for an unknown `--tiers` token: the canonical tier
-/// list, derived from [`ScaleTier::ALL`] so it can never go stale.
-pub fn tier_names() -> String {
-    let names: Vec<&str> = ScaleTier::ALL.iter().map(|t| t.name()).collect();
-    names.join("|")
-}
-
-#[cfg(test)]
-mod tier_tests {
-    use super::*;
-
-    #[test]
-    fn every_tier_name_resolves_and_round_trips() {
-        for tier in ScaleTier::ALL {
-            assert!(tier_config(tier.name()).is_some(), "{tier} unresolvable");
-            assert_eq!(tier.name().parse::<ScaleTier>(), Ok(tier));
-        }
-        assert!(tier_config("galactic").is_none());
-        assert_eq!(tier_names(), "tiny|small|medium|large|xlarge");
-    }
-}

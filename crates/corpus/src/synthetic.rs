@@ -178,10 +178,11 @@ impl SyntheticConfig {
 
 /// The named synthetic scale tiers, in ascending size order.
 ///
-/// Every `--tiers` flag in the workspace (matchd, `coldhit`,
-/// matchbench corpus names) parses tier names through this enum, so adding
-/// a tier here threads it through every surface at once. `Display` and
-/// [`FromStr`](std::str::FromStr) round-trip exactly.
+/// Every tier name in the workspace (`matchd --tiers` and the registry's
+/// corpus names, which `matchbench` and the benchmark request) parses
+/// through this enum, so adding a tier here threads it through every
+/// surface at once. `Display` and [`FromStr`](std::str::FromStr)
+/// round-trip exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScaleTier {
     /// [`SyntheticConfig::tiny`].
@@ -1296,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_tier_names_round_trip_display_and_from_str() {
+    fn scale_tiers_round_trip_display_and_from_str() {
         for tier in ScaleTier::ALL {
             let name = tier.to_string();
             assert_eq!(name.parse::<ScaleTier>().unwrap(), tier, "{name}");

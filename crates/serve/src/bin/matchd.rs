@@ -40,7 +40,8 @@ OPTIONS:
                        persisted artifacts from DIR instead of rebuilding,
                        evictions spill to DIR, --warm writes through
     --persist          also snapshot every resident session on graceful
-                       shutdown (requires --snapshot-dir), so the next
+                       shutdown, after any eviction spill still being
+                       written (requires --snapshot-dir), so the next
                        start serves from disk without rebuilding
     --max-resident-mb N
                        out-of-core serving (requires --snapshot-dir):
@@ -178,10 +179,10 @@ fn main() -> ExitCode {
     }
     config.addr = addr;
 
-    let tier_names: Vec<&str> = tiers.split(',').map(str::trim).collect();
+    let requested: Vec<&str> = tiers.split(',').map(str::trim).collect();
     // Fail fast on a misspelled tier instead of silently serving fewer
     // corpora than asked for.
-    if let Some(unknown) = tier_names
+    if let Some(unknown) = requested
         .iter()
         .find(|t| CorpusSpec::tier(wiki_corpus::Language::Pt, t).is_none())
     {
@@ -189,7 +190,7 @@ fn main() -> ExitCode {
             "unknown tier {unknown:?}; expected tiny, small, medium, large or xlarge"
         ));
     }
-    let specs = CorpusSpec::scale_tiers(&tier_names);
+    let specs = CorpusSpec::scale_tiers(&requested);
     if specs.is_empty() {
         return fail(&format!("no valid tiers in {tiers:?}"));
     }

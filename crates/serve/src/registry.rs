@@ -46,6 +46,17 @@
 //! advertise a corpus set many times its budget while its heap working set
 //! stays bounded.
 //!
+//! ## Evictions
+//!
+//! Every eviction — LRU capacity, resident budget or an explicit
+//! [`Registry::evict`] — hands the dropped session to a background
+//! release that spills it (with a snapshot directory) and then drops it,
+//! so the request whose access tipped a limit does not pay for an
+//! unrelated corpus. A cold build joins the pending releases before it
+//! generates anything: it never races one, and a corpus requested again
+//! right after its eviction maps its spill instead of rebuilding.
+//! [`Registry::evict`] and [`Registry::persist_resident`] join them too.
+//!
 //! ## Live corpora
 //!
 //! [`Registry::mutate`] applies a [`CorpusDelta`] to the resident session
@@ -68,6 +79,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
@@ -85,17 +97,6 @@ use wikimatch::{
 /// re-snapshotted at the tip, bounding both replay time on restart and
 /// journal growth under sustained mutation.
 pub const COMPACTION_THRESHOLD: usize = 8;
-
-/// Whether an eviction's disk spill runs on the calling thread or on a
-/// detached background thread.
-#[derive(Debug, Clone, Copy)]
-enum SpillMode {
-    /// Spill before returning (explicit `/evict`, shutdown persistence).
-    Synchronous,
-    /// Spill on a background thread (LRU-pressure evictions, which run on
-    /// whatever request worker tipped the capacity).
-    Background,
-}
 
 /// Attempts a spill makes before declaring the disk tier degraded for
 /// this snapshot and quarantining the (now unrefreshable) target.
@@ -529,6 +530,8 @@ pub struct Registry {
     entries: RwLock<Vec<Arc<CorpusEntry>>>,
     /// LRU bookkeeping: name → last-used tick, for resident corpora only.
     lru: Mutex<LruState>,
+    /// Background releases of evicted sessions not yet joined.
+    releases: Mutex<Vec<JoinHandle<()>>>,
 }
 
 #[derive(Debug, Default)]
@@ -548,6 +551,7 @@ impl Registry {
             resident_budget: None,
             entries: RwLock::new(Vec::new()),
             lru: Mutex::new(LruState::default()),
+            releases: Mutex::new(Vec::new()),
         }
     }
 
@@ -768,6 +772,9 @@ impl Registry {
     /// incremental patcher — a corpus that has moved past its snapshot
     /// falls back to base + replay, never to a cold rebuild.
     fn build_corpus(&self, entry: &CorpusEntry) -> CachedCorpus {
+        // A pending release would overlap this build, and the spill of this
+        // very corpus may be among them.
+        self.join_releases();
         // Shared, not copied: a session restored or built over the pristine
         // itself keeps it, and the fallback below still reads it.
         let pristine = Arc::new(entry.spec.dataset());
@@ -916,12 +923,14 @@ impl Registry {
 
     /// Spills every currently resident session to the disk tier — the
     /// graceful-shutdown hook behind `matchd --persist`, so the next start
-    /// serves from disk without rebuilding anything. Returns the number of
-    /// sessions written; always 0 without a snapshot directory.
+    /// serves from disk without rebuilding anything. Pending eviction
+    /// spills are finished first. Returns the number of resident sessions
+    /// written; always 0 without a snapshot directory.
     pub fn persist_resident(&self) -> usize {
         if self.snapshot_dir.is_none() {
             return 0;
         }
+        self.join_releases();
         let entries: Vec<Arc<CorpusEntry>> = recover(self.entries.read()).clone();
         let mut written = 0;
         for entry in entries {
@@ -1216,20 +1225,25 @@ impl Registry {
     /// Evicts the resident session of `name` (if any); returns whether a
     /// session was actually dropped. In-flight holders of the session keep
     /// it alive through their `Arc`s. With a snapshot directory configured
-    /// the evicted session's artifacts are spilled to disk first, so a
+    /// the evicted session's artifacts are on disk when this returns, so a
     /// later request restores them instead of recomputing.
     pub fn evict(&self, name: &str) -> Result<bool, RegistryError> {
-        // Explicit evictions (admin `/evict`) spill synchronously: the
-        // caller asked for the eviction and can absorb the write latency,
-        // and the spill is guaranteed done when the response goes out.
-        self.evict_spilling(name, SpillMode::Synchronous)
+        let evicted = self.release(name);
+        self.join_releases();
+        evicted
     }
 
-    fn evict_spilling(&self, name: &str, mode: SpillMode) -> Result<bool, RegistryError> {
+    /// Evicts the resident session of `name` (if any) without waiting for
+    /// it: a new thread spills the session (with a snapshot directory) and
+    /// then drops it. Its handle is pushed under the same `releases` lock
+    /// that covers the session drop, so a cold build that finds the corpus
+    /// evicted always finds its release pending too.
+    fn release(&self, name: &str) -> Result<bool, RegistryError> {
         let entry = self.entry(name)?;
-        // Chaos hook: delay (or abort) an eviction between the session
+        // Chaos hook: delay (or abort) an eviction before the session
         // drop and the spill, the window crash-consistency cares about.
         wiki_fault::pause("registry.evict");
+        let mut releases = recover(self.releases.lock());
         let dropped = {
             let mut session = recover(entry.session.lock());
             // Only drop *completed* sessions: evicting an in-flight build
@@ -1243,32 +1257,35 @@ impl Registry {
                 _ => None,
             }
         };
-        if let Some(cached) = dropped.clone() {
+        let evicted = dropped.is_some();
+        if let Some(cached) = dropped {
             entry.evictions.fetch_add(1, Ordering::Relaxed);
-            // Spill outside the session lock: a slow disk must not block
-            // concurrent requests (they may even start rebuilding the
-            // session meanwhile — the artifacts are identical either way,
-            // and the save is atomic).
-            if let Some(path) = self.snapshot_path(name) {
-                match mode {
-                    SpillMode::Synchronous => spill_to(&path, &entry, cached.engine()),
-                    // LRU pressure evicts on whatever worker thread tipped
-                    // the capacity — that request must not pay for a
-                    // multi-megabyte serialization of an unrelated corpus,
-                    // so the spill moves to a background thread.
-                    SpillMode::Background => {
-                        let entry = Arc::clone(&entry);
-                        std::thread::spawn(move || spill_to(&path, &entry, cached.engine()));
-                    }
+            let path = self.snapshot_path(name);
+            releases.push(std::thread::spawn(move || {
+                if let Some(path) = path {
+                    spill_to(&path, &entry, cached.engine());
                 }
-            }
+            }));
         }
+        drop(releases);
         // Always clear the LRU slot, even when nothing was resident: a
         // stale entry (e.g. left by a touch racing an evict) would
         // otherwise be re-selected as the LRU victim forever.
         let mut lru = recover(self.lru.lock());
         lru.last_used.remove(name);
-        Ok(dropped.is_some())
+        Ok(evicted)
+    }
+
+    /// Waits for every pending release. The handles are taken under the
+    /// lock and joined outside it, so evictions elsewhere never wait on a
+    /// spill they did not start.
+    fn join_releases(&self) {
+        let pending = std::mem::take(&mut *recover(self.releases.lock()));
+        for release in pending {
+            // A release that panicked lost only its spill; the session is
+            // dropped either way.
+            let _ = release.join();
+        }
     }
 
     fn touch(&self, name: &str) {
@@ -1286,8 +1303,9 @@ impl Registry {
     /// the corpus just served). The victim is always the *global* oldest
     /// slot by `(tick, name)`, so concurrent enforcers agree on it instead
     /// of evicting each other's fresh builds; a slot whose session is gone
-    /// is just cleared. Spills run in the background: eviction happens on
-    /// a request worker serving some unrelated corpus.
+    /// is just cleared. Victims go to background releases, which the next
+    /// cold build joins: eviction happens on a request worker serving some
+    /// unrelated corpus, which must not wait for the spill.
     fn enforce_limits(&self) {
         let over_budget = || {
             let Some(budget) = self.resident_budget else {
@@ -1314,10 +1332,10 @@ impl Registry {
             let Some(name) = victim else {
                 return;
             };
-            // `evict_spilling` clears the slot even when no session is
-            // resident; a corpus that has since been unregistered is
-            // cleared by hand, so every iteration shrinks `last_used`.
-            if self.evict_spilling(&name, SpillMode::Background).is_err() {
+            // `release` clears the slot even when no session is resident;
+            // a corpus that has since been unregistered is cleared by
+            // hand, so every iteration shrinks `last_used`.
+            if self.release(&name).is_err() {
                 recover(self.lru.lock()).last_used.remove(&name);
             }
         }
@@ -1577,6 +1595,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wm-registry-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Removes `dir` once the pending releases have landed: a spill that
+    /// ran later would create the directory again.
+    fn remove_after_releases(registry: &Registry, dir: &Path) {
+        registry.join_releases();
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -1999,7 +2024,7 @@ mod tests {
             let evictions: u64 = stats.corpora.iter().map(|c| c.evictions).sum();
             assert_eq!(evictions, access, "access {access} did not evict");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        remove_after_releases(&registry, &dir);
     }
 
     #[test]
@@ -2026,19 +2051,10 @@ mod tests {
         assert!(by_name("b").resident);
         assert_eq!(by_name("a").evictions, 1);
         // The evicted corpus comes back from its mapped spill, not a
-        // rebuild. The background spill races this reload, so wait for
-        // the snapshot file to appear before asking for the corpus again.
-        let path = dir.join("a.snap");
-        for _ in 0..200 {
-            if path.is_file() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(path.is_file(), "eviction never spilled a.snap");
+        // rebuild: the cold build joins the eviction's release first.
         let restored = registry.corpus("a").unwrap();
         assert_eq!(restored.engine().stats().artifact_builds, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        remove_after_releases(&registry, &dir);
     }
 
     #[test]
@@ -2077,7 +2093,7 @@ mod tests {
                 ("c".to_string(), true, 0),
             ]
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        remove_after_releases(&registry, &dir);
     }
 
     #[test]

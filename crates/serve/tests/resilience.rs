@@ -2,7 +2,8 @@
 //! `/failpoints` endpoint, and the registry's graceful-degradation ladder
 //! (snapshot-load failure → rebuild, spill failure → quarantine, torn
 //! journal → quarantine + verified prefix, failed journal append →
-//! 503 `MutationNotDurable` that a retry repairs).
+//! 503 `MutationNotDurable` that a retry repairs), and the wait for an
+//! eviction's slow spill before a cold build or a shutdown persist.
 //!
 //! Failpoints are process-global, so every test serializes on [`guard`]
 //! and disarms on drop — a panicking test cannot leak an armed point into
@@ -416,5 +417,58 @@ fn unjournalable_mutation_answers_503_and_a_retry_repairs_the_chain() {
     let stats: StatsResponse = client.get("/stats").unwrap().json().unwrap();
     assert_eq!(stats.registry.corpora[0].journal_records, 2);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A capacity-1 registry with a disk tier over `a` and `b`: `a` aligns
+/// `film`, then a request for `b` evicts it while a sleeping failpoint
+/// holds its spill back for 300 ms. `b` is warmed first, so its snapshot
+/// is current and none of its own spills reaches the failpoint.
+fn evict_a_behind_a_slow_spill(dir: &std::path::Path) -> Registry {
+    let registry = Registry::new(1, ComputeMode::default()).with_snapshot_dir(dir);
+    registry.register_all(vec![tiny_spec("a"), tiny_spec("b")]);
+    registry.warm("b").unwrap();
+    registry.engine("a").unwrap().align("film").unwrap();
+    wiki_fault::arm("registry.spill=sleep(300)*1").unwrap();
+    registry.engine("b").unwrap();
+    registry
+}
+
+#[test]
+fn a_cold_build_maps_the_spill_of_an_eviction_still_in_flight() {
+    let _guard = guard();
+    let dir = temp_dir("release");
+    let registry = evict_a_behind_a_slow_spill(&dir);
+
+    // The cold build of `a` waits for its release, so it maps the spill
+    // instead of rebuilding every artifact from scratch.
+    let restored = registry.engine("a").unwrap();
+    restored.align("film").unwrap();
+    let stats = registry.stats();
+    let a = stats.corpora.iter().find(|c| c.name == "a").unwrap();
+    let artifact_builds = restored.stats().artifact_builds;
+    assert_eq!(
+        (a.snapshot_loads, artifact_builds),
+        (1, 0),
+        "a rebuilt while its spill was pending: builds {}",
+        a.builds
+    );
+    // Restoring `a` evicted `b`: join that release before the directory
+    // goes, or its spill could create it again.
+    registry.persist_resident();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn persist_resident_returns_only_once_eviction_spills_land() {
+    let _guard = guard();
+    let dir = temp_dir("persist-release");
+    let registry = evict_a_behind_a_slow_spill(&dir);
+
+    registry.persist_resident();
+    assert!(
+        dir.join("a.snap").is_file(),
+        "persist returned before the eviction spill of a landed"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,8 +95,8 @@ fn filter_is_sound_on_the_pt_en_pair() {
     assert_filter_sound(Dataset::pt_en(&config_with(7, 6)));
 }
 
-/// `ScaleTier` is the single tier-name authority threaded through matchd,
-/// the bench binaries and the registry: `Display` and `FromStr` must
+/// `ScaleTier` is the single tier-name authority threaded through matchd
+/// and the registry: `Display` and `FromStr` must
 /// round-trip exactly, including the new `xlarge` tier.
 #[test]
 fn scale_tier_display_from_str_round_trips() {
