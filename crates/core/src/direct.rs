@@ -743,6 +743,7 @@ impl MappedSnapshot {
                 Some(Arc::clone(&region)),
             )?
         };
+        crate::snapshot::count_load();
         Ok(Self { snapshot, region })
     }
 }

@@ -535,11 +535,6 @@ impl MatchEngine {
         computed
     }
 
-    /// The type pairings of the dataset (convenience passthrough).
-    pub fn type_pairings(&self) -> Vec<TypePairing> {
-        recover(self.state.read()).dataset.types.clone()
-    }
-
     /// Number of per-type artifact sets currently cached.
     pub fn cached_types(&self) -> usize {
         recover(self.state.read())

@@ -124,8 +124,6 @@ pub use matches::{MatchCluster, MatchSet};
 pub use mmap::MappedRegion;
 pub use pipeline::{TypeAlignment, WikiMatch};
 pub use schema::{AttributeStats, DualSchema};
-pub use similarity::{
-    CandidatePair, ComputeMode, PairCounts, ParseComputeModeError, SimilarityTable,
-};
+pub use similarity::{CandidatePair, ComputeMode, PairCounts, SimilarityTable};
 pub use snapshot::{corpus_fingerprint, DeltaJournal, DeltaRecord, EngineSnapshot, SnapshotError};
 pub use types::match_entity_types;

@@ -100,11 +100,6 @@ impl MatchSet {
         self.clusters[cluster].add(attr);
     }
 
-    /// Mutable access to a cluster.
-    pub fn cluster_mut(&mut self, cluster: usize) -> &mut MatchCluster {
-        &mut self.clusters[cluster]
-    }
-
     /// All pairs of cluster members that belong to *different* languages,
     /// reported as `(name in lang_a, name in lang_b)`.
     ///

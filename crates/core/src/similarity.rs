@@ -67,40 +67,9 @@ impl std::fmt::Display for ComputeMode {
     }
 }
 
-/// Error returned when parsing a [`ComputeMode`] from a string fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseComputeModeError(String);
-
-impl std::fmt::Display for ParseComputeModeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown compute mode {:?}; expected \"pruned\" or \"dense\"",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseComputeModeError {}
-
-impl std::str::FromStr for ComputeMode {
-    type Err = ParseComputeModeError;
-
-    /// Parses `"pruned"` / `"dense"` (case-insensitive, also accepting the
-    /// capitalised variant names).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "pruned" => Ok(ComputeMode::Pruned),
-            "dense" => Ok(ComputeMode::Dense),
-            _ => Err(ParseComputeModeError(s.to_string())),
-        }
-    }
-}
-
 // The mode serializes as its `Display` string (`"pruned"`, `"dense"`)
-// rather than a derived variant tree: configuration and the `/stats`
-// endpoint show the same text a CLI flag accepts, and the string
-// round-trips through `FromStr`.
+// rather than a derived variant tree, so the `/stats` endpoint shows the
+// same text as the mode's `Display`.
 impl Serialize for ComputeMode {
     fn serialize_value(&self) -> serde::Value {
         serde::Value::Str(self.to_string())
@@ -109,10 +78,13 @@ impl Serialize for ComputeMode {
 
 impl Deserialize for ComputeMode {
     fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let text = value.as_str().ok_or_else(|| {
-            serde::Error::custom(format!("expected compute-mode string, found {value:?}"))
-        })?;
-        text.parse().map_err(serde::Error::custom)
+        match value.as_str() {
+            Some("pruned") => Ok(ComputeMode::Pruned),
+            Some("dense") => Ok(ComputeMode::Dense),
+            _ => Err(serde::Error::custom(format!(
+                "expected \"pruned\" or \"dense\", found {value:?}"
+            ))),
+        }
     }
 }
 
@@ -155,13 +127,6 @@ pub struct CandidatePair {
     pub lsim: f64,
     /// LSI correlation score (paper's sign conventions applied).
     pub lsi: f64,
-}
-
-impl CandidatePair {
-    /// The strongest of the two direct-evidence scores.
-    pub fn max_sim(&self) -> f64 {
-        self.vsim.max(self.lsim)
-    }
 }
 
 /// Value similarity between two attributes of a dual schema.
@@ -1149,45 +1114,20 @@ mod tests {
     }
 
     #[test]
-    fn compute_mode_round_trips_through_serde_and_from_str() {
+    fn compute_mode_round_trips_through_serde() {
         for (mode, text) in [
             (ComputeMode::Pruned, "pruned"),
             (ComputeMode::Dense, "dense"),
         ] {
-            // Display / FromStr.
             assert_eq!(mode.to_string(), text);
-            assert_eq!(text.parse::<ComputeMode>().unwrap(), mode);
-            assert_eq!(text.to_uppercase().parse::<ComputeMode>().unwrap(), mode);
             // serde (via the Value tree the shims use).
             let value = mode.serialize_value();
+            assert_eq!(value.as_str(), Some(text));
             assert_eq!(ComputeMode::deserialize_value(&value).unwrap(), mode);
-            // The serde variant names are also accepted by FromStr so a
-            // serialized mode can be fed back through a CLI flag.
-            let serde_name = value.as_str().unwrap().to_string();
-            assert_eq!(serde_name.parse::<ComputeMode>().unwrap(), mode);
         }
-        let err = "fast".parse::<ComputeMode>().unwrap_err();
+        let err =
+            ComputeMode::deserialize_value(&serde::Value::Str("fast".to_string())).unwrap_err();
         assert!(err.to_string().contains("fast"), "{err}");
-    }
-
-    #[test]
-    fn compute_mode_parsing_applies_defaults_and_validates_parameters() {
-        assert_eq!(" Pruned ".parse::<ComputeMode>(), Ok(ComputeMode::Pruned));
-        // The modes take no parameters, and the removed `filtered[:T]` and
-        // `lsh` spellings are rejected, never constructed.
-        for bad in [
-            "",
-            "filtered",
-            "filtered:0.6",
-            "lsh",
-            "lsh:16x4",
-            "pruned:1",
-        ] {
-            assert!(
-                bad.parse::<ComputeMode>().is_err(),
-                "{bad} should not parse"
-            );
-        }
     }
 
     #[test]

@@ -59,7 +59,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -474,18 +474,6 @@ impl EngineSnapshot {
         crate::direct::decode_copy(bytes)
     }
 
-    /// Writes the framed snapshot to a writer.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        writer.write_all(&self.to_bytes())
-    }
-
-    /// Reads a framed snapshot from a reader (consumes it to EOF).
-    pub fn read_from(reader: &mut impl Read) -> Result<Self, SnapshotError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
     /// Saves the snapshot to `path` atomically: the bytes are written to a
     /// temporary sibling file and renamed into place, so concurrent readers
     /// see either the old snapshot or the new one, never a torn write.
@@ -503,12 +491,7 @@ impl EngineSnapshot {
     /// Loads a snapshot from `path`.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
         let _span = wiki_obs::Span::enter("snapshot_load");
-        wiki_obs::registry()
-            .counter(
-                "wm_snapshot_loads_total",
-                "Engine snapshots read from disk.",
-            )
-            .inc();
+        count_load();
         let mut bytes = fs::read(path)?;
         wiki_fault::filter_read("snapshot.load.read", &mut bytes)?;
         let _span = wiki_obs::Span::enter("snapshot_decode");
@@ -534,6 +517,17 @@ impl EngineSnapshot {
         let fingerprint = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
         Ok((version, fingerprint))
     }
+}
+
+/// Counts one snapshot read from disk, by [`EngineSnapshot::load`] or
+/// [`MappedSnapshot::open`](crate::MappedSnapshot::open).
+pub(crate) fn count_load() {
+    wiki_obs::registry()
+        .counter(
+            "wm_snapshot_loads_total",
+            "Engine snapshots read from disk.",
+        )
+        .inc();
 }
 
 // ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ impl SyntheticConfig {
 /// The named synthetic scale tiers, in ascending size order.
 ///
 /// Every tier name in the workspace (`matchd --tiers` and the registry's
-/// corpus names, which `matchbench` and the benchmark request) parses
+/// corpus names, which the tests and the benchmark request) parses
 /// through this enum, so adding a tier here threads it through every
 /// surface at once. `Display` and [`FromStr`](std::str::FromStr)
 /// round-trip exactly.

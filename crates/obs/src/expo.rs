@@ -1,6 +1,7 @@
-//! A small parser for the Prometheus text exposition format, used by
-//! matchbench (to scrape server-side histograms mid-run) and by the
-//! integration tests (to validate what `/metrics` serves).
+//! A small parser for the Prometheus text exposition format, used by the
+//! integration tests (to validate what `/metrics` serves and to read
+//! server-side quantiles from a scrape-over-scrape delta) and by the
+//! benchmark harness (to read phase histograms).
 //!
 //! It understands the subset [`crate::MetricsRegistry::render`] emits:
 //! `# HELP`/`# TYPE` comments, and sample lines of the form
@@ -262,37 +263,6 @@ impl HistogramScrape {
         }
     }
 
-    /// Merges several scrapes of the *same* metric (e.g. one child per
-    /// `endpoint` label) into one histogram. Because the renderer skips
-    /// empty buckets, children can expose different `le` sets — each
-    /// child's cumulative count is evaluated as a step function over the
-    /// union of bounds, which is exact for cumulative histograms.
-    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a HistogramScrape>) -> HistogramScrape {
-        let parts: Vec<&HistogramScrape> = parts.into_iter().collect();
-        let mut bounds: Vec<f64> = parts
-            .iter()
-            .flat_map(|p| p.buckets.iter().map(|&(le, _)| le))
-            .collect();
-        bounds.sort_by(f64::total_cmp);
-        bounds.dedup_by(|a, b| a == b);
-        let cumulative_at = |p: &HistogramScrape, le: f64| {
-            p.buckets
-                .iter()
-                .rev()
-                .find(|&&(bound, _)| bound <= le)
-                .map(|&(_, c)| c)
-                .unwrap_or(0.0)
-        };
-        HistogramScrape {
-            buckets: bounds
-                .iter()
-                .map(|&le| (le, parts.iter().map(|p| cumulative_at(p, le)).sum()))
-                .collect(),
-            sum: parts.iter().map(|p| p.sum).sum(),
-            count: parts.iter().map(|p| p.count).sum(),
-        }
-    }
-
     /// The upper bound (in seconds) of the bucket holding the
     /// nearest-rank `q`-quantile, or `None` when empty. For the overflow
     /// bucket this is `+Inf`.
@@ -352,31 +322,6 @@ mod tests {
             "unterminated labels"
         );
         assert!(parse_text("wm_bad notanumber\n").is_err(), "bad value");
-    }
-
-    #[test]
-    fn merge_handles_disjoint_bucket_sets() {
-        // Children of one metric rendered with empty buckets skipped:
-        // their `le` sets differ, so the merge must evaluate each child's
-        // cumulative step function over the union of bounds.
-        let a = HistogramScrape {
-            buckets: vec![(0.1, 2.0), (f64::INFINITY, 2.0)],
-            sum: 0.15,
-            count: 2.0,
-        };
-        let b = HistogramScrape {
-            buckets: vec![(1.0, 3.0), (f64::INFINITY, 4.0)],
-            sum: 9.0,
-            count: 4.0,
-        };
-        let merged = HistogramScrape::merge([&a, &b]);
-        assert_eq!(
-            merged.buckets,
-            vec![(0.1, 2.0), (1.0, 5.0), (f64::INFINITY, 6.0)]
-        );
-        assert_eq!(merged.count, 6.0);
-        assert!((merged.sum - 9.15).abs() < 1e-12);
-        assert!(merged.is_monotone(), "{merged:?}");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   innermost phase, recording into `wm_phase_seconds{phase=…}`.
 //! - [`logging`] — structured JSON-lines access logs with level gating
 //!   and a slow-request threshold.
-//! - [`expo`] — a parser for the exposition format, used by matchbench
-//!   and the integration tests to read `/metrics` back.
+//! - [`expo`] — a parser for the exposition format, used by the
+//!   integration tests to read `/metrics` back and by the benchmark
+//!   harness to read its phase histograms.
 //!
 //! Library layers (core, text) record through the process-wide
 //! [`registry()`] so a single scrape covers build phases, snapshot I/O and

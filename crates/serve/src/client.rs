@@ -1,5 +1,5 @@
-//! A small blocking HTTP/1.1 client for `matchd`, used by `matchbench`
-//! and the integration tests.
+//! A small blocking HTTP/1.1 client for `matchd`, used by the benchmark
+//! harness (`perfbench`) and the integration tests.
 //!
 //! Keeps one keep-alive connection per client and reconnects transparently
 //! when the server closed it (e.g. after a `Connection: close` response or

@@ -1,6 +1,6 @@
 //! A minimal hand-rolled HTTP/1.1 layer over `std::net`.
 //!
-//! Implements exactly the subset `matchd` and `matchbench` need: request
+//! Implements exactly the subset `matchd` and its client need: request
 //! parsing (request line, headers, `Content-Length` bodies), keep-alive
 //! semantics, and JSON responses with correct framing. No chunked encoding,
 //! no TLS, no HTTP/2 — the protocol surface is deliberately small enough to

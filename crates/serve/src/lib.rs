@@ -23,14 +23,11 @@
 //!    `POST`/`DELETE /corpora/{name}/entities` for live mutations) with
 //!    graceful shutdown.
 //! 3. [`client`] — a small blocking keep-alive client, shared by the
-//!    `matchbench` load generator and the integration tests.
+//!    benchmark harness (`perfbench`) and the integration tests.
 //!
-//! Two binaries ship with the crate:
-//!
-//! * **`matchd`** — the daemon; registers the synthetic scale tiers
-//!   (`pt-tiny` … `vi-large`) and serves them out of the box.
-//! * **`matchbench`** — replays mixed workloads against a running server
-//!   and reports throughput and p50/p95/p99 latency.
+//! The crate's binary, **`matchd`**, is the daemon; it registers the
+//! synthetic scale tiers (`pt-tiny` … `vi-large`) and serves them out of
+//! the box.
 //!
 //! ```no_run
 //! use std::sync::Arc;

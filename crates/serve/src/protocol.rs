@@ -2,8 +2,9 @@
 //!
 //! Every endpoint consumes and produces one of the structs below, so the
 //! wire format is defined in exactly one place and shared by the server,
-//! the [`crate::client::MatchClient`], `matchbench` and the integration
-//! tests. See `docs/ARCHITECTURE.md` ("Serving") for the endpoint table.
+//! the [`crate::client::MatchClient`], the benchmark harness and the
+//! integration tests. See `docs/ARCHITECTURE.md` ("Serving") for the
+//! endpoint table.
 
 use serde::{Deserialize, Serialize};
 

@@ -159,9 +159,10 @@ fn metrics_exposition_is_valid_and_aligns_move_the_request_histogram() {
     server.shutdown();
 }
 
-/// Out-of-core gauges over the wire: a budgeted server mapping a v4
+/// Out-of-core gauges over the wire: a budgeted server mapping a
 /// snapshot must report `resident_bytes` / `mapped_bytes` / `page_ins` per
-/// corpus both in the `/stats` JSON and as `/metrics` gauges.
+/// corpus both in the `/stats` JSON and as `/metrics` gauges, and count
+/// the mapped open in `wm_snapshot_loads_total`.
 #[test]
 fn out_of_core_gauges_are_served_in_stats_and_metrics() {
     let name = "pt-tiny-ooc";
@@ -230,6 +231,7 @@ fn out_of_core_gauges_are_served_in_stats_and_metrics() {
         "# TYPE wm_registry_resident_bytes gauge",
         "# TYPE wm_registry_mapped_bytes gauge",
         "# TYPE wm_registry_resident_budget_bytes gauge",
+        "# TYPE wm_snapshot_loads_total counter",
     ] {
         assert!(text.contains(family), "missing {family:?} in:\n{text}");
     }
@@ -252,6 +254,14 @@ fn out_of_core_gauges_are_served_in_stats_and_metrics() {
         .expect("budget gauge present")
         .value;
     assert_eq!(budget, (1024u64 * 1024 * 1024) as f64);
+    // The metrics registry is process-global, so other tests' opens may
+    // count too; this one's is at least one.
+    let loads = samples
+        .iter()
+        .find(|s| s.name == "wm_snapshot_loads_total")
+        .expect("snapshot loads counter present")
+        .value;
+    assert!(loads >= 1.0, "the mapped open was not counted: {loads}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

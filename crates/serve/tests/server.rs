@@ -4,7 +4,8 @@
 //! cold-corpus coalescing guarantee (N concurrent first requests, exactly
 //! one artifact build).
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use wiki_baselines::BoumaMatcher;
@@ -18,7 +19,7 @@ use wiki_serve::protocol::{
 };
 use wiki_serve::registry::{CorpusSpec, Registry};
 use wiki_serve::server::{MatchServer, ServerConfig};
-use wikimatch::{ComputeMode, MatchEngine};
+use wikimatch::{ComputeMode, CorpusDelta, MatchEngine};
 
 fn tiny_spec(name: &str) -> CorpusSpec {
     CorpusSpec {
@@ -381,24 +382,31 @@ fn lru_capacity_is_enforced_over_the_wire() {
     server.shutdown();
 }
 
-/// The probe article of the mutation tests: same key every time, attribute
-/// value varying by `step`, so the first request inserts and later ones
-/// update in place. Cross-linked to an English film of the same synthetic
+/// A probe article titled `title`, with an attribute value varying by
+/// `step`, so the first upsert of a title inserts and later ones update in
+/// place. Cross-linked to the `film`-th English film of the same synthetic
 /// dataset, so it forms a dual pair and its edits dirty similarity rows.
-fn probe(step: usize) -> Article {
+fn probe_titled(title: &str, film: usize, step: usize) -> Article {
     let dataset = Dataset::pt_en(&SyntheticConfig::tiny());
     let en_title = dataset
         .corpus
         .articles_in(&Language::En)
-        .find(|a| a.entity_type == "Film")
-        .expect("tiny dataset has English films")
+        .filter(|a| a.entity_type == "Film")
+        .nth(film)
+        .expect("tiny dataset has enough English films")
         .title
         .clone();
     let mut infobox = Infobox::new("Infobox Filme");
     infobox.push(AttributeValue::text("nota", format!("edição {step}")));
-    let mut article = Article::new("Sonda Wire", Language::Pt, "Filme", infobox);
+    let mut article = Article::new(title, Language::Pt, "Filme", infobox);
     article.cross_links.push((Language::En, en_title));
     article
+}
+
+/// The probe article of the single-writer mutation tests: same key every
+/// time, linked to the first English film.
+fn probe(step: usize) -> Article {
+    probe_titled("Sonda Wire", 0, step)
 }
 
 #[test]
@@ -513,6 +521,115 @@ fn mutation_endpoints_patch_the_live_corpus_and_report_gauges() {
         .unwrap();
     assert_eq!(corpus.compactions, 1);
     assert_eq!(corpus.journal_records, 1, "compaction composed the chain");
+
+    server.shutdown();
+}
+
+/// Two connections upsert at once, each editing only its own article. The
+/// two articles are inserted one after the other first, so their slot ids
+/// are fixed and the final corpus does not depend on how the concurrent
+/// updates interleave: every answer is 200, the answers chain one
+/// fingerprint to the next (no write saw a stale corpus or was lost), and
+/// the served alignment equals a cold in-process engine's over the same
+/// final corpus.
+#[test]
+fn concurrent_upserts_over_the_wire_match_a_cold_engine() {
+    const WRITERS: usize = 2;
+    const UPSERTS: usize = 16;
+    let titles = ["Sonda Paralela 0", "Sonda Paralela 1"];
+    let (server, mut client) = boot(vec![tiny_spec("pt-tiny")], 2);
+    let addr = server.addr();
+    let upsert = |client: &mut MatchClient, article: Article| -> MutateResponse {
+        let response = client
+            .post(
+                "/corpora/pt-tiny/entities",
+                &MutateRequest {
+                    entities: vec![article],
+                },
+            )
+            .expect("upsert request succeeds");
+        assert_eq!(response.status, 200, "{}", response.body);
+        response.json().unwrap()
+    };
+
+    let warm = client
+        .post(
+            "/warm",
+            &CorpusRequest {
+                corpus: "pt-tiny".to_string(),
+            },
+        )
+        .unwrap();
+    assert_eq!(warm.status, 200);
+    let mut fingerprint = String::new();
+    for (film, title) in titles.iter().enumerate() {
+        fingerprint = upsert(&mut client, probe_titled(title, film, 0)).fingerprint;
+    }
+
+    let barrier = Barrier::new(WRITERS);
+    let answers: Vec<MutateResponse> = thread::scope(|scope| {
+        let handles: Vec<_> = titles
+            .iter()
+            .enumerate()
+            .map(|(film, title)| {
+                let (barrier, upsert) = (&barrier, &upsert);
+                scope.spawn(move || {
+                    let articles: Vec<Article> = (1..=UPSERTS)
+                        .map(|step| probe_titled(title, film, step))
+                        .collect();
+                    let mut client = MatchClient::new(addr).expect("client connects");
+                    barrier.wait();
+                    articles
+                        .into_iter()
+                        .map(|article| upsert(&mut client, article))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let mut next: HashMap<String, String> = answers
+        .into_iter()
+        .map(|answer| (answer.fingerprint_before, answer.fingerprint))
+        .collect();
+    for _ in 0..WRITERS * UPSERTS {
+        fingerprint = next
+            .remove(&fingerprint)
+            .unwrap_or_else(|| panic!("no answer follows {fingerprint}: {next:?}"));
+    }
+
+    let stats: StatsResponse = client.get("/stats").unwrap().json().unwrap();
+    let engine = stats.registry.corpora[0]
+        .engine
+        .as_ref()
+        .expect("mutated session is resident");
+    assert_eq!(engine.deltas_applied, (WRITERS * (1 + UPSERTS)) as u64);
+
+    let reference = reference_engine();
+    for (film, title) in titles.iter().enumerate() {
+        reference.apply_delta(&CorpusDelta::upsert(probe_titled(title, film, UPSERTS)));
+    }
+    assert_eq!(fingerprint, format!("{:016x}", reference.fingerprint()));
+    let response: AlignResponse = client
+        .post(
+            "/align",
+            &AlignRequest {
+                corpus: "pt-tiny".to_string(),
+                type_id: None,
+            },
+        )
+        .unwrap()
+        .json()
+        .unwrap();
+    let reference = reference.align_all();
+    assert_eq!(response.alignments.len(), reference.len());
+    for (wire, local) in response.alignments.iter().zip(&reference) {
+        assert_eq!(wire.type_id, local.type_id);
+        assert_eq!(wire.pairs, local.cross_pairs(), "{}", wire.type_id);
+    }
 
     server.shutdown();
 }
