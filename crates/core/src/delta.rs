@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use wiki_corpus::store::EntityClusters;
-use wiki_corpus::{Article, ArticleId, Corpus, Language, TypePairing};
+use wiki_corpus::{Article, ArticleId, AttributeValue, Corpus, Language, TypePairing};
 use wiki_linalg::LsiConfig;
 use wiki_text::tokenize::split_value_atoms;
 use wiki_text::{normalize, tokenize_value, TermVector};
@@ -261,13 +261,15 @@ pub(crate) struct PatchContext<'a> {
     /// cluster — link tokens are cluster-named, so this invalidates every
     /// attribute conservatively.
     clusters_changed: bool,
-    mutated: HashSet<(Language, String)>,
+    /// The delta's `(language, title)` keys, grouped by language so that
+    /// a lookup borrows its key instead of building one.
+    mutated: HashMap<Language, HashSet<String>>,
     /// `(language, entity_type)` of every article (in either corpus) that
     /// was mutated or holds a link to a mutated title — the only articles
     /// through which a delta can reach a type's pair list or token
     /// streams. A type whose labels miss this set entirely is untouched
     /// (provided clusters and dictionary are unchanged too).
-    affected_types: HashSet<(Language, String)>,
+    affected_types: HashSet<(&'a Language, &'a str)>,
 }
 
 impl<'a> PatchContext<'a> {
@@ -297,21 +299,18 @@ impl<'a> PatchContext<'a> {
                 changed_keys.insert(key.to_string());
             }
         }
-        let mutated = delta.mutated_titles();
-        let mut affected_types: HashSet<(Language, String)> = HashSet::new();
+        let mut mutated: HashMap<Language, HashSet<String>> = HashMap::new();
+        for (language, title) in delta.mutated_titles() {
+            mutated.entry(language).or_default().insert(title);
+        }
+        let mut affected_types = HashSet::new();
         for corpus in [old_corpus, new_corpus] {
             for article in corpus.articles() {
-                let owner = (article.language.clone(), article.entity_type.clone());
+                let owner = (&article.language, article.entity_type.as_str());
                 if affected_types.contains(&owner) {
                     continue;
                 }
-                if mutated.contains(&(article.language.clone(), article.title.clone()))
-                    || article.infobox.attributes.iter().any(|attr| {
-                        attr.links.iter().any(|link| {
-                            mutated.contains(&(article.language.clone(), link.target.clone()))
-                        })
-                    })
-                {
+                if touches_mutated(&mutated, article, &article.infobox.attributes) {
                     affected_types.insert(owner);
                 }
             }
@@ -338,11 +337,30 @@ impl<'a> PatchContext<'a> {
             && self.changed_keys.is_empty()
             && !self
                 .affected_types
-                .contains(&(Language::En, pairing.label_en.clone()))
+                .contains(&(&Language::En, pairing.label_en.as_str()))
             && !self
                 .affected_types
-                .contains(&(other.clone(), pairing.label_other.clone()))
+                .contains(&(other, pairing.label_other.as_str()))
     }
+}
+
+/// Whether `article` was mutated, or one of `attributes` (taken from its
+/// infobox) links to a mutated title of its language. Looks every key up
+/// by borrow: the corpus-wide scans that call it allocate nothing.
+fn touches_mutated(
+    mutated: &HashMap<Language, HashSet<String>>,
+    article: &Article,
+    attributes: &[AttributeValue],
+) -> bool {
+    let Some(titles) = mutated.get(&article.language) else {
+        return false;
+    };
+    titles.contains(article.title.as_str())
+        || attributes.iter().any(|attr| {
+            attr.links
+                .iter()
+                .any(|link| titles.contains(link.target.as_str()))
+        })
 }
 
 /// One attribute group as seen by the skeleton walk: everything
@@ -392,6 +410,34 @@ fn walk_type(corpus: &Corpus, other: &Language, label_other: &str, label_en: &st
     }
 }
 
+/// Maps each attribute of `new_walk` to its position in the old schema, if
+/// it has one. The old walk and the old schema were derived from the same
+/// corpus by the same traversal, so their attribute sequences coincide;
+/// the guard degrades to a full per-attribute rebuild if they ever did not.
+fn old_positions(
+    old_walk: &TypeWalk,
+    new_walk: &TypeWalk,
+    old_schema: &DualSchema,
+) -> Vec<Option<usize>> {
+    let walks_coincide = old_walk.attrs.len() == old_schema.attributes.len()
+        && old_walk
+            .groups
+            .keys
+            .iter()
+            .zip(&old_schema.attributes)
+            .all(|((language, name), a)| *language == a.language && *name == a.name);
+    new_walk
+        .groups
+        .keys
+        .iter()
+        .map(|key| {
+            walks_coincide
+                .then(|| old_walk.groups.index.get(key).copied())
+                .flatten()
+        })
+        .collect()
+}
+
 /// Raw token streams re-collected for one dirty attribute (occurrence
 /// order; vectors collapse them exactly like the cold build does).
 #[derive(Default)]
@@ -428,19 +474,12 @@ fn is_dirty(
     // (its cluster token may appear, vanish or change).
     for &(id, pos) in &new_walk.instances {
         let article = ctx.new_corpus.get(id).expect("instance ids are live");
-        if ctx
-            .mutated
-            .contains(&(article.language.clone(), article.title.clone()))
-        {
+        if touches_mutated(
+            &ctx.mutated,
+            article,
+            &article.infobox.attributes[pos..=pos],
+        ) {
             return true;
-        }
-        for link in &article.infobox.attributes[pos].links {
-            if ctx
-                .mutated
-                .contains(&(article.language.clone(), link.target.clone()))
-            {
-                return true;
-            }
         }
     }
     // Foreign attributes re-translate when the dictionary entry of any of
@@ -488,26 +527,7 @@ pub(crate) fn patch_prepared_type(
     );
     let dual_count = new_walk.dual_count;
     let keys = &new_walk.groups.keys;
-
-    // Map each new attribute to its old schema position (if any). The old
-    // walk and the old schema were derived from the same corpus by the same
-    // traversal, so their attribute sequences coincide; the guard below
-    // degrades to a full per-attribute rebuild if they ever did not.
-    let walks_coincide = old_walk.attrs.len() == old.schema.attributes.len()
-        && old_walk
-            .groups
-            .keys
-            .iter()
-            .zip(&old.schema.attributes)
-            .all(|((language, name), a)| *language == a.language && *name == a.name);
-    let old_of: Vec<Option<usize>> = keys
-        .iter()
-        .map(|key| {
-            walks_coincide
-                .then(|| old_walk.groups.index.get(key).copied())
-                .flatten()
-        })
-        .collect();
+    let old_of = old_positions(&old_walk, &new_walk, &old.schema);
     let dirty: Vec<bool> = new_walk
         .attrs
         .iter()
@@ -744,7 +764,7 @@ impl PatchContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiki_corpus::{AttributeValue, Infobox};
+    use wiki_corpus::Infobox;
 
     fn article(title: &str, lang: Language, ty: &str, value: &str) -> Article {
         let mut infobox = Infobox::new(format!("Infobox {ty}"));
@@ -824,5 +844,226 @@ mod tests {
         }
         // A far shorter program than the history it replaces.
         assert!(composed.len() < history.iter().map(CorpusDelta::len).sum());
+    }
+
+    /// `PatchContext::new`'s affected-types scan as it was before it looked
+    /// keys up by borrow: one `(Language, String)` built per article and
+    /// per link.
+    fn allocating_affected_types(
+        old_corpus: &Corpus,
+        new_corpus: &Corpus,
+        mutated: &HashSet<(Language, String)>,
+    ) -> HashSet<(Language, String)> {
+        let mut affected_types: HashSet<(Language, String)> = HashSet::new();
+        for corpus in [old_corpus, new_corpus] {
+            for article in corpus.articles() {
+                let owner = (article.language.clone(), article.entity_type.clone());
+                if affected_types.contains(&owner) {
+                    continue;
+                }
+                if mutated.contains(&(article.language.clone(), article.title.clone()))
+                    || article.infobox.attributes.iter().any(|attr| {
+                        attr.links.iter().any(|link| {
+                            mutated.contains(&(article.language.clone(), link.target.clone()))
+                        })
+                    })
+                {
+                    affected_types.insert(owner);
+                }
+            }
+        }
+        affected_types
+    }
+
+    /// [`is_dirty`] as it was before its instance checks looked keys up by
+    /// borrow, reading the delta's keys from the allocating set.
+    fn allocating_is_dirty(
+        ctx: &PatchContext<'_>,
+        mutated: &HashSet<(Language, String)>,
+        language: &Language,
+        new_walk: &AttrWalk,
+        old_walk: Option<&AttrWalk>,
+        old_attr: Option<&AttributeStats>,
+    ) -> bool {
+        if ctx.clusters_changed {
+            return true;
+        }
+        let (old_walk, old_attr) = match (old_walk, old_attr) {
+            (Some(w), Some(a)) => (w, a),
+            _ => return true,
+        };
+        if old_walk.instances != new_walk.instances {
+            return true;
+        }
+        for &(id, pos) in &new_walk.instances {
+            let article = ctx.new_corpus.get(id).expect("instance ids are live");
+            if mutated.contains(&(article.language.clone(), article.title.clone())) {
+                return true;
+            }
+            for link in &article.infobox.attributes[pos].links {
+                if mutated.contains(&(article.language.clone(), link.target.clone())) {
+                    return true;
+                }
+            }
+        }
+        if *language != Language::En && !ctx.changed_keys.is_empty() {
+            for vector in [&old_attr.values, &old_attr.raw_values] {
+                for (term, _) in vector.iter() {
+                    if ctx.changed_keys.contains(&normalize(term)) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// The four kinds of write a served corpus sees, over `dataset`: an
+    /// in-place value edit, a new cross-linked insert, a removal that
+    /// leaves every cluster as it was, and an in-place edit of a title that
+    /// other infoboxes link to.
+    fn scan_deltas(dataset: &wiki_corpus::Dataset) -> Vec<(&'static str, CorpusDelta)> {
+        let corpus = &dataset.corpus;
+        let other = dataset.other_language();
+        let pairing = &dataset.types[0];
+        let edited = |target: &Article| {
+            let mut article = target.clone();
+            article
+                .infobox
+                .push(AttributeValue::text("nota", "editada"));
+            DeltaOp::Upsert(article)
+        };
+
+        let foreign = corpus
+            .articles_of_type(other, &pairing.label_other)
+            .next()
+            .expect("the first type has a foreign article");
+        let english = corpus
+            .articles_of_type(&Language::En, &pairing.label_en)
+            .next()
+            .expect("the first type has an English article");
+        let mut insert = Infobox::new(format!("Infobox {}", pairing.label_other));
+        insert.push(AttributeValue::linked(
+            "ligado",
+            foreign.title.clone(),
+            vec![wiki_corpus::Link::plain(foreign.title.clone())],
+        ));
+        let mut inserted = Article::new(
+            "Sonda Inserida",
+            other.clone(),
+            &pairing.label_other,
+            insert,
+        );
+        inserted.add_cross_link(Language::En, english.title.clone());
+
+        let clusters = corpus.entity_clusters();
+        let non_root = corpus
+            .articles()
+            .find(|a| clusters.cluster_of(a.id) != Some(a.id))
+            .expect("some cluster has two members");
+
+        let linked_to = corpus
+            .articles()
+            .flat_map(|a| {
+                a.infobox
+                    .attributes
+                    .iter()
+                    .flat_map(|attr| &attr.links)
+                    .map(move |link| (&a.language, link.target.as_str()))
+            })
+            .find_map(|(language, title)| corpus.get_by_title(language, title))
+            .expect("some infobox links to a live article");
+
+        vec![
+            (
+                "in-place edit",
+                CorpusDelta {
+                    ops: vec![edited(foreign)],
+                },
+            ),
+            ("cross-linked insert", CorpusDelta::upsert(inserted)),
+            (
+                "removal",
+                CorpusDelta::remove(non_root.language.clone(), non_root.title.clone()),
+            ),
+            (
+                "linked-to edit",
+                CorpusDelta {
+                    ops: vec![edited(linked_to)],
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn borrowed_scans_match_the_allocating_reference() {
+        use wiki_corpus::{Dataset, SyntheticConfig};
+        for dataset in [
+            Dataset::pt_en(&SyntheticConfig::tiny()),
+            Dataset::vn_en(&SyntheticConfig::tiny()),
+        ] {
+            let engine = crate::MatchEngine::new(dataset);
+            engine.prepare_all();
+            let old = engine.dataset();
+            let old_dictionary = engine.dictionary();
+            let cached = engine.cached_artifacts();
+            assert_eq!(cached.len(), old.types.len());
+            for (name, delta) in scan_deltas(&old) {
+                let case = format!("{} {name}", old.other_language());
+                let mut new = (*old).clone();
+                delta.apply_to(&mut new.corpus);
+                let new_dictionary =
+                    TitleDictionary::from_corpus(&new.corpus, new.other_language(), new.english());
+                let ctx = PatchContext::new(
+                    &old.corpus,
+                    &new.corpus,
+                    &old_dictionary,
+                    &new_dictionary,
+                    &delta,
+                );
+                // Every delta reaches the instance checks.
+                assert!(!ctx.clusters_changed, "{case}");
+
+                let mutated = delta.mutated_titles();
+                let borrowed: HashSet<(Language, String)> = ctx
+                    .affected_types
+                    .iter()
+                    .map(|&(language, label)| (language.clone(), label.to_string()))
+                    .collect();
+                let reference = allocating_affected_types(&old.corpus, &new.corpus, &mutated);
+                assert!(!reference.is_empty(), "{case}");
+                assert_eq!(borrowed, reference, "{case}");
+
+                let mut flags = [0usize; 2];
+                for (type_id, prepared) in &cached {
+                    let pairing = new.type_pairing(type_id).unwrap();
+                    let walk = |corpus| {
+                        walk_type(
+                            corpus,
+                            &prepared.schema.languages.0,
+                            &pairing.label_other,
+                            &pairing.label_en,
+                        )
+                    };
+                    let (old_walk, new_walk) = (walk(&old.corpus), walk(&new.corpus));
+                    let old_of = old_positions(&old_walk, &new_walk, &prepared.schema);
+                    for (i, (attr, (language, name))) in
+                        new_walk.attrs.iter().zip(&new_walk.groups.keys).enumerate()
+                    {
+                        let old_walk = old_of[i].map(|j| &old_walk.attrs[j]);
+                        let old_attr = old_of[i].map(|j| &prepared.schema.attributes[j]);
+                        let dirty = is_dirty(&ctx, language, attr, old_walk, old_attr);
+                        assert_eq!(
+                            dirty,
+                            allocating_is_dirty(&ctx, &mutated, language, attr, old_walk, old_attr),
+                            "{case}: {type_id} {language} {name}"
+                        );
+                        flags[usize::from(dirty)] += 1;
+                    }
+                }
+                // Both answers occur, so neither side is constant.
+                assert!(flags[0] > 0 && flags[1] > 0, "{case}: {flags:?}");
+            }
+        }
     }
 }

@@ -12,10 +12,11 @@
 //! The session is **live**: [`MatchEngine::apply_delta`] (and the
 //! [`insert_entity`](MatchEngine::insert_entity) /
 //! [`update_entity`](MatchEngine::update_entity) /
-//! [`remove_entity`](MatchEngine::remove_entity) conveniences) mutate the
-//! corpus in place and *patch* the cached artifacts instead of discarding
-//! them — see [`crate::delta`] for the invalidation rules that keep the
-//! patched artifacts bit-identical to a cold rebuild.
+//! [`remove_entity`](MatchEngine::remove_entity) conveniences) move the
+//! session to a mutated, copy-on-write version of its corpus and *patch*
+//! the cached artifacts instead of discarding them — see [`crate::delta`]
+//! for the invalidation rules that keep the patched artifacts
+//! bit-identical to a cold rebuild.
 //!
 //! [`SchemaMatcher`] is the plugin interface: WikiMatch itself and every
 //! baseline implement it, so harnesses can iterate over
@@ -668,7 +669,10 @@ impl MatchEngine {
     /// mutated dataset, rebuilt dictionary, patched artifacts, fresh
     /// fingerprint — is assembled on the side and swapped in under one
     /// short write-lock critical section. Concurrent deltas serialise on an
-    /// internal mutation lock.
+    /// internal mutation lock. The mutated dataset is a copy-on-write clone
+    /// of the old one: it shares every article the delta does not touch,
+    /// so a holder of the old [`dataset`](Self::dataset) keeps reading the
+    /// version before the delta.
     pub fn apply_delta(&self, delta: &CorpusDelta) -> DeltaReport {
         let _mutation_guard = recover(self.mutation.lock());
         let (old_dataset, old_dictionary, fingerprint_before, cached) = {
@@ -1140,5 +1144,35 @@ mod tests {
         let report2 = engine.remove_entity(Language::Pt, "Novo Filme");
         assert_eq!(report2.removed, 1);
         assert_eq!(report2.fingerprint_before, report.fingerprint);
+    }
+
+    #[test]
+    fn a_held_dataset_keeps_reading_the_version_before_an_in_place_edit() {
+        use wiki_corpus::AttributeValue;
+        let engine = engine();
+        engine.prepare_all();
+        let held = engine.dataset();
+        let film = held
+            .corpus
+            .articles_of_type(&Language::Pt, "Filme")
+            .next()
+            .expect("pt-tiny has films")
+            .clone();
+        let mut edited = film.clone();
+        edited.infobox.push(AttributeValue::text("nota", "editada"));
+
+        let report = engine.update_entity(edited);
+
+        assert_eq!(report.updated, 1);
+        // The held version reads the pre-delta article and fingerprint,
+        // while the engine serves the edit under the same id.
+        assert_eq!(held.corpus.get(film.id), Some(&film));
+        assert_eq!(corpus_fingerprint(&held), report.fingerprint_before);
+        assert_ne!(report.fingerprint, report.fingerprint_before);
+        let live = engine.dataset();
+        let after = live.corpus.get(film.id).unwrap();
+        let nota = after.infobox.value_of("nota").map(|a| a.value.as_str());
+        assert_eq!(nota, Some("editada"));
+        assert_eq!(corpus_fingerprint(&live), report.fingerprint);
     }
 }

@@ -61,10 +61,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use wiki_corpus::{Article, AttributeValue, Dataset, Infobox, Language, Link};
-use wiki_text::ByteRegion;
 use wiki_translate::TitleDictionary;
 
 use crate::delta::{CorpusDelta, DeltaOp};
@@ -488,16 +486,6 @@ impl EngineSnapshot {
         write_atomically(path, &self.to_bytes(), "snapshot.save.write")
     }
 
-    /// Loads a snapshot from `path`.
-    pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let _span = wiki_obs::Span::enter("snapshot_load");
-        count_load();
-        let mut bytes = fs::read(path)?;
-        wiki_fault::filter_read("snapshot.load.read", &mut bytes)?;
-        let _span = wiki_obs::Span::enter("snapshot_decode");
-        crate::direct::decode(Arc::new(bytes) as Arc<dyn ByteRegion>, None)
-    }
-
     /// Reads just the 36-byte header of a snapshot file and returns its
     /// `(format_version, corpus_fingerprint)` — enough to decide whether a
     /// disk snapshot is already current without decoding (or even reading)
@@ -519,7 +507,7 @@ impl EngineSnapshot {
     }
 }
 
-/// Counts one snapshot read from disk, by [`EngineSnapshot::load`] or
+/// Counts one snapshot read from disk by
 /// [`MappedSnapshot::open`](crate::MappedSnapshot::open).
 pub(crate) fn count_load() {
     wiki_obs::registry()
@@ -927,6 +915,7 @@ mod tests {
     use super::*;
     use crate::schema::{AttributeStats, DualSchema};
     use crate::similarity::SimilarityTable;
+    use std::sync::Arc;
     use wiki_corpus::SyntheticConfig;
     use wiki_linalg::LsiConfig;
     use wiki_text::TermVector;
@@ -1123,7 +1112,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wm-snap-test-{}", std::process::id()));
         let path = dir.join("vi-tiny.snap");
         snapshot.save(&path).unwrap();
-        let loaded = EngineSnapshot::load(&path).unwrap();
+        let loaded = EngineSnapshot::from_bytes(&fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded.fingerprint, snapshot.fingerprint);
         assert_eq!(loaded.type_count(), snapshot.type_count());
         let restored = MatchEngine::builder(dataset)
@@ -1139,7 +1128,7 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let missing = std::env::temp_dir().join("wm-snap-test-definitely-missing.snap");
         assert!(matches!(
-            EngineSnapshot::load(&missing),
+            EngineSnapshot::peek_header(&missing),
             Err(SnapshotError::Io(err)) if err.kind() == io::ErrorKind::NotFound
         ));
     }

@@ -10,6 +10,7 @@
 //! (e.g. *died* ↔ *falecimento* and *died* ↔ *morte*).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -164,9 +165,13 @@ impl TypeGroundTruth {
 }
 
 /// Gold alignments for every entity type of a generated dataset.
+///
+/// The senses are shared between clones: they describe the generated
+/// corpus, so a clone taken to mutate a corpus copies none of them, and a
+/// write through either copy copies them first.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GroundTruth {
-    types: BTreeMap<String, TypeGroundTruth>,
+    types: Arc<BTreeMap<String, TypeGroundTruth>>,
 }
 
 impl GroundTruth {
@@ -177,7 +182,7 @@ impl GroundTruth {
 
     /// Registers a sense for `(type_id, language, name, concept)`.
     pub fn add_sense(&mut self, type_id: &str, language: Language, name: &str, concept: &str) {
-        self.types
+        Arc::make_mut(&mut self.types)
             .entry(type_id.to_string())
             .or_insert_with(|| TypeGroundTruth {
                 type_id: type_id.to_string(),
@@ -189,8 +194,7 @@ impl GroundTruth {
     /// Takes one type's senses out for indexed recording (see
     /// [`SenseIndex`]); hand them back with [`Self::restore`].
     pub(crate) fn take_indexed(&mut self, type_id: &str) -> SenseIndex {
-        let truth = self
-            .types
+        let truth = Arc::make_mut(&mut self.types)
             .remove(type_id)
             .unwrap_or_else(|| TypeGroundTruth {
                 type_id: type_id.to_string(),
@@ -209,7 +213,7 @@ impl GroundTruth {
     /// only once a sense is recorded for it, as with [`Self::add_sense`].
     pub(crate) fn restore(&mut self, index: SenseIndex) {
         if !index.truth.senses.is_empty() {
-            self.types.insert(index.truth.type_id.clone(), index.truth);
+            Arc::make_mut(&mut self.types).insert(index.truth.type_id.clone(), index.truth);
         }
     }
 
@@ -423,6 +427,40 @@ mod tests {
             .collect();
         assert_eq!(born.len(), 1);
         assert_eq!(born[0].concepts.len(), 2);
+    }
+
+    #[test]
+    fn a_clone_shares_its_senses_until_either_copy_writes() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.types, &copy.types));
+        copy.add_sense("film", Language::En, "directed by", "directed_by");
+        assert!(!Arc::ptr_eq(&original.types, &copy.types));
+        assert!(original.for_type("film").is_none());
+        assert!(copy.for_type("film").is_some());
+        assert_eq!(
+            original.for_type("actor").unwrap().senses,
+            copy.for_type("actor").unwrap().senses
+        );
+    }
+
+    #[test]
+    fn serialized_ground_truth_is_unchanged_by_sharing() {
+        let mut gt = GroundTruth::new();
+        gt.add_sense("actor", Language::En, "born", "birth_date");
+        gt.add_sense("actor", Language::En, "born", "birth_place");
+        gt.add_sense("actor", Language::Pt, "nascimento", "birth_date");
+        gt.add_sense("film", Language::Vn, "Đạo diễn", "directed_by");
+        assert_eq!(
+            serde_json::to_string(&gt).unwrap(),
+            concat!(
+                r#"{"types":{"actor":{"type_id":"actor","senses":[{"language":"En","#,
+                r#""name":"born","concepts":["birth_date","birth_place"]},"#,
+                r#"{"language":"Pt","name":"nascimento","concepts":["birth_date"]}]},"#,
+                r#""film":{"type_id":"film","senses":[{"language":"Vn","name":"dao dien","#,
+                r#""concepts":["directed_by"]}]}}}"#,
+            )
+        );
     }
 
     #[test]

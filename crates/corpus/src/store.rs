@@ -11,6 +11,7 @@
 //!   bilingual title dictionary is derived from.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,9 +24,14 @@ use crate::model::{Article, ArticleId, AttributeValue, Link};
 /// instead of shifting later ids, so every [`ArticleId`] handed out stays
 /// stable across mutations. Tombstoned slots are invisible to every public
 /// accessor (`len`, `get`, `articles`, pairs, clusters, fingerprints).
+///
+/// A clone is copy-on-write: each slot holds a shared, immutable article,
+/// so cloning copies one pointer per slot, and a later `insert` or
+/// `replace` on either copy allocates only the article it adds. Nothing
+/// edits an article in place.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Corpus {
-    articles: Vec<Article>,
+    articles: Vec<Arc<Article>>,
     /// Sorted slot indices of tombstoned (removed) articles.
     #[serde(default)]
     removed: Vec<u32>,
@@ -53,7 +59,7 @@ impl Corpus {
         let id = ArticleId(self.articles.len() as u32);
         article.id = id;
         self.title_index.insert(key, id);
-        self.articles.push(article);
+        self.articles.push(Arc::new(article));
         id
     }
 
@@ -64,7 +70,7 @@ impl Corpus {
         let key = (article.language.clone(), article.title.clone());
         let id = *self.title_index.get(&key)?;
         article.id = id;
-        self.articles[id.index()] = article;
+        self.articles[id.index()] = Arc::new(article);
         Some(id)
     }
 
@@ -105,7 +111,9 @@ impl Corpus {
     /// Estimated heap bytes the corpus holds: every article slot with its
     /// strings and vectors, the tombstone list and the title index. It
     /// walks every article, so callers that charge it often should keep
-    /// the result.
+    /// the result. Articles shared with a clone are counted in full by
+    /// each copy, and a slot is charged one `Article`, whether it holds
+    /// the article or a pointer to it.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut bytes =
@@ -143,7 +151,7 @@ impl Corpus {
         if self.is_removed(id) {
             return None;
         }
-        self.articles.get(id.index())
+        self.articles.get(id.index()).map(|article| &**article)
     }
 
     /// Looks up an article by `(language, title)`.
@@ -155,7 +163,10 @@ impl Corpus {
 
     /// Iterates over all live articles in id order.
     pub fn articles(&self) -> impl Iterator<Item = &Article> {
-        self.articles.iter().filter(move |a| !self.is_removed(a.id))
+        self.articles
+            .iter()
+            .map(|article| &**article)
+            .filter(move |a| !self.is_removed(a.id))
     }
 
     /// Iterates over the live articles of one language edition.
@@ -446,6 +457,75 @@ mod tests {
         // Replacing a missing title touches nothing.
         assert_eq!(corpus.replace(article("Ghost", Language::En, "Film")), None);
         assert_eq!(corpus.len(), 4);
+    }
+
+    #[test]
+    fn a_clone_shares_untouched_articles_and_keeps_value_semantics() {
+        let original = linked_corpus();
+        let snapshot: Vec<Article> = original.articles().cloned().collect();
+        let mut copy = original.clone();
+        let mut updated = article("Unrelated", Language::En, "Film");
+        updated.infobox.push(AttributeValue::text("budget", "huge"));
+        let replaced = copy.replace(updated).unwrap();
+        let inserted = copy.insert(article("Novo", Language::Pt, "Filme"));
+        let removed = copy
+            .remove_by_title(&Language::Vn, "Hoàng đế cuối cùng")
+            .unwrap();
+
+        // The original reads exactly as before.
+        assert_eq!(original.articles().cloned().collect::<Vec<_>>(), snapshot);
+        assert_eq!(original.len(), 4);
+        assert_eq!(original.slot_count(), 4);
+        let unrelated = original.get_by_title(&Language::En, "Unrelated").unwrap();
+        assert!(unrelated.infobox.value_of("budget").is_none());
+        assert!(original.get_by_title(&Language::Pt, "Novo").is_none());
+        assert!(original
+            .get_by_title(&Language::Vn, "Hoàng đế cuối cùng")
+            .is_some());
+        assert!(!original.is_removed(removed));
+
+        // The copy moved on.
+        assert_eq!(copy.len(), 4);
+        assert_eq!(copy.slot_count(), 5);
+        assert!(copy
+            .get(replaced)
+            .unwrap()
+            .infobox
+            .value_of("budget")
+            .is_some());
+        assert_eq!(copy.get(inserted).unwrap().title, "Novo");
+        assert!(copy.get(removed).is_none());
+
+        // Untouched slots, the tombstoned one included, share one article;
+        // the replaced slot does not.
+        for slot in 0..original.slot_count() {
+            let shared = Arc::ptr_eq(&original.articles[slot], &copy.articles[slot]);
+            assert_eq!(shared, slot != replaced.index(), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn serialized_corpus_is_unchanged_by_sharing() {
+        let json = serde_json::to_string(&linked_corpus()).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"articles":[{"id":0,"title":"The Last Emperor","language":"En","#,
+                r#""entity_type":"Film","infobox":{"template":"Infobox Film","attributes":"#,
+                r#"[{"name":"name","value":"The Last Emperor","links":[]}]},"cross_links":"#,
+                r#"[["Pt","O Último Imperador"],["Vn","Hoàng đế cuối cùng"]]},"#,
+                r#"{"id":1,"title":"O Último Imperador","language":"Pt","entity_type":"Filme","#,
+                r#""infobox":{"template":"Infobox Filme","attributes":[{"name":"name","#,
+                r#""value":"O Último Imperador","links":[]}]},"cross_links":"#,
+                r#"[["En","The Last Emperor"]]},{"id":2,"title":"Hoàng đế cuối cùng","#,
+                r#""language":"Vn","entity_type":"Phim","infobox":{"template":"Infobox Phim","#,
+                r#""attributes":[{"name":"name","value":"Hoàng đế cuối cùng","links":[]}]},"#,
+                r#""cross_links":[]},{"id":3,"title":"Unrelated","language":"En","#,
+                r#""entity_type":"Film","infobox":{"template":"Infobox Film","attributes":"#,
+                r#"[{"name":"name","value":"Unrelated","links":[]}]},"cross_links":[]}],"#,
+                r#""removed":[]}"#,
+            )
+        );
     }
 
     #[test]

@@ -273,7 +273,8 @@ fn chaos_crash_consistency_survives_random_fault_injection() {
     }
     let snap = dir.join("pt-tiny.snap");
     if snap.is_file() {
-        EngineSnapshot::load(&snap).expect("surviving snapshot is whole, not torn");
+        let bytes = std::fs::read(&snap).expect("surviving snapshot reads");
+        EngineSnapshot::from_bytes(&bytes).expect("surviving snapshot is whole, not torn");
     }
     let spec = CorpusSpec::tier(Language::Pt, "tiny").expect("tiny tier exists");
     let pristine = spec.dataset();

@@ -11,6 +11,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON-like value tree, the intermediate representation all
 /// (de)serialization goes through.
@@ -217,6 +218,20 @@ impl<T: Deserialize> Deserialize for Option<T> {
             Value::Null => Ok(None),
             other => Ok(Some(T::deserialize_value(other)?)),
         }
+    }
+}
+
+/// A shared value serializes as the value it points to, so sharing never
+/// shows in the output.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        T::deserialize_value(value).map(Arc::new)
     }
 }
 
