@@ -369,7 +369,7 @@ mod tests {
     use crate::schema::AttributeStats;
     use wiki_corpus::{Article, AttributeValue, Corpus, Infobox, Language, Link};
     use wiki_linalg::LsiConfig;
-    use wiki_text::TermVector;
+    use wiki_text::{TermArena, TermVector};
     use wiki_translate::TitleDictionary;
 
     /// A corpus engineered so that:
@@ -594,12 +594,14 @@ mod tests {
                 occurrence_pattern,
             })
             .collect();
-        DualSchema::from_parts(
+        // Every vector is empty, so the schema's arena is the empty one.
+        DualSchema::from_parts_in_arena(
             (Language::Pt, Language::En),
             "Ator".to_string(),
             "Actor".to_string(),
             attributes,
             dual_count,
+            TermArena::empty(),
         )
     }
 

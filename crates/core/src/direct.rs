@@ -135,10 +135,10 @@ fn decode_pattern(dec: &mut Dec<'_>, len: usize) -> Result<Vec<bool>, SnapshotEr
 
 /// The `(id, weight)` entries of a vector, expressed in the schema arena's
 /// ids. Schema vectors are built on the schema arena, so the id fast path
-/// is the norm; a vector moved off it (e.g. a `pub` field mutated through
-/// the copy-on-write `add` API) is re-interned term by term rather than
-/// having foreign ids written verbatim, which would encode a checksum-valid
-/// file that decodes to the *wrong terms*.
+/// is the norm; a vector moved off it (a `pub` field reassigned to a vector
+/// of another arena) is re-interned term by term rather than having
+/// foreign ids written verbatim, which would encode a checksum-valid file
+/// that decodes to the *wrong terms*.
 ///
 /// # Panics
 /// Panics when such a detached vector contains a term the schema arena does

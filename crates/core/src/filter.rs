@@ -156,9 +156,10 @@ pub(crate) fn candidate_pairs(schema: &DualSchema) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     use wiki_corpus::{Dataset, Language, SyntheticConfig};
-    use wiki_text::TermVector;
+    use wiki_text::{TermArenaBuilder, TermVector};
     use wiki_translate::TitleDictionary;
 
     use super::*;
@@ -207,7 +208,17 @@ mod tests {
             (&pt, &["a"], &["a"], &[]),
             (&en, &["e1"], &["e1"], &[]),
         ];
-        let vector = |terms: &[&str]| TermVector::from_terms(terms.iter().copied());
+        let mut vocabulary = TermArenaBuilder::new();
+        for (_, values, translated, links) in &attributes {
+            for term in values.iter().chain(*translated).chain(*links) {
+                vocabulary.intern(term);
+            }
+        }
+        let (arena, _) = vocabulary.freeze();
+        let vector = |terms: &[&str]| {
+            let ids = terms.iter().map(|t| arena.intern(t).unwrap()).collect();
+            TermVector::from_id_occurrences(Arc::clone(&arena), ids)
+        };
         let attribute = |(i, (language, values, translated, links))| AttributeStats {
             language: Language::clone(language),
             name: format!("a{i}"),
@@ -220,7 +231,14 @@ mod tests {
             occurrence_pattern: vec![true],
         };
         let attributes = attributes.into_iter().enumerate().map(attribute).collect();
-        let schema = DualSchema::from_parts((pt, en), "Filme".into(), "Film".into(), attributes, 1);
+        let schema = DualSchema::from_parts_in_arena(
+            (pt, en),
+            "Filme".into(),
+            "Film".into(),
+            attributes,
+            1,
+            arena,
+        );
         let candidate = |p, q, value, link| Candidate { p, q, value, link };
         let want = [
             candidate(0, 1, true, true),

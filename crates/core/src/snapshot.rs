@@ -486,16 +486,19 @@ impl EngineSnapshot {
         write_atomically(path, &self.to_bytes(), "snapshot.save.write")
     }
 
-    /// Reads just the 36-byte header of a snapshot file and returns its
-    /// `(format_version, corpus_fingerprint)` — enough to decide whether a
-    /// disk snapshot is already current without decoding (or even reading)
-    /// the payload. Validates the magic only; the payload is untouched, so
-    /// a torn or corrupt file can still pass this peek and must be fully
-    /// validated by whichever loader follows.
-    pub fn peek_header(path: &Path) -> Result<(u32, u64), SnapshotError> {
+    /// Reads just the 36-byte header of a snapshot file and the type count
+    /// of the offset directory after it, and returns `(format_version,
+    /// corpus_fingerprint, type_count)` — enough to decide whether a disk
+    /// snapshot is already current without decoding (or reading) the rest
+    /// of the payload. The count is the directory's only in the current
+    /// [`FORMAT_VERSION`]. Validates the magic only; the payload is
+    /// untouched, so a torn or corrupt file can still pass this peek and
+    /// must be fully validated by whichever loader follows.
+    pub fn peek_header(path: &Path) -> Result<(u32, u64, u64), SnapshotError> {
         use std::io::Read as _;
         let mut file = fs::File::open(path)?;
-        let mut header = [0u8; HEADER_LEN];
+        // The directory opens with `dict_off | dict_len | type_count`.
+        let mut header = [0u8; HEADER_LEN + 24];
         file.read_exact(&mut header)
             .map_err(|_| SnapshotError::Truncated)?;
         if header[..MAGIC.len()] != MAGIC {
@@ -503,7 +506,8 @@ impl EngineSnapshot {
         }
         let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         let fingerprint = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        Ok((version, fingerprint))
+        let types = u64::from_le_bytes(header[HEADER_LEN + 16..].try_into().expect("8 bytes"));
+        Ok((version, fingerprint, types))
     }
 }
 
@@ -719,11 +723,11 @@ fn decode_journal_record(
 /// ```
 ///
 /// Records are individually checksummed so a torn tail (the failure mode of
-/// append-only logs) costs exactly the torn records: [`recover`](Self::recover)
-/// keeps the valid prefix, while the strict [`from_bytes`](Self::from_bytes)
-/// rejects the file. The `seq` / fingerprint chain makes replay-order
-/// tampering (reordered, dropped or cross-wired records) detectable even
-/// though every individual record is checksum-valid.
+/// append-only logs) costs exactly the torn records: [`recover`](Self::recover),
+/// the one decoder, keeps the valid prefix and names the error that ended
+/// it. The `seq` / fingerprint chain makes replay-order tampering
+/// (reordered, dropped or cross-wired records) detectable even though every
+/// individual record is checksum-valid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaJournal {
     /// Fingerprint of the corpus the journal starts from — the snapshot a
@@ -788,7 +792,17 @@ impl DeltaJournal {
         out
     }
 
-    fn parse(bytes: &[u8], lenient: bool) -> Result<(Self, bool), SnapshotError> {
+    /// Deserializes a journal, keeping its valid record prefix: decoding
+    /// stops at the first torn, corrupted or chain-breaking record, and the
+    /// second return is the error that ended the prefix (`None` when every
+    /// record decoded). Header-level problems — wrong magic, unsupported
+    /// version, a header shorter than its fixed size — are fatal: there is
+    /// no usable prefix without a valid header.
+    ///
+    /// This is the one journal decoder and the crash-recovery entry point:
+    /// a process killed mid-append leaves a torn final record, and the
+    /// journal is still good up to it.
+    pub fn recover(bytes: &[u8]) -> Result<(Self, Option<SnapshotError>), SnapshotError> {
         if bytes.len() < JOURNAL_HEADER_LEN {
             return if bytes.len() >= JOURNAL_MAGIC.len()
                 && bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC
@@ -811,7 +825,6 @@ impl DeltaJournal {
         let base_fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
         let mut journal = DeltaJournal::new(base_fingerprint);
         let mut pos = JOURNAL_HEADER_LEN;
-        let mut dropped_tail = false;
         while pos < bytes.len() {
             match decode_journal_record(&bytes[pos..], journal.records.len() as u64, journal.tip())
             {
@@ -819,46 +832,17 @@ impl DeltaJournal {
                     journal.records.push(record);
                     pos += consumed;
                 }
-                Err(err) if lenient => {
-                    // Torn or corrupted tail: everything before this record
-                    // validated, so the prefix is a usable journal.
-                    let _ = err;
-                    dropped_tail = true;
-                    break;
-                }
-                Err(err) => return Err(err),
+                // Torn or corrupted tail: everything before this record
+                // validated, so the prefix is a usable journal.
+                Err(err) => return Ok((journal, Some(err))),
             }
         }
-        Ok((journal, dropped_tail))
+        Ok((journal, None))
     }
 
-    /// Deserializes a journal **strictly**: any torn, corrupted or
-    /// chain-breaking record rejects the whole file.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Self::parse(bytes, false).map(|(journal, _)| journal)
-    }
-
-    /// Deserializes a journal **leniently**: the valid record prefix is
-    /// kept and a torn or corrupted tail is dropped (the second return is
-    /// `true` when that happened). Header-level problems — wrong magic,
-    /// unsupported version, a header shorter than its fixed size — are
-    /// still fatal: there is no usable prefix without a valid header.
-    ///
-    /// This is the crash-recovery entry point: a process killed mid-append
-    /// leaves a torn final record, and the journal is still good up to it.
-    pub fn recover(bytes: &[u8]) -> Result<(Self, bool), SnapshotError> {
-        Self::parse(bytes, true)
-    }
-
-    /// Loads a journal from `path` (strict).
-    pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let mut bytes = fs::read(path)?;
-        wiki_fault::filter_read("journal.load.read", &mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Loads a journal from `path` leniently (see [`recover`](Self::recover)).
-    pub fn load_recovering(path: &Path) -> Result<(Self, bool), SnapshotError> {
+    /// Loads a journal from `path`, keeping its valid record prefix (see
+    /// [`recover`](Self::recover)).
+    pub fn load_recovering(path: &Path) -> Result<(Self, Option<SnapshotError>), SnapshotError> {
         let mut bytes = fs::read(path)?;
         wiki_fault::filter_read("journal.load.read", &mut bytes)?;
         Self::recover(&bytes)
@@ -918,7 +902,7 @@ mod tests {
     use std::sync::Arc;
     use wiki_corpus::SyntheticConfig;
     use wiki_linalg::LsiConfig;
-    use wiki_text::TermVector;
+    use wiki_text::{TermArenaBuilder, TermVector};
 
     fn snapshot_bytes() -> (Dataset, Vec<u8>) {
         let dataset = Dataset::vn_en(&SyntheticConfig::tiny());
@@ -983,23 +967,28 @@ mod tests {
         // attribute in a huge corpus has a count far larger than its own
         // encoded tail. A hand-built snapshot with an outsized counter must
         // survive the round trip instead of being rejected as truncated.
+        let mut vocabulary = TermArenaBuilder::new();
+        vocabulary.intern("x");
+        let (arena, _) = vocabulary.freeze();
+        let x = TermVector::from_id_occurrences(Arc::clone(&arena), vec![0]);
         let attr = |name: &str| AttributeStats {
             language: Language::En,
             name: name.to_string(),
             occurrences: 5_000_000,
-            values: TermVector::from_terms(["x"]),
-            translated_values: TermVector::from_terms(["x"]),
+            values: x.clone(),
+            translated_values: x.clone(),
             raw_values: TermVector::new(),
             translated_raw_values: TermVector::new(),
             links: TermVector::new(),
             occurrence_pattern: vec![true, false],
         };
-        let schema = DualSchema::from_parts(
+        let schema = DualSchema::from_parts_in_arena(
             (Language::Pt, Language::En),
             "Filme".to_string(),
             "Film".to_string(),
             vec![attr("a"), attr("b")],
             2,
+            arena,
         );
         let table = SimilarityTable::compute(&schema, LsiConfig::default());
         let arena = Arc::clone(schema.arena());

@@ -162,11 +162,17 @@ fn quarantine(path: &Path, entry: &CorpusEntry, kind: &str, copy: bool) {
 /// this process can evidently no longer refresh) is quarantined so the
 /// next cold load rebuilds instead of resurrecting it.
 fn spill_to(path: &Path, entry: &CorpusEntry, engine: &MatchEngine) {
-    // A disk snapshot already at the engine's fingerprint, in the current
-    // format, makes the capture redundant — the common case when a mapped,
-    // never-mutated session is evicted: dropping the map *is* the spill.
-    if let Ok((version, fingerprint)) = EngineSnapshot::peek_header(path) {
-        if version == FORMAT_VERSION && fingerprint == engine.fingerprint() {
+    // A disk snapshot in the current format, at the engine's fingerprint
+    // and holding every type the engine has cached, makes the capture
+    // redundant — the common case when a mapped, never-mutated session
+    // that built nothing is evicted: dropping the map *is* the spill. A
+    // restored session caches every type of its file, so a file with fewer
+    // types than the session lacks one the session built since.
+    if let Ok((version, fingerprint, types)) = EngineSnapshot::peek_header(path) {
+        if version == FORMAT_VERSION
+            && fingerprint == engine.fingerprint()
+            && types >= engine.cached_types() as u64
+        {
             return;
         }
     }
@@ -675,10 +681,10 @@ impl Registry {
         let mut resolved = DeltaJournal::new(base_fingerprint);
         if let Some(path) = self.journal_path(&entry.spec.name) {
             match DeltaJournal::load_recovering(&path) {
-                Ok((journal, dropped)) if journal.base_fingerprint == base_fingerprint => {
-                    if dropped {
+                Ok((journal, torn)) if journal.base_fingerprint == base_fingerprint => {
+                    if let Some(reason) = torn {
                         eprintln!(
-                            "warning: journal {} had a torn tail; recovered {} records",
+                            "warning: journal {} had a torn tail ({reason}); recovered {} records",
                             path.display(),
                             journal.len()
                         );
@@ -1661,6 +1667,62 @@ mod tests {
     }
 
     #[test]
+    fn a_type_built_after_a_restore_is_spilled_by_the_next_eviction() {
+        let dir = snapshot_dir("built-after-restore");
+        let registry = registry_with(&["a"], 1).with_snapshot_dir(&dir);
+        let engine = registry.engine("a").unwrap();
+        let types: Vec<String> = engine.dataset().types[..2]
+            .iter()
+            .map(|pairing| pairing.type_id.clone())
+            .collect();
+        engine.align(&types[0]).unwrap();
+        drop(engine);
+        assert!(registry.evict("a").unwrap());
+        // The residency restored from the one-type file builds the second
+        // type; its eviction must write both to disk.
+        let restored = registry.engine("a").unwrap();
+        assert_eq!(restored.cached_types(), 1);
+        restored.align(&types[1]).unwrap();
+        assert_eq!(restored.stats().artifact_builds, 1);
+        drop(restored);
+        assert!(registry.evict("a").unwrap());
+        assert_eq!(registry.stats().corpora[0].snapshot_saves, 2);
+        let again = registry.engine("a").unwrap();
+        assert_eq!(again.cached_types(), 2);
+        again.align(&types[1]).unwrap();
+        assert_eq!(again.stats().artifact_builds, 0);
+        remove_after_releases(&registry, &dir);
+    }
+
+    #[test]
+    fn warm_over_a_partial_snapshot_writes_every_type_through() {
+        let dir = snapshot_dir("warm-partial");
+        let registry = registry_with(&["a"], 1).with_snapshot_dir(&dir);
+        registry.engine("a").unwrap().align("film").unwrap();
+        assert!(registry.evict("a").unwrap());
+        assert_eq!(registry.stats().corpora[0].snapshot_saves, 1);
+        // `warm` maps the one-type file and prepares every other type, so
+        // the file no longer holds every cached type: it is rewritten.
+        let warmed = registry.warm("a").unwrap();
+        let all = warmed.engine().dataset().types.len();
+        assert_eq!(warmed.engine().cached_types(), all);
+        let stats = registry.stats();
+        assert_eq!(stats.corpora[0].snapshot_loads, 1);
+        assert_eq!(stats.corpora[0].snapshot_saves, 2);
+        // A restarted process restores every type without building, and
+        // evicting that complete, unbuilt residency writes nothing.
+        let second = registry_with(&["a"], 1).with_snapshot_dir(&dir);
+        let restored = second.engine("a").unwrap();
+        assert_eq!(restored.cached_types(), all);
+        restored.align("film").unwrap();
+        assert_eq!(restored.stats().artifact_builds, 0);
+        drop(restored);
+        assert!(second.evict("a").unwrap());
+        assert_eq!(second.stats().corpora[0].snapshot_saves, 0);
+        remove_after_releases(&registry, &dir);
+    }
+
+    #[test]
     fn corrupted_or_foreign_snapshots_fall_back_to_building() {
         let dir = snapshot_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1942,9 +2004,11 @@ mod tests {
             .with_resident_budget_mb(1024);
         let warmed = first.warm("a").unwrap();
         let reference = warmed.engine().align("film").unwrap().cross_pairs();
+        let all = warmed.engine().cached_types() as u64;
         drop(warmed);
-        let (version, _) = EngineSnapshot::peek_header(&dir.join("a.snap")).unwrap();
+        let (version, _, types) = EngineSnapshot::peek_header(&dir.join("a.snap")).unwrap();
         assert_eq!(version, FORMAT_VERSION);
+        assert_eq!(types, all);
 
         // A restarted budgeted registry memory-maps the file: zero artifact
         // builds, mapped bytes reported, page-ins grow as channels are

@@ -9,12 +9,17 @@
 //! ```
 //!
 //! Because of this, a term-vector entry list sorted by id is sorted by term,
-//! every merge walk visits terms in exactly the order the string-keyed
-//! representation did, and every derived float accumulates in exactly the
-//! same order — which is what lets the interned representation in
-//! [`crate::vector`] produce **bit-identical** similarity results while
-//! replacing string comparisons in the hottest loops of the similarity
-//! pipeline with integer comparisons.
+//! every merge walk of [`crate::vector`] visits terms in exactly the order a
+//! string-keyed walk would, and every derived float accumulates in exactly
+//! the same order — which is what keeps the similarity results
+//! **bit-identical** to the string-keyed pipeline before interning while
+//! the hottest loops compare integers instead of strings.
+//!
+//! One arena serves one entity type: every vector of a schema is interned
+//! on it, so pairwise operations never meet two arenas. The arena never
+//! changes once frozen; the delta patcher grows a type's vocabulary by
+//! building a new arena ([`TermArena::extended_with`]) and migrating the
+//! vectors onto it.
 //!
 //! Construction is two-phase: a [`TermArenaBuilder`] collects terms in any
 //! order (handing out *provisional* first-seen ids so callers can record
@@ -95,21 +100,6 @@ impl TermArena {
     pub fn empty() -> Arc<TermArena> {
         static EMPTY: OnceLock<Arc<TermArena>> = OnceLock::new();
         Arc::clone(EMPTY.get_or_init(|| Arc::new(TermArena::default())))
-    }
-
-    /// Builds an arena from terms that are **already strictly sorted**
-    /// (no duplicates). Returns `None` when the order invariant is violated
-    /// — the check persistence layers rely on when adopting a string table
-    /// read from disk.
-    pub fn from_sorted_terms(terms: Vec<String>) -> Option<TermArena> {
-        if terms.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        let bytes = terms.iter().map(String::len).sum();
-        Some(TermArena {
-            store: Store::Owned(terms),
-            bytes,
-        })
     }
 
     /// Builds a zero-copy arena view over `region`: `offsets` is the byte
@@ -320,30 +310,6 @@ impl TermArena {
             remap,
         )
     }
-
-    /// Inserts `term` at its sorted position, returning its id. Existing ids
-    /// at or after that position shift up by one — callers holding entry
-    /// lists must remap them. Only used by the copy-on-write `add` path of
-    /// [`crate::TermVector`]; frozen shared arenas are never mutated. A
-    /// mapped view converts to an owned table first (mutation cannot touch
-    /// the region).
-    pub(crate) fn insert(&mut self, term: String) -> (u32, bool) {
-        if let Store::Mapped { .. } = self.store {
-            let owned: Vec<String> = self.terms().map(str::to_string).collect();
-            self.store = Store::Owned(owned);
-        }
-        let Store::Owned(terms) = &mut self.store else {
-            unreachable!("mapped store converted above");
-        };
-        match terms.binary_search_by(|t| t.as_str().cmp(&term)) {
-            Ok(i) => (i as u32, false),
-            Err(i) => {
-                self.bytes += term.len();
-                terms.insert(i, term);
-                (i as u32, true)
-            }
-        }
-    }
 }
 
 /// Accumulates a vocabulary in any order, handing out *provisional*
@@ -430,6 +396,15 @@ impl TermArenaBuilder {
 mod tests {
     use super::*;
 
+    /// The arena a builder freezes over `terms`.
+    fn frozen(terms: &[&str]) -> Arc<TermArena> {
+        let mut builder = TermArenaBuilder::new();
+        for term in terms {
+            builder.intern(term);
+        }
+        builder.freeze().0
+    }
+
     #[test]
     fn builder_hands_out_first_seen_ids_and_freezes_sorted() {
         let mut builder = TermArenaBuilder::new();
@@ -468,18 +443,8 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_terms_validates() {
-        assert!(TermArena::from_sorted_terms(vec!["a".into(), "b".into()]).is_some());
-        assert!(TermArena::from_sorted_terms(vec!["b".into(), "a".into()]).is_none());
-        assert!(TermArena::from_sorted_terms(vec!["a".into(), "a".into()]).is_none());
-        assert!(TermArena::from_sorted_terms(Vec::new()).is_some());
-    }
-
-    #[test]
     fn extended_with_merges_and_returns_a_monotone_remap() {
-        let base =
-            TermArena::from_sorted_terms(vec!["banana".into(), "mango".into(), "zebra".into()])
-                .unwrap();
+        let base = frozen(&["zebra", "banana", "mango"]);
         let (extended, remap) = base.extended_with(["apple", "mango", "papaya", "apple"]);
         let terms: Vec<&str> = extended.terms().collect();
         assert_eq!(terms, vec!["apple", "banana", "mango", "papaya", "zebra"]);
@@ -535,10 +500,9 @@ mod tests {
         assert_eq!(mapped.intern("missing"), None);
         assert_eq!(mapped.term_bytes(), "applemangozebra".len());
         assert_eq!(mapped.heap_bytes(), 0);
-        let owned =
-            TermArena::from_sorted_terms(terms.iter().map(|t| t.to_string()).collect()).unwrap();
-        assert_eq!(mapped, owned);
-        assert_eq!(owned, mapped);
+        let owned = frozen(&terms);
+        assert_eq!(mapped, *owned);
+        assert_eq!(*owned, mapped);
     }
 
     #[test]
@@ -572,18 +536,5 @@ mod tests {
         let mut bad = buf;
         bad[bytes.start] = 0xff;
         assert!(TermArena::from_mapped(Arc::new(bad), offsets, bytes, 3).is_none());
-    }
-
-    #[test]
-    fn mapped_insert_converts_to_owned_first() {
-        let (buf, offsets, bytes) = mapped_layout(&["b", "d"]);
-        let mut arena = TermArena::from_mapped(Arc::new(buf), offsets, bytes, 2).unwrap();
-        let (id, inserted) = arena.insert("c".to_string());
-        assert!(inserted);
-        assert_eq!(id, 1);
-        assert!(!arena.is_mapped());
-        let terms: Vec<&str> = arena.terms().collect();
-        assert_eq!(terms, vec!["b", "c", "d"]);
-        assert_eq!(arena.heap_bytes(), 3);
     }
 }

@@ -7,7 +7,7 @@
 //! * [`arena`] — vocabulary interning: a frozen, lexicographically sorted
 //!   string table assigning dense `u32` term ids in term order, so id
 //!   comparisons are term comparisons and interned vectors reproduce the
-//!   string-keyed results bit for bit.
+//!   string-keyed results bit for bit. One arena serves one entity type.
 //! * [`mod@normalize`] — Unicode-aware lowercasing, diacritic folding for the
 //!   Latin-based languages used in the paper (English, Portuguese,
 //!   Vietnamese) and whitespace/punctuation canonicalisation. Input that
@@ -17,7 +17,9 @@
 //!   value vectors. An atom without an ASCII digit is text without a date
 //!   or number parse, and a chunk without a comma reuses its own parse.
 //! * [`vector`] — sparse term-frequency vectors with cosine similarity, the
-//!   workhorse of the paper's `vsim`/`lsim` measures.
+//!   workhorse of the paper's `vsim`/`lsim` measures. A vector is built in
+//!   id space on an arena, and every pairwise operation walks the ids of
+//!   two vectors of that one arena.
 //! * [`region`] — the [`ByteRegion`] handle that lets arenas and vectors
 //!   *borrow* their storage from an externally-owned byte buffer (a mapped
 //!   snapshot) instead of owning heap copies.
@@ -50,4 +52,4 @@ pub use region::ByteRegion;
 pub use strsim::{jaro_winkler, levenshtein, ngram_similarity, token_overlap};
 pub use tokenize::{tokenize_value, tokenize_words};
 pub use value::{parse_value, CanonicalValue};
-pub use vector::{TermVector, TermVectorBuilder};
+pub use vector::TermVector;

@@ -9,29 +9,31 @@
 //! ## Representation
 //!
 //! A [`TermVector`] stores an id-sorted `Vec` of **`(u32 term id, f64
-//! weight)`** pairs resolved against a shared [`TermArena`]. Because arena
-//! ids are assigned in lexicographic term order (the invariant documented in
+//! weight)`** pairs resolved against a shared [`TermArena`]: every vector of
+//! a prepared schema is interned on its type's one arena. Because arena ids
+//! are assigned in lexicographic term order (the invariant documented in
 //! [`crate::arena`]), id order *is* term order: every pairwise operation —
 //! [`dot`](TermVector::dot), [`cosine`](TermVector::cosine),
-//! [`jaccard`](TermVector::jaccard),
 //! [`overlap_coefficient`](TermVector::overlap_coefficient),
-//! [`merge`](TermVector::merge) — remains a single **O(n + m) merge walk**
-//! visiting terms in exactly the order the previous string-keyed
-//! representation did, so all derived floats accumulate in the same order
-//! and come out bit-identical. When both vectors share one arena (the case
-//! for every vector of a prepared schema) each merge step compares two
-//! `u32`s instead of two strings — the hottest comparison of the similarity
-//! pipeline becomes an integer compare, and cloning a vector no longer
-//! re-allocates its terms.
+//! [`union_ids`](TermVector::union_ids) — is a single **O(n + m) walk over
+//! `u32` ids** that visits terms in exactly the order the string-keyed
+//! representation before interning did, so all derived floats accumulate
+//! in the same order and come out bit-identical.
 //!
-//! Vectors built ad hoc ([`from_terms`](TermVector::from_terms), the string
-//! [`add`](TermVector::add) API) carry a private arena holding just their
-//! own terms; pairwise operations between vectors of *different* arenas
-//! transparently fall back to comparing the resolved terms — the exact walk
-//! (and therefore the exact results) of the string-keyed representation.
-//! Bulk construction should go through [`TermVectorBuilder`], which
-//! accumulates unsorted and sorts once instead of paying `add`'s ordered
-//! insert per term.
+//! Ids of two arenas are not comparable, so a pairwise operation on two
+//! non-empty vectors of different arenas panics. An empty vector has no id
+//! to compare and pairs with a vector of any arena.
+//!
+//! Vectors are built in id space: [`from_id_occurrences`] counts a stream
+//! of term-id occurrences (the schema build), [`from_ids`] adopts validated
+//! `(id, weight)` entries, [`remapped`] migrates a vector onto an extended
+//! arena (the delta patcher) and [`from_mapped`] borrows its entries from a
+//! byte region (the snapshot reader).
+//!
+//! [`from_id_occurrences`]: TermVector::from_id_occurrences
+//! [`from_ids`]: TermVector::from_ids
+//! [`remapped`]: TermVector::remapped
+//! [`from_mapped`]: TermVector::from_mapped
 //!
 //! ## Owned vs mapped entries
 //!
@@ -48,8 +50,6 @@
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-
-use serde::{Deserialize, Serialize, Value};
 
 use crate::arena::TermArena;
 use crate::region::ByteRegion;
@@ -143,16 +143,6 @@ impl TermVector {
         Self::default()
     }
 
-    /// Creates an empty vector bound to a shared arena; subsequent
-    /// [`add`](Self::add)s of terms the arena knows stay on it, keeping the
-    /// vector on the fast same-arena comparison path.
-    pub fn in_arena(arena: Arc<TermArena>) -> Self {
-        Self {
-            arena,
-            store: EntryStore::Owned(Vec::new()),
-        }
-    }
-
     /// The entry slice, materializing a mapped store on first touch.
     ///
     /// Every read path funnels through here, so a mapped vector pays its
@@ -172,19 +162,6 @@ impl TermVector {
                 region.note_page_in(ids.len() + weights.len());
                 EntryStore::decode_mapped(region.as_ref(), ids, weights, *len)
             }),
-        }
-    }
-
-    /// The entry list for mutation; a mapped store converts to owned first
-    /// (mutation can never touch the region).
-    fn entries_mut(&mut self) -> &mut Vec<(u32, f64)> {
-        if let EntryStore::Mapped { .. } = self.store {
-            let owned = self.entries().to_vec();
-            self.store = EntryStore::Owned(owned);
-        }
-        match &mut self.store {
-            EntryStore::Owned(entries) => entries,
-            EntryStore::Mapped { .. } => unreachable!("mapped store converted above"),
         }
     }
 
@@ -248,29 +225,11 @@ impl TermVector {
         }
     }
 
-    /// Builds a vector from an iterator of terms, counting occurrences.
-    ///
-    /// Sorts the terms once and accumulates runs — O(k log k) for k terms,
-    /// instead of k ordered insertions. The resulting vector carries a
-    /// private arena holding exactly its own terms.
-    pub fn from_terms<I, S>(terms: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut builder = TermVectorBuilder::new();
-        for term in terms {
-            builder.push(term, 1.0);
-        }
-        builder.finish()
-    }
-
     /// Builds a vector from interned term-id occurrences (each weighing
     /// exactly 1.0): sort once, then collapse runs by accumulating `+= 1.0`
-    /// per occurrence — the id-space analogue of
-    /// [`from_terms`](Self::from_terms), and the exact float operations (in
-    /// the exact term order) of a string-keyed incremental `add` loop. This
-    /// is the bulk-construction path schema builders use after freezing a
+    /// per occurrence, in ascending id (= term) order — the exact float
+    /// operations of counting each term's occurrences one by one. This is
+    /// the bulk-construction path schema builders use after freezing a
     /// shared arena.
     pub fn from_id_occurrences(arena: Arc<TermArena>, mut ids: Vec<u32>) -> Self {
         ids.sort_unstable();
@@ -289,29 +248,6 @@ impl TermVector {
             arena,
             store: EntryStore::Owned(entries),
         }
-    }
-
-    /// Rebuilds a vector from `(term, weight)` entries that are **already
-    /// strictly sorted** by term (no duplicates), e.g. the output of
-    /// [`iter`](Self::iter) captured by a persistence layer. Returns `None`
-    /// when the entries are out of order or contain a duplicate term — the
-    /// invariant every pairwise operation depends on.
-    ///
-    /// Weights are taken verbatim (no zero-filtering), so a round trip
-    /// through `iter` → `from_sorted_entries` reproduces the vector exactly,
-    /// bit for bit.
-    pub fn from_sorted_entries(entries: Vec<(String, f64)>) -> Option<Self> {
-        let mut arena_terms = Vec::with_capacity(entries.len());
-        let mut ids = Vec::with_capacity(entries.len());
-        for (i, (term, weight)) in entries.into_iter().enumerate() {
-            ids.push((i as u32, weight));
-            arena_terms.push(term);
-        }
-        let arena = TermArena::from_sorted_terms(arena_terms)?;
-        Some(Self {
-            arena: Arc::new(arena),
-            store: EntryStore::Owned(ids),
-        })
     }
 
     /// Rebuilds a vector from id-keyed entries resolved against `arena`.
@@ -369,99 +305,6 @@ impl TermVector {
         self.entries()
     }
 
-    /// Adds `weight` occurrences of `term`.
-    ///
-    /// When the term is already in the vector's arena this is a binary
-    /// search plus (at worst) an ordered insert, exactly as before. A term
-    /// the arena has never seen extends the arena copy-on-write — O(arena)
-    /// when it happens; bulk callers should use [`TermVectorBuilder`] or
-    /// [`from_terms`](Self::from_terms) instead of repeated `add`s.
-    pub fn add<S: Into<String>>(&mut self, term: S, weight: f64) {
-        if weight == 0.0 {
-            return;
-        }
-        let term = term.into();
-        if let Some(id) = self.arena.intern(&term) {
-            let entries = self.entries_mut();
-            match entries.binary_search_by_key(&id, |(i, _)| *i) {
-                Ok(i) => entries[i].1 += weight,
-                Err(i) => entries.insert(i, (id, weight)),
-            }
-            return;
-        }
-        // New term: extend the arena (cloning it first when shared) and
-        // shift the ids at or after the insertion point.
-        let arena = Arc::make_mut(&mut self.arena);
-        let (id, inserted) = arena.insert(term);
-        debug_assert!(inserted, "intern() above said the term was absent");
-        let entries = self.entries_mut();
-        for (entry_id, _) in entries.iter_mut() {
-            if *entry_id >= id {
-                *entry_id += 1;
-            }
-        }
-        let at = entries.binary_search_by_key(&id, |(i, _)| *i).unwrap_err();
-        entries.insert(at, (id, weight));
-    }
-
-    /// Merges another vector into this one (component-wise sum), as an
-    /// O(n + m) merge walk over the two sorted entry lists.
-    pub fn merge(&mut self, other: &TermVector) {
-        if other.is_empty() {
-            return;
-        }
-        if Arc::ptr_eq(&self.arena, &other.arena) {
-            let mut merged = Vec::with_capacity(self.len() + other.len());
-            merge_join(self, other, |step| match step {
-                MergeStep::Left(a) => merged.push(*a),
-                // A zero-weight entry never creates a new term (matching the
-                // `add` semantics this walk replaces).
-                MergeStep::Right(b) => {
-                    if b.1 != 0.0 {
-                        merged.push(*b);
-                    }
-                }
-                MergeStep::Both((ia, wa), (_, wb)) => {
-                    let sum = if *wb == 0.0 { *wa } else { *wa + *wb };
-                    merged.push((*ia, sum));
-                }
-            });
-            self.store = EntryStore::Owned(merged);
-            return;
-        }
-        // Different arenas: walk the resolved terms (same order, same float
-        // operations) and rebuild on a fresh union arena.
-        let mut merged: Vec<(String, f64)> = Vec::with_capacity(self.len() + other.len());
-        merge_join(self, other, |step| match step {
-            MergeStep::Left((id, w)) => merged.push((self.arena.resolve(*id).to_string(), *w)),
-            MergeStep::Right((id, w)) => {
-                if *w != 0.0 {
-                    merged.push((other.arena.resolve(*id).to_string(), *w));
-                }
-            }
-            MergeStep::Both((ia, wa), (_, wb)) => {
-                let sum = if *wb == 0.0 { *wa } else { *wa + *wb };
-                merged.push((self.arena.resolve(*ia).to_string(), sum));
-            }
-        });
-        *self = Self::from_sorted_entries(merged)
-            .expect("merge walk emits terms in strictly ascending order");
-    }
-
-    /// Frequency of a term (0.0 when absent).
-    pub fn get(&self, term: &str) -> f64 {
-        self.arena
-            .intern(term)
-            .and_then(|id| {
-                let entries = self.entries();
-                entries
-                    .binary_search_by_key(&id, |(i, _)| *i)
-                    .ok()
-                    .map(|i| entries[i].1)
-            })
-            .unwrap_or(0.0)
-    }
-
     /// Number of distinct terms (without materializing a mapped store —
     /// the length is part of the layout).
     pub fn len(&self) -> usize {
@@ -474,11 +317,6 @@ impl TermVector {
     /// True when the vector has no terms.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Sum of all frequencies.
-    pub fn total(&self) -> f64 {
-        self.entries().iter().map(|(_, w)| w).sum()
     }
 
     /// Iterates over `(term, frequency)` pairs in term order.
@@ -497,48 +335,66 @@ impl TermVector {
             .sqrt()
     }
 
-    /// Dot product with another vector, computed as an O(n + m) merge walk
-    /// over the two sorted entry lists.
-    ///
-    /// Same-arena vectors take the chunked u32-id kernel
-    /// (`dot_id_entries`), which skips disjoint 8-id blocks with one
-    /// comparison instead of stepping entry by entry; cross-arena vectors
-    /// fall back to the resolved-string merge. Both accumulate matching
-    /// products in ascending shared-term order, so the results are
-    /// bit-identical to each other and to the pre-kernel implementation.
-    pub fn dot(&self, other: &TermVector) -> f64 {
-        if Arc::ptr_eq(&self.arena, &other.arena) {
-            return dot_id_entries(self.entries(), other.entries());
-        }
-        let mut sum = 0.0;
-        merge_join(self, other, |step| {
-            if let MergeStep::Both((_, wa), (_, wb)) = step {
-                sum += wa * wb;
-            }
-        });
-        sum
+    /// Panics unless `self` and `other` resolve their ids against one
+    /// arena, or either is empty (it has no id to compare). Every pairwise
+    /// operation checks this first; on the hot path the `Arc::ptr_eq`
+    /// decides it.
+    #[inline]
+    fn assert_one_arena(&self, other: &TermVector, op: &str) {
+        assert!(
+            Arc::ptr_eq(&self.arena, &other.arena) || self.is_empty() || other.is_empty(),
+            "{op} requires both vectors on one arena"
+        );
     }
 
-    /// Cosine similarity with another vector; 0.0 when either is empty.
+    /// Dot product with another vector of the same arena, computed by the
+    /// chunked u32-id kernel (`dot_id_entries`), which skips disjoint 8-id
+    /// blocks with one comparison instead of stepping entry by entry. It
+    /// accumulates matching products in ascending id (= term) order, so
+    /// the result is bit-identical to an entry-by-entry merge.
+    ///
+    /// # Panics
+    /// Panics when both vectors are non-empty and on different arenas.
+    pub fn dot(&self, other: &TermVector) -> f64 {
+        self.assert_one_arena(other, "dot");
+        dot_id_entries(self.entries(), other.entries())
+    }
+
+    /// Cosine similarity with another vector of the same arena; 0.0 when
+    /// either is empty.
     ///
     /// ```
-    /// use wiki_text::TermVector;
-    /// let a = TermVector::from_terms(["ireland", "1963", "united states"]);
-    /// let b = TermVector::from_terms(["ireland", "1963", "france"]);
+    /// use std::sync::Arc;
+    /// use wiki_text::{TermArenaBuilder, TermVector};
+    ///
+    /// let mut builder = TermArenaBuilder::new();
+    /// for term in ["ireland", "1963", "united states", "france"] {
+    ///     builder.intern(term);
+    /// }
+    /// let (arena, _) = builder.freeze();
+    /// let vector = |terms: &[&str]| {
+    ///     let ids = terms.iter().map(|t| arena.intern(t).unwrap()).collect();
+    ///     TermVector::from_id_occurrences(Arc::clone(&arena), ids)
+    /// };
+    /// let a = vector(&["ireland", "1963", "united states"]);
+    /// let b = vector(&["ireland", "1963", "france"]);
     /// let c = a.cosine(&b);
     /// assert!(c > 0.6 && c < 0.7);
     /// ```
+    ///
+    /// # Panics
+    /// Panics when both vectors are non-empty and on different arenas.
     pub fn cosine(&self, other: &TermVector) -> f64 {
+        self.assert_one_arena(other, "cosine");
         let denom = self.norm() * other.norm();
         if denom == 0.0 {
             return 0.0;
         }
-        (self.dot(other) / denom).clamp(0.0, 1.0)
+        (dot_id_entries(self.entries(), other.entries()) / denom).clamp(0.0, 1.0)
     }
 
     /// Calls `f` once per distinct term **id** of the union of the two
     /// vectors' term sets, in ascending id order (an O(n + m) merge walk).
-    /// Both vectors must share one arena.
     ///
     /// This is the term-set primitive inverted-index builders need (e.g.
     /// the candidate generator in `wikimatch`, which keys its postings by
@@ -547,231 +403,74 @@ impl TermVector {
     /// representation.
     ///
     /// # Panics
-    /// Panics when the vectors are backed by different arenas (their ids
-    /// would not be comparable).
+    /// Panics when both vectors are non-empty and on different arenas
+    /// (their ids would not be comparable).
     pub fn union_ids(&self, other: &TermVector, mut f: impl FnMut(u32)) {
-        assert!(
-            Arc::ptr_eq(&self.arena, &other.arena),
-            "union_ids requires both vectors on one arena"
-        );
+        self.assert_one_arena(other, "union_ids");
         merge_join(self, other, |step| match step {
-            MergeStep::Left((id, _)) | MergeStep::Right((id, _)) | MergeStep::Both((id, _), _) => {
-                f(*id)
-            }
+            MergeStep::Left(id) | MergeStep::Right(id) | MergeStep::Both(id) => f(id),
         });
-    }
-
-    /// Number of terms present in both vectors (an O(n + m) merge walk).
-    fn intersection_size(&self, other: &TermVector) -> usize {
-        let mut count = 0;
-        merge_join(self, other, |step| {
-            if let MergeStep::Both(..) = step {
-                count += 1;
-            }
-        });
-        count
-    }
-
-    /// Jaccard overlap of the term *sets* (ignores frequencies).
-    pub fn jaccard(&self, other: &TermVector) -> f64 {
-        if self.is_empty() && other.is_empty() {
-            return 0.0;
-        }
-        let intersection = self.intersection_size(other) as f64;
-        let union = (self.len() + other.len()) as f64 - intersection;
-        if union == 0.0 {
-            0.0
-        } else {
-            intersection / union
-        }
     }
 
     /// Overlap (Szymkiewicz–Simpson) coefficient of the term sets:
     /// `|A ∩ B| / min(|A|, |B|)`. Unlike Jaccard it is not penalised when
     /// one attribute is much more frequent than the other, which is the
     /// right behaviour for per-infobox value-equality matching.
+    ///
+    /// # Panics
+    /// Panics when both vectors are non-empty and on different arenas.
     pub fn overlap_coefficient(&self, other: &TermVector) -> f64 {
         if self.is_empty() || other.is_empty() {
             return 0.0;
         }
-        let intersection = self.intersection_size(other) as f64;
-        intersection / self.len().min(other.len()) as f64
-    }
-
-    /// Applies a term-rewriting function, merging rewritten terms.
-    ///
-    /// Used to translate a value vector through the bilingual dictionary
-    /// before computing `vsim`: terms found in the dictionary are replaced by
-    /// their translation, others are kept as-is. Rewritten terms that
-    /// collide accumulate in source-term order, exactly as the previous
-    /// incremental-`add` implementation did.
-    pub fn map_terms<F>(&self, mut f: F) -> TermVector
-    where
-        F: FnMut(&str) -> Option<String>,
-    {
-        let mut builder = TermVectorBuilder::with_capacity(self.len());
-        for (id, w) in self.entries() {
-            let term = self.arena.resolve(*id);
-            match f(term) {
-                Some(new_term) => builder.push(new_term, *w),
-                None => builder.push(term, *w),
+        self.assert_one_arena(other, "overlap_coefficient");
+        let mut intersection = 0usize;
+        merge_join(self, other, |step| {
+            if let MergeStep::Both(..) = step {
+                intersection += 1;
             }
-        }
-        builder.finish()
-    }
-
-    /// Returns the `k` most frequent terms (ties broken by term order).
-    pub fn top_terms(&self, k: usize) -> Vec<(&str, f64)> {
-        let mut entries: Vec<(u32, f64)> = self.entries().to_vec();
-        // `total_cmp` (not `partial_cmp`) so the ranking is a total order
-        // even for pathological weights, with the term as a stable
-        // tie-break — id order is term order within one arena.
-        entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        entries.truncate(k);
-        entries
-            .into_iter()
-            .map(|(id, w)| (self.arena.resolve(id), w))
-            .collect()
+        });
+        intersection as f64 / self.len().min(other.len()) as f64
     }
 }
 
-/// Accumulates `(term, weight)` pairs in any order and sorts **once** on
-/// [`finish`](Self::finish) — the bulk-construction companion to
-/// [`TermVector::add`], which pays a binary search plus an ordered insert
-/// (O(n) worst case) per call.
-///
-/// `finish` reproduces the incremental-`add` semantics bit for bit:
-/// zero weights never create an entry, and weights of colliding terms
-/// accumulate in push order (the sort is stable).
-#[derive(Debug, Default)]
-pub struct TermVectorBuilder {
-    entries: Vec<(String, f64)>,
+/// One step of a [`merge_join`] walk over two id-sorted entry lists: the
+/// id of a term of the left vector only, of the right only, or of both.
+enum MergeStep {
+    Left(u32),
+    Right(u32),
+    Both(u32),
 }
 
-impl TermVectorBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty builder with room for `capacity` pushes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Records `weight` occurrences of `term` (zero weights are dropped,
-    /// matching [`TermVector::add`]).
-    pub fn push(&mut self, term: impl Into<String>, weight: f64) {
-        if weight == 0.0 {
-            return;
-        }
-        self.entries.push((term.into(), weight));
-    }
-
-    /// Number of recorded pushes (not distinct terms).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sorts, deduplicates and freezes the accumulated entries into a
-    /// vector.
-    pub fn finish(mut self) -> TermVector {
-        // Stable sort: weights of equal terms accumulate in push order, the
-        // same order an incremental `add` loop would have applied them.
-        self.entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut arena_terms: Vec<String> = Vec::new();
-        let mut entries: Vec<(u32, f64)> = Vec::new();
-        for (term, weight) in self.entries {
-            match (arena_terms.last(), entries.last_mut()) {
-                (Some(t), Some((_, w))) if *t == term => *w += weight,
-                _ => {
-                    entries.push((arena_terms.len() as u32, weight));
-                    arena_terms.push(term);
-                }
-            }
-        }
-        let arena = TermArena::from_sorted_terms(arena_terms)
-            .expect("sorted deduplicated terms satisfy the arena invariant");
-        TermVector {
-            arena: Arc::new(arena),
-            store: EntryStore::Owned(entries),
-        }
-    }
-}
-
-/// One step of a [`merge_join`] walk over two id-sorted entry lists.
-enum MergeStep<'a> {
-    /// The entry's term occurs only in the left vector.
-    Left(&'a (u32, f64)),
-    /// The entry's term occurs only in the right vector.
-    Right(&'a (u32, f64)),
-    /// The term occurs in both vectors; both entries are handed over.
-    Both(&'a (u32, f64), &'a (u32, f64)),
-}
-
-/// Two-pointer merge join over two term vectors, calling `f` once per
-/// distinct term in ascending term order.
-///
-/// When the vectors share one arena each step compares two `u32` ids — the
-/// fast path every prepared-schema operation takes. Otherwise the resolved
-/// terms are compared, which visits entries in exactly the same order (id
-/// order is term order within each arena), so both paths produce identical
-/// results. Every pairwise [`TermVector`] operation (`dot`, `merge`,
-/// `union_ids`, the intersection behind `jaccard`/`overlap_coefficient`)
-/// instantiates this single walk, so the sorted-entries invariant has
-/// exactly one consumer to update if the representation ever changes.
-fn merge_join<'a>(a: &'a TermVector, b: &'a TermVector, mut f: impl FnMut(MergeStep<'a>)) {
+/// Two-pointer merge join over the id-sorted entries of two vectors of one
+/// arena, calling `f` once per distinct term id in ascending order. Callers
+/// check the arena first ([`TermVector::assert_one_arena`]).
+fn merge_join(a: &TermVector, b: &TermVector, mut f: impl FnMut(MergeStep)) {
     let (xs, ys) = (a.entries(), b.entries());
     let (mut i, mut j) = (0, 0);
-    if Arc::ptr_eq(&a.arena, &b.arena) {
-        while i < xs.len() && j < ys.len() {
-            match xs[i].0.cmp(&ys[j].0) {
-                std::cmp::Ordering::Less => {
-                    f(MergeStep::Left(&xs[i]));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    f(MergeStep::Right(&ys[j]));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    f(MergeStep::Both(&xs[i], &ys[j]));
-                    i += 1;
-                    j += 1;
-                }
+    while i < xs.len() && j < ys.len() {
+        let (x, y) = (xs[i].0, ys[j].0);
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                f(MergeStep::Left(x));
+                i += 1;
             }
-        }
-    } else {
-        while i < xs.len() && j < ys.len() {
-            match a.arena.resolve(xs[i].0).cmp(b.arena.resolve(ys[j].0)) {
-                std::cmp::Ordering::Less => {
-                    f(MergeStep::Left(&xs[i]));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    f(MergeStep::Right(&ys[j]));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    f(MergeStep::Both(&xs[i], &ys[j]));
-                    i += 1;
-                    j += 1;
-                }
+            std::cmp::Ordering::Greater => {
+                f(MergeStep::Right(y));
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                f(MergeStep::Both(x));
+                i += 1;
+                j += 1;
             }
         }
     }
-    for entry in &xs[i..] {
-        f(MergeStep::Left(entry));
+    for &(id, _) in &xs[i..] {
+        f(MergeStep::Left(id));
     }
-    for entry in &ys[j..] {
-        f(MergeStep::Right(entry));
+    for &(id, _) in &ys[j..] {
+        f(MergeStep::Right(id));
     }
 }
 
@@ -791,8 +490,8 @@ const DOT_CHUNK: usize = 8;
 /// the current block on one side is still below the other side's current
 /// id, the whole block provably contains no match and is skipped with a
 /// single comparison. Matching products accumulate in ascending id order —
-/// the exact float-addition order of the entry-by-entry merge — so the
-/// result is bit-identical to [`merge_join`]'s `Both` sum.
+/// the exact float-addition order of an entry-by-entry merge — so the
+/// result is bit-identical to one.
 fn dot_id_entries(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
     let mut sum = 0.0;
     let (mut i, mut j) = (0, 0);
@@ -820,119 +519,107 @@ fn dot_id_entries(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
     sum
 }
 
-impl<S: Into<String>> FromIterator<S> for TermVector {
-    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
-        TermVector::from_terms(iter)
-    }
-}
-
-impl Serialize for TermVector {
-    /// Serializes as `{"entries": [[term, weight], ...]}` — the shape the
-    /// previous string-keyed derive produced, so persisted values remain
-    /// readable.
-    fn serialize_value(&self) -> Value {
-        let entries: Vec<Value> = self
-            .iter()
-            .map(|(t, w)| Value::Array(vec![Value::Str(t.to_string()), Value::Float(w)]))
-            .collect();
-        Value::Object(vec![("entries".to_string(), Value::Array(entries))])
-    }
-}
-
-impl Deserialize for TermVector {
-    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .get_field("entries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| serde::Error::custom("TermVector: missing entries array"))?;
-        let mut decoded = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let pair = entry
-                .as_array()
-                .filter(|items| items.len() == 2)
-                .ok_or_else(|| serde::Error::custom("TermVector: entry is not a [term, weight]"))?;
-            let term = pair[0]
-                .as_str()
-                .ok_or_else(|| serde::Error::custom("TermVector: term is not a string"))?;
-            let weight = f64::deserialize_value(&pair[1])?;
-            decoded.push((term.to_string(), weight));
-        }
-        TermVector::from_sorted_entries(decoded)
-            .ok_or_else(|| serde::Error::custom("TermVector: entries out of term order"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TermArenaBuilder;
+
+    /// One frozen arena over `terms`: the vectors of a test share it, as
+    /// the vectors of a schema share theirs.
+    fn arena_of<'a>(terms: impl IntoIterator<Item = &'a str>) -> Arc<TermArena> {
+        let mut builder = TermArenaBuilder::new();
+        for term in terms {
+            builder.intern(term);
+        }
+        builder.freeze().0
+    }
+
+    /// A vector on `arena` with one `(term, weight)` entry per distinct
+    /// term, given in any order.
+    fn weighted(arena: &Arc<TermArena>, entries: &[(&str, f64)]) -> TermVector {
+        let mut ids: Vec<(u32, f64)> = entries
+            .iter()
+            .map(|&(term, w)| (arena.intern(term).expect("term in the test arena"), w))
+            .collect();
+        ids.sort_by_key(|&(id, _)| id);
+        TermVector::from_ids(Arc::clone(arena), ids).expect("distinct terms")
+    }
+
+    /// A vector on `arena` counting every occurrence of `terms`.
+    fn counted(arena: &Arc<TermArena>, terms: &[&str]) -> TermVector {
+        let ids = terms
+            .iter()
+            .map(|t| arena.intern(t).expect("term in the test arena"))
+            .collect();
+        TermVector::from_id_occurrences(Arc::clone(arena), ids)
+    }
+
+    /// The weight of `term` in `v`, 0.0 when absent: a per-term lookup.
+    fn weight(v: &TermVector, term: &str) -> f64 {
+        v.iter().find(|(t, _)| *t == term).map_or(0.0, |(_, w)| w)
+    }
 
     #[test]
     fn counts_accumulate() {
-        let v = TermVector::from_terms(["a", "b", "a", "a"]);
-        assert_eq!(v.get("a"), 3.0);
-        assert_eq!(v.get("b"), 1.0);
-        assert_eq!(v.get("c"), 0.0);
+        let arena = arena_of(["a", "b", "c"]);
+        let v = counted(&arena, &["a", "b", "a", "a"]);
+        assert_eq!(weight(&v, "a"), 3.0);
+        assert_eq!(weight(&v, "b"), 1.0);
+        assert_eq!(weight(&v, "c"), 0.0);
         assert_eq!(v.len(), 2);
-        assert_eq!(v.total(), 4.0);
     }
 
     #[test]
     fn entries_stay_sorted_under_mixed_insertions() {
-        let mut v = TermVector::new();
-        for t in ["zebra", "apple", "mango", "apple", "banana", "zebra"] {
-            v.add(t, 1.0);
-        }
+        let arena = arena_of(["zebra", "apple", "mango", "banana"]);
+        let v = counted(
+            &arena,
+            &["zebra", "apple", "mango", "apple", "banana", "zebra"],
+        );
         let terms: Vec<&str> = v.iter().map(|(t, _)| t).collect();
         assert_eq!(terms, vec!["apple", "banana", "mango", "zebra"]);
-        assert_eq!(v.get("apple"), 2.0);
-        assert_eq!(v.get("zebra"), 2.0);
+        assert_eq!(weight(&v, "apple"), 2.0);
+        assert_eq!(weight(&v, "zebra"), 2.0);
         // Ids are strictly increasing (the arena invariant).
         assert!(v.id_entries().windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
-    fn add_into_a_shared_arena_copies_on_write() {
-        let a = TermVector::from_terms(["apple", "mango"]);
-        let mut b = a.clone();
-        // Same arena after the cheap clone.
-        assert!(Arc::ptr_eq(a.arena(), b.arena()));
-        b.add("banana", 1.0);
-        // The clone grew its own arena; the original is untouched.
-        assert!(!Arc::ptr_eq(a.arena(), b.arena()));
-        assert_eq!(a.get("banana"), 0.0);
-        assert_eq!(b.get("banana"), 1.0);
-        assert_eq!(b.get("mango"), 1.0);
-        let terms: Vec<&str> = b.iter().map(|(t, _)| t).collect();
-        assert_eq!(terms, vec!["apple", "banana", "mango"]);
-    }
-
-    #[test]
     fn cosine_of_identical_vectors_is_one() {
-        let v = TermVector::from_terms(["x", "y", "z", "x"]);
+        let arena = arena_of(["x", "y", "z"]);
+        let v = counted(&arena, &["x", "y", "z", "x"]);
         assert!((v.cosine(&v) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn cosine_of_disjoint_vectors_is_zero() {
-        let a = TermVector::from_terms(["a", "b"]);
-        let b = TermVector::from_terms(["c", "d"]);
+        let arena = arena_of(["a", "b", "c", "d"]);
+        let a = counted(&arena, &["a", "b"]);
+        let b = counted(&arena, &["c", "d"]);
         assert_eq!(a.cosine(&b), 0.0);
     }
 
     #[test]
     fn cosine_with_empty_vector_is_zero() {
-        let a = TermVector::from_terms(["a"]);
+        let arena = arena_of(["a"]);
+        let a = counted(&arena, &["a"]);
+        // Empty vectors pair with any arena: on the shared empty one ...
         let b = TermVector::new();
         assert_eq!(a.cosine(&b), 0.0);
         assert_eq!(b.cosine(&b), 0.0);
+        assert_eq!(a.dot(&b), 0.0);
+        // ... and on the vector's own.
+        let c = TermVector::from_ids(arena, Vec::new()).unwrap();
+        assert_eq!(a.cosine(&c), 0.0);
     }
 
     #[test]
     fn dot_matches_lookup_based_reference() {
-        let a = TermVector::from_terms(["a", "b", "b", "d", "e"]);
-        let b = TermVector::from_terms(["b", "c", "d", "d", "f"]);
+        let arena = arena_of(["a", "b", "c", "d", "e", "f"]);
+        let a = counted(&arena, &["a", "b", "b", "d", "e"]);
+        let b = counted(&arena, &["b", "c", "d", "d", "f"]);
         // Reference: per-term lookups, the pre-merge-walk implementation.
-        let reference: f64 = a.iter().map(|(t, w)| w * b.get(t)).sum();
+        let reference: f64 = a.iter().map(|(t, w)| w * weight(&b, t)).sum();
         assert_eq!(a.dot(&b), reference);
         assert_eq!(a.dot(&b), b.dot(&a));
     }
@@ -944,26 +631,26 @@ mod tests {
         // (< DOT_CHUNK) exercise the per-entry fallback.
         let long: Vec<String> = (0..200).map(|i| format!("t{:04}", i * 3)).collect();
         let sparse: Vec<String> = (0..40).map(|i| format!("t{:04}", i * 17)).collect();
-        // One arena over the union, so `add` never copy-on-writes a vector
-        // onto a private arena mid-fixture.
-        let anchor = TermVector::from_terms(long.iter().chain(sparse.iter()).map(String::as_str));
+        let arena = arena_of(long.iter().chain(&sparse).map(String::as_str));
+        let vector = |terms: &[String], step: f64| {
+            let entries: Vec<(&str, f64)> = terms
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (t.as_str(), 1.0 + k as f64 * step))
+                .collect();
+            weighted(&arena, &entries)
+        };
         for (xs, ys) in [(&long, &sparse), (&sparse, &long), (&long, &long)] {
-            let mut a = TermVector::in_arena(Arc::clone(anchor.arena()));
-            for (k, t) in xs.iter().enumerate() {
-                a.add(t, 1.0 + k as f64 * 0.5);
-            }
-            let mut b = TermVector::in_arena(Arc::clone(anchor.arena()));
-            for (k, t) in ys.iter().enumerate() {
-                b.add(t, 1.0 + k as f64 * 0.25);
-            }
-            assert!(Arc::ptr_eq(a.arena(), b.arena()));
-            // Reference: the merge-walk sum in the same ascending order.
+            let a = vector(xs, 0.5);
+            let b = vector(ys, 0.25);
+            // Reference: per-entry lookups, matching products summed in
+            // the same ascending id order.
             let mut reference = 0.0;
-            merge_join(&a, &b, |step| {
-                if let MergeStep::Both((_, wa), (_, wb)) = step {
-                    reference += wa * wb;
+            for &(id, wa) in a.id_entries() {
+                if let Ok(k) = b.id_entries().binary_search_by_key(&id, |&(i, _)| i) {
+                    reference += wa * b.id_entries()[k].1;
                 }
-            });
+            }
             assert!(reference > 0.0, "fixture must actually intersect");
             assert_eq!(a.dot(&b).to_bits(), reference.to_bits());
             assert_eq!(b.dot(&a).to_bits(), reference.to_bits());
@@ -971,101 +658,71 @@ mod tests {
     }
 
     #[test]
-    fn cross_arena_operations_match_shared_arena_results() {
-        // The same logical vectors once on a shared arena, once on private
-        // per-vector arenas: every pairwise operation must agree bit for
-        // bit.
-        let shared_a = TermVector::from_terms(["a", "b", "b", "d"]);
-        let shared_b_on_a: TermVector = {
-            // Rebuild b's terms *inside* a's arena via add (all terms of b
-            // that a knows stay on a's arena when possible).
-            let mut v = TermVector::in_arena(Arc::clone(shared_a.arena()));
-            v.add("b", 1.0);
-            v.add("d", 2.0);
-            v
-        };
-        let private_b = {
-            let mut v = TermVector::new();
-            v.add("b", 1.0);
-            v.add("d", 2.0);
-            v
-        };
-        assert!(Arc::ptr_eq(shared_a.arena(), shared_b_on_a.arena()));
-        assert!(!Arc::ptr_eq(shared_a.arena(), private_b.arena()));
-        assert_eq!(shared_b_on_a, private_b);
-        assert_eq!(
-            shared_a.dot(&shared_b_on_a).to_bits(),
-            shared_a.dot(&private_b).to_bits()
-        );
-        assert_eq!(
-            shared_a.cosine(&shared_b_on_a).to_bits(),
-            shared_a.cosine(&private_b).to_bits()
-        );
-        assert_eq!(
-            shared_a.jaccard(&shared_b_on_a),
-            shared_a.jaccard(&private_b)
-        );
+    fn pairwise_ops_on_two_arenas_panic() {
+        // The same terms interned twice: equal vectors, incomparable ids.
+        let a = counted(&arena_of(["a", "b"]), &["a", "b"]);
+        let b = counted(&arena_of(["a", "b"]), &["a", "b"]);
+        assert_eq!(a, b);
+        type Op = fn(&TermVector, &TermVector) -> f64;
+        let ops: [(&str, Op); 3] = [
+            ("dot", TermVector::dot),
+            ("cosine", TermVector::cosine),
+            ("overlap_coefficient", TermVector::overlap_coefficient),
+        ];
+        for (name, op) in ops {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&a, &b)))
+                .expect_err(name);
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                message.ends_with("requires both vectors on one arena"),
+                "{name}: {message}"
+            );
+            // One arena, or an empty side of any arena, is fine.
+            assert!(op(&a, &a) > 0.0, "{name}");
+            assert_eq!(op(&a, &TermVector::new()), 0.0, "{name}");
+        }
     }
 
     #[test]
     fn paper_example_one_translation_raises_similarity() {
         // Example 1 of the paper: nascimento vs born after dictionary
         // translation should have cosine ≈ 0.71-0.75.
-        let mut va_t = TermVector::new();
-        va_t.add("1963", 1.0);
-        va_t.add("ireland", 1.0);
-        va_t.add("december 18 1950", 1.0);
-        va_t.add("united states", 1.0);
-        let mut vb = TermVector::new();
-        vb.add("1963", 1.0);
-        vb.add("ireland", 1.0);
-        vb.add("june 4 1975", 1.0);
-        vb.add("united states", 2.0);
+        let arena = arena_of([
+            "1963",
+            "ireland",
+            "december 18 1950",
+            "june 4 1975",
+            "united states",
+        ]);
+        let va_t = weighted(
+            &arena,
+            &[
+                ("1963", 1.0),
+                ("ireland", 1.0),
+                ("december 18 1950", 1.0),
+                ("united states", 1.0),
+            ],
+        );
+        let vb = weighted(
+            &arena,
+            &[
+                ("1963", 1.0),
+                ("ireland", 1.0),
+                ("june 4 1975", 1.0),
+                ("united states", 2.0),
+            ],
+        );
         let sim = va_t.cosine(&vb);
         assert!(sim > 0.65 && sim < 0.80, "sim = {sim}");
     }
 
     #[test]
-    fn merge_and_map_terms() {
-        let mut a = TermVector::from_terms(["estados unidos", "irlanda"]);
-        let b = TermVector::from_terms(["estados unidos"]);
-        a.merge(&b);
-        assert_eq!(a.get("estados unidos"), 2.0);
-
-        let translated = a.map_terms(|t| match t {
-            "estados unidos" => Some("united states".to_string()),
-            "irlanda" => Some("ireland".to_string()),
-            _ => None,
-        });
-        assert_eq!(translated.get("united states"), 2.0);
-        assert_eq!(translated.get("ireland"), 1.0);
-        assert_eq!(translated.get("estados unidos"), 0.0);
-    }
-
-    #[test]
-    fn merge_within_one_arena_stays_on_it() {
-        let a = TermVector::from_terms(["a", "b", "c"]);
-        let mut x = a.clone();
-        let y = {
-            let mut v = TermVector::in_arena(Arc::clone(a.arena()));
-            v.add("b", 2.0);
-            v
-        };
-        x.merge(&y);
-        assert!(Arc::ptr_eq(x.arena(), a.arena()));
-        assert_eq!(x.get("b"), 3.0);
-    }
-
-    #[test]
     fn union_ids_matches_union_terms_on_a_shared_arena() {
-        let mut builder = crate::TermArenaBuilder::new();
-        for term in ["a", "b", "c", "d"] {
-            builder.intern(term);
-        }
-        let (arena, _) = builder.freeze();
+        let arena = arena_of(["a", "b", "c", "d"]);
         let a =
             TermVector::from_ids(Arc::clone(&arena), vec![(0, 1.0), (1, 2.0), (3, 1.0)]).unwrap();
-        let b = TermVector::from_ids(arena, vec![(1, 1.0), (2, 1.0), (3, 3.0)]).unwrap();
+        let b =
+            TermVector::from_ids(Arc::clone(&arena), vec![(1, 1.0), (2, 1.0), (3, 3.0)]).unwrap();
         // The reference: a plain merge of the two vectors' id entries.
         let ids = |v: &TermVector| v.id_entries().iter().map(|(id, _)| *id).collect::<Vec<_>>();
         let mut merged = ids(&a);
@@ -1079,90 +736,54 @@ mod tests {
         assert_eq!(terms, vec!["a", "b", "c", "d"]);
         // An empty side contributes nothing.
         let mut left_only = Vec::new();
-        a.union_ids(&TermVector::in_arena(Arc::clone(a.arena())), |id| {
-            left_only.push(id)
-        });
+        let empty = TermVector::from_ids(arena, Vec::new()).unwrap();
+        a.union_ids(&empty, |id| left_only.push(id));
         assert_eq!(left_only, ids(&a));
     }
 
     #[test]
     #[should_panic(expected = "union_ids requires both vectors on one arena")]
     fn union_ids_rejects_mixed_arenas() {
-        let a = TermVector::from_terms(["a"]);
-        let b = TermVector::from_terms(["a"]);
+        let a = counted(&arena_of(["a"]), &["a"]);
+        let b = counted(&arena_of(["a"]), &["a"]);
         a.union_ids(&b, |_| {});
     }
 
     #[test]
     fn remapped_vectors_are_bit_identical_on_the_extended_arena() {
-        let a = TermVector::from_terms(["banana", "mango", "banana", "zebra"]);
-        let b = {
-            let mut v = TermVector::in_arena(Arc::clone(a.arena()));
-            v.add("mango", 2.0);
-            v.add("zebra", 1.0);
-            v
-        };
-        let (extended, remap) = a.arena().extended_with(["apple", "papaya"]);
+        let arena = arena_of(["banana", "mango", "zebra"]);
+        let a = counted(&arena, &["banana", "mango", "banana", "zebra"]);
+        let b = weighted(&arena, &[("mango", 2.0), ("zebra", 1.0)]);
+        let (extended, remap) = arena.extended_with(["apple", "papaya"]);
         let a2 = a.remapped(Arc::clone(&extended), &remap);
         let b2 = b.remapped(Arc::clone(&extended), &remap);
         assert!(Arc::ptr_eq(a2.arena(), &extended));
         assert_eq!(a2, a);
-        assert_eq!(a2.get("banana"), 2.0);
+        assert_eq!(weight(&a2, "banana"), 2.0);
         assert_eq!(a2.dot(&b2).to_bits(), a.dot(&b).to_bits());
         assert_eq!(a2.cosine(&b2).to_bits(), a.cosine(&b).to_bits());
         // Fresh entries interned directly in the extended arena interoperate.
-        let c = TermVector::from_id_occurrences(
-            Arc::clone(&extended),
-            vec![
-                extended.intern("apple").unwrap(),
-                extended.intern("banana").unwrap(),
-            ],
-        );
+        let c = counted(&extended, &["apple", "banana"]);
         assert_eq!(a2.dot(&c), 2.0);
     }
 
     #[test]
-    fn jaccard_behaviour() {
-        let a = TermVector::from_terms(["a", "b", "c"]);
-        let b = TermVector::from_terms(["b", "c", "d"]);
-        assert!((a.jaccard(&b) - 0.5).abs() < 1e-12);
-        assert_eq!(TermVector::new().jaccard(&TermVector::new()), 0.0);
-    }
-
-    #[test]
     fn overlap_coefficient_behaviour() {
-        let small = TermVector::from_terms(["a", "b"]);
-        let large = TermVector::from_terms(["a", "b", "c", "d", "e", "f"]);
+        let arena = arena_of(["a", "b", "c", "d", "e", "f"]);
+        let small = counted(&arena, &["a", "b"]);
+        let large = counted(&arena, &["a", "b", "c", "d", "e", "f"]);
         // The small vector is fully contained in the large one.
         assert!((small.overlap_coefficient(&large) - 1.0).abs() < 1e-12);
         assert!((large.overlap_coefficient(&small) - 1.0).abs() < 1e-12);
-        assert!(small.overlap_coefficient(&large) > small.jaccard(&large));
+        // Frequencies are ignored: one shared term of two distinct ones.
+        let partial = counted(&arena, &["b", "c", "c", "d"]);
+        assert_eq!(small.overlap_coefficient(&partial), 0.5);
         assert_eq!(small.overlap_coefficient(&TermVector::new()), 0.0);
     }
 
     #[test]
-    fn from_sorted_entries_round_trips_and_validates() {
-        let v = TermVector::from_terms(["b", "a", "a", "c"]);
-        let entries: Vec<(String, f64)> = v.iter().map(|(t, w)| (t.to_string(), w)).collect();
-        let rebuilt = TermVector::from_sorted_entries(entries).expect("iter output is sorted");
-        assert_eq!(rebuilt, v);
-        // Out-of-order and duplicate entries are rejected.
-        assert!(TermVector::from_sorted_entries(vec![
-            ("b".to_string(), 1.0),
-            ("a".to_string(), 1.0)
-        ])
-        .is_none());
-        assert!(TermVector::from_sorted_entries(vec![
-            ("a".to_string(), 1.0),
-            ("a".to_string(), 2.0)
-        ])
-        .is_none());
-        assert!(TermVector::from_sorted_entries(Vec::new()).is_some());
-    }
-
-    #[test]
     fn from_ids_validates_order_and_range() {
-        let arena = TermVector::from_terms(["a", "b", "c"]).arena().clone();
+        let arena = arena_of(["a", "b", "c"]);
         assert!(TermVector::from_ids(Arc::clone(&arena), vec![(0, 1.0), (2, 2.0)]).is_some());
         assert!(TermVector::from_ids(Arc::clone(&arena), vec![(2, 1.0), (0, 2.0)]).is_none());
         assert!(TermVector::from_ids(Arc::clone(&arena), vec![(1, 1.0), (1, 2.0)]).is_none());
@@ -1170,36 +791,26 @@ mod tests {
         assert!(TermVector::from_ids(arena, Vec::new()).is_some());
     }
 
+    /// A vector's sorted entries, as a persistence layer captures them,
+    /// rebuild it bit for bit; out-of-order and duplicate entries are
+    /// rejected.
     #[test]
-    fn builder_matches_incremental_add_bit_for_bit() {
-        let pushes = [
-            ("zebra", 1.5),
-            ("apple", 2.0),
-            ("zebra", 0.25),
-            ("mango", 0.0), // dropped, like add
-            ("apple", -1.0),
-            ("banana", 3.0),
-        ];
-        let mut incremental = TermVector::new();
-        let mut builder = TermVectorBuilder::new();
-        for (t, w) in pushes {
-            incremental.add(t, w);
-            builder.push(t, w);
-        }
-        let built = builder.finish();
-        assert_eq!(built, incremental);
-        for ((ta, wa), (tb, wb)) in built.iter().zip(incremental.iter()) {
+    fn from_sorted_entries_round_trips_and_validates() {
+        let arena = arena_of(["a", "b", "c"]);
+        let v = weighted(&arena, &[("b", 0.1), ("a", 2.5), ("c", -1.0)]);
+        let rebuilt = TermVector::from_ids(Arc::clone(&arena), v.id_entries().to_vec())
+            .expect("id_entries output is sorted");
+        assert_eq!(rebuilt, v);
+        for ((ta, wa), (tb, wb)) in rebuilt.iter().zip(v.iter()) {
             assert_eq!(ta, tb);
             assert_eq!(wa.to_bits(), wb.to_bits());
         }
-    }
-
-    #[test]
-    fn serde_round_trip_keeps_entries() {
-        let v = TermVector::from_terms(["b", "a", "a"]);
-        let value = v.serialize_value();
-        let back = TermVector::deserialize_value(&value).unwrap();
-        assert_eq!(back, v);
+        let mut reversed = v.id_entries().to_vec();
+        reversed.reverse();
+        assert!(TermVector::from_ids(Arc::clone(&arena), reversed).is_none());
+        let first = v.id_entries()[0];
+        assert!(TermVector::from_ids(Arc::clone(&arena), vec![first, first]).is_none());
+        assert!(TermVector::from_ids(arena, Vec::new()).is_some());
     }
 
     /// Serializes a vector's entries into the mapped layout (`len` LE u32
@@ -1240,7 +851,8 @@ mod tests {
     #[test]
     fn mapped_vector_materializes_lazily_and_matches_owned_bit_for_bit() {
         use std::sync::atomic::Ordering;
-        let owned = TermVector::from_terms(["apple", "mango", "mango", "zebra"]);
+        let arena = arena_of(["apple", "mango", "zebra"]);
+        let owned = counted(&arena, &["apple", "mango", "mango", "zebra"]);
         let entries: Vec<(u32, f64)> = owned.id_entries().to_vec();
         let (buf, ids, weights) = mapped_entry_layout(&entries);
         let region = Arc::new(CountingRegion {
@@ -1276,7 +888,7 @@ mod tests {
 
     #[test]
     fn mapped_vector_rejects_broken_streams() {
-        let owned = TermVector::from_terms(["a", "b", "c"]);
+        let owned = counted(&arena_of(["a", "b", "c"]), &["a", "b", "c"]);
         let entries: Vec<(u32, f64)> = owned.id_entries().to_vec();
         let (buf, ids, weights) = mapped_entry_layout(&entries);
         let region: Arc<dyn ByteRegion> = Arc::new(buf.clone());
@@ -1315,32 +927,5 @@ mod tests {
         assert!(
             TermVector::from_mapped(arena, Arc::new(oob), ids, weights, entries.len()).is_none()
         );
-    }
-
-    #[test]
-    fn mutating_a_mapped_vector_converts_it_to_owned() {
-        let owned = TermVector::from_terms(["a", "b"]);
-        let entries: Vec<(u32, f64)> = owned.id_entries().to_vec();
-        let (buf, ids, weights) = mapped_entry_layout(&entries);
-        let mut mapped = TermVector::from_mapped(
-            Arc::clone(owned.arena()),
-            Arc::new(buf),
-            ids,
-            weights,
-            entries.len(),
-        )
-        .unwrap();
-        mapped.add("b", 2.0);
-        assert!(mapped.is_materialized());
-        assert_eq!(mapped.get("b"), 3.0);
-        assert_eq!(mapped.get("a"), 1.0);
-    }
-
-    #[test]
-    fn top_terms_ordering() {
-        let v = TermVector::from_terms(["b", "a", "a", "c", "c", "c"]);
-        let top = v.top_terms(2);
-        assert_eq!(top[0].0, "c");
-        assert_eq!(top[1].0, "a");
     }
 }

@@ -1,10 +1,31 @@
 //! Property-based tests for the text-processing primitives.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use wiki_text::{
     jaro_winkler, levenshtein, ngram_similarity, normalize, normalize_label, token_overlap,
-    TermArenaBuilder, TermVector, TermVectorBuilder,
+    TermArena, TermArenaBuilder, TermVector,
 };
+
+/// One frozen arena over every term of `lists`: the vectors of a case
+/// share it, as the vectors of a schema share theirs.
+fn arena_over(lists: &[&[String]]) -> Arc<TermArena> {
+    let mut builder = TermArenaBuilder::new();
+    for term in lists.iter().flat_map(|list| list.iter()) {
+        builder.intern(term);
+    }
+    builder.freeze().0
+}
+
+/// A vector on `arena` counting every occurrence of `terms`.
+fn counted(arena: &Arc<TermArena>, terms: &[String]) -> TermVector {
+    let ids = terms
+        .iter()
+        .map(|t| arena.intern(t).expect("term in the case's arena"))
+        .collect();
+    TermVector::from_id_occurrences(Arc::clone(arena), ids)
+}
 
 proptest! {
     /// Normalisation is idempotent: normalising twice equals normalising once.
@@ -80,8 +101,9 @@ proptest! {
         a in proptest::collection::vec("[a-e]{1,3}", 0..16),
         b in proptest::collection::vec("[a-e]{1,3}", 0..16),
     ) {
-        let va = TermVector::from_terms(a.clone());
-        let vb = TermVector::from_terms(b);
+        let arena = arena_over(&[&a, &b]);
+        let va = counted(&arena, &a);
+        let vb = counted(&arena, &b);
         let c1 = va.cosine(&vb);
         let c2 = vb.cosine(&va);
         prop_assert!((0.0..=1.0).contains(&c1));
@@ -91,27 +113,34 @@ proptest! {
         }
     }
 
-    /// The sparse merge-walk dot product equals a dense map-based
-    /// reference computed term by term.
+    /// The sparse id-walk dot product equals a dense map-based reference
+    /// computed term by term, and occurrence counting agrees with the
+    /// dense accumulator entry-wise.
     #[test]
     fn sparse_dot_equals_dense_reference(
         a in proptest::collection::vec(("[a-e]{1,3}", 1u32..4), 0..24),
         b in proptest::collection::vec(("[a-e]{1,3}", 1u32..4), 0..24),
     ) {
         use std::collections::BTreeMap;
-        // Build both a sparse TermVector and a dense BTreeMap accumulator
-        // from the same weighted term list.
-        let build = |terms: &[(String, u32)]| {
-            let mut sparse = TermVector::new();
+        // Each `(term, w)` is `w` occurrences of the term: the sparse vector
+        // counts them on one arena, the dense BTreeMap adds `w` at once.
+        let occurrences = |terms: &[(String, u32)]| -> Vec<String> {
+            terms
+                .iter()
+                .flat_map(|(t, w)| std::iter::repeat_n(t.clone(), *w as usize))
+                .collect()
+        };
+        let (oa, ob) = (occurrences(&a), occurrences(&b));
+        let arena = arena_over(&[&oa, &ob]);
+        let dense = |terms: &[(String, u32)]| {
             let mut dense: BTreeMap<String, f64> = BTreeMap::new();
             for (t, w) in terms {
-                sparse.add(t.clone(), f64::from(*w));
                 *dense.entry(t.clone()).or_insert(0.0) += f64::from(*w);
             }
-            (sparse, dense)
+            dense
         };
-        let (sa, da) = build(&a);
-        let (sb, db) = build(&b);
+        let (sa, da) = (counted(&arena, &oa), dense(&a));
+        let (sb, db) = (counted(&arena, &ob), dense(&b));
         // Dense reference: iterate one map, look terms up in the other.
         let reference: f64 = da
             .iter()
@@ -120,10 +149,9 @@ proptest! {
         prop_assert_eq!(sa.dot(&sb), reference);
         prop_assert_eq!(sb.dot(&sa), reference);
         // The sparse vector agrees with the dense accumulator entry-wise.
-        for (t, w) in &da {
-            prop_assert_eq!(sa.get(t), *w);
-        }
-        prop_assert_eq!(sa.len(), da.len());
+        let sparse: Vec<(&str, f64)> = sa.iter().collect();
+        let expected: Vec<(&str, f64)> = da.iter().map(|(t, w)| (t.as_str(), *w)).collect();
+        prop_assert_eq!(sparse, expected);
     }
 
     /// Interning round-trips: for any term set, `resolve(intern(t)) == t`,
@@ -157,42 +185,5 @@ proptest! {
             unique.dedup();
             unique.len()
         });
-    }
-
-    /// `TermVectorBuilder` (sort once) and the incremental `add` path
-    /// produce bit-identical vectors for any weighted push sequence,
-    /// including colliding terms and zero weights.
-    #[test]
-    fn builder_equals_incremental_add(
-        pushes in proptest::collection::vec(("[a-e]{1,3}", -4i32..4), 0..32),
-    ) {
-        let mut incremental = TermVector::new();
-        let mut builder = TermVectorBuilder::new();
-        for (t, w) in &pushes {
-            // Quarter-integer weights exercise real float accumulation.
-            let w = f64::from(*w) / 4.0;
-            incremental.add(t.clone(), w);
-            builder.push(t.clone(), w);
-        }
-        let built = builder.finish();
-        prop_assert_eq!(built.len(), incremental.len());
-        for ((ta, wa), (tb, wb)) in built.iter().zip(incremental.iter()) {
-            prop_assert_eq!(ta, tb);
-            prop_assert_eq!(wa.to_bits(), wb.to_bits());
-        }
-    }
-
-    /// Merging vectors adds totals; dot product is monotone under merge.
-    #[test]
-    fn merge_adds_totals(
-        a in proptest::collection::vec("[a-e]{1,3}", 0..16),
-        b in proptest::collection::vec("[a-e]{1,3}", 0..16),
-    ) {
-        let va = TermVector::from_terms(a);
-        let vb = TermVector::from_terms(b);
-        let mut merged = va.clone();
-        merged.merge(&vb);
-        prop_assert!((merged.total() - (va.total() + vb.total())).abs() < 1e-9);
-        prop_assert!(merged.dot(&va) >= va.dot(&va) - 1e-9);
     }
 }

@@ -1,6 +1,8 @@
 //! Delta-journal persistence: round trips, replay, and the rejection
 //! matrix (truncation, corruption, version bumps, replay-order tampering)
-//! mirroring the snapshot suite's discipline at record granularity.
+//! mirroring the snapshot suite's discipline at record granularity, all
+//! through the one decoder, `DeltaJournal::recover`: a header fault rejects
+//! the file, and a record fault ends the valid prefix with its error.
 
 use wikimatch_suite::{wiki_corpus, wikimatch};
 
@@ -48,11 +50,21 @@ fn journal_fixture() -> (Dataset, DeltaJournal, Dataset) {
     (base, journal, engine.dataset().as_ref().clone())
 }
 
+/// The journal of a decode that kept every record.
+fn whole(decoded: Result<(DeltaJournal, Option<SnapshotError>), SnapshotError>) -> DeltaJournal {
+    let (journal, torn) = decoded.unwrap();
+    assert!(
+        torn.is_none(),
+        "intact journal reported a torn tail: {torn:?}"
+    );
+    journal
+}
+
 #[test]
 fn journal_round_trips_and_replays_over_its_base() {
     let (base, journal, mutated) = journal_fixture();
     let bytes = journal.to_bytes();
-    let loaded = DeltaJournal::from_bytes(&bytes).unwrap();
+    let loaded = whole(DeltaJournal::recover(&bytes));
     assert_eq!(loaded, journal);
 
     // Replaying the records over the base reproduces the mutated corpus,
@@ -71,7 +83,7 @@ fn journal_round_trips_and_replays_over_its_base() {
 #[test]
 fn empty_journal_round_trips() {
     let journal = DeltaJournal::new(0xFEED_F00D);
-    let loaded = DeltaJournal::from_bytes(&journal.to_bytes()).unwrap();
+    let loaded = whole(DeltaJournal::recover(&journal.to_bytes()));
     assert!(loaded.is_empty());
     assert_eq!(loaded.tip(), 0xFEED_F00D);
 }
@@ -80,16 +92,26 @@ fn empty_journal_round_trips() {
 fn truncated_journals_are_rejected_strictly() {
     let (_, journal, _) = journal_fixture();
     let bytes = journal.to_bytes();
-    // Cuts inside the header and inside a record body: never at a record
-    // boundary (a boundary cut *is* a valid shorter journal, tested below).
-    for cut in [0, 10, 19, bytes.len() / 2, bytes.len() - 1] {
+    // Cuts inside the header reject the file.
+    for cut in [0, 10, 19] {
         assert!(
             matches!(
-                DeltaJournal::from_bytes(&bytes[..cut]),
+                DeltaJournal::recover(&bytes[..cut]),
                 Err(SnapshotError::Truncated)
             ),
             "cut at {cut} not detected as truncation"
         );
+    }
+    // Cuts inside a record body end the prefix there: never at a record
+    // boundary (a boundary cut *is* a valid shorter journal, tested below).
+    for cut in [bytes.len() / 2, bytes.len() - 1] {
+        let (prefix, torn) = DeltaJournal::recover(&bytes[..cut]).unwrap();
+        assert!(
+            matches!(torn, Some(SnapshotError::Truncated)),
+            "cut at {cut} not detected as truncation: {torn:?}"
+        );
+        assert!(prefix.len() < journal.len());
+        assert_eq!(prefix.records[..], journal.records[..prefix.len()]);
     }
 }
 
@@ -100,7 +122,7 @@ fn boundary_cut_is_a_valid_shorter_journal() {
     // existed before the third append, and must load cleanly.
     let mut shorter = journal.clone();
     shorter.records.truncate(2);
-    let loaded = DeltaJournal::from_bytes(&shorter.to_bytes()).unwrap();
+    let loaded = whole(DeltaJournal::recover(&shorter.to_bytes()));
     assert_eq!(loaded.len(), 2);
     assert_eq!(loaded.tip(), journal.records[1].post_fingerprint);
 }
@@ -111,10 +133,12 @@ fn corrupted_records_fail_their_checksum() {
     let mut bytes = journal.to_bytes();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
-    assert!(matches!(
-        DeltaJournal::from_bytes(&bytes),
-        Err(SnapshotError::ChecksumMismatch { .. })
-    ));
+    let (prefix, torn) = DeltaJournal::recover(&bytes).unwrap();
+    assert!(
+        matches!(torn, Some(SnapshotError::ChecksumMismatch { .. })),
+        "{torn:?}"
+    );
+    assert_eq!(prefix.len(), 2);
 }
 
 #[test]
@@ -124,8 +148,11 @@ fn recover_keeps_the_valid_prefix_of_a_torn_tail() {
 
     // A torn final record (simulating a crash mid-append).
     let torn = &full[..full.len() - 5];
-    let (recovered, dropped) = DeltaJournal::recover(torn).unwrap();
-    assert!(dropped);
+    let (recovered, reason) = DeltaJournal::recover(torn).unwrap();
+    assert!(
+        matches!(reason, Some(SnapshotError::Truncated)),
+        "{reason:?}"
+    );
     assert_eq!(recovered.len(), 2);
     assert_eq!(recovered.tip(), journal.records[1].post_fingerprint);
 
@@ -133,14 +160,15 @@ fn recover_keeps_the_valid_prefix_of_a_torn_tail() {
     let mut corrupt = full.clone();
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x40;
-    let (recovered, dropped) = DeltaJournal::recover(&corrupt).unwrap();
-    assert!(dropped);
+    let (recovered, reason) = DeltaJournal::recover(&corrupt).unwrap();
+    assert!(
+        matches!(reason, Some(SnapshotError::ChecksumMismatch { .. })),
+        "{reason:?}"
+    );
     assert_eq!(recovered.len(), 2);
 
     // An intact journal recovers losslessly.
-    let (recovered, dropped) = DeltaJournal::recover(&full).unwrap();
-    assert!(!dropped);
-    assert_eq!(recovered, journal);
+    assert_eq!(whole(DeltaJournal::recover(&full)), journal);
 
     // Header damage has no usable prefix and stays fatal.
     assert!(matches!(
@@ -156,14 +184,14 @@ fn version_bumps_and_bad_magic_are_rejected() {
     let mut bumped = bytes.clone();
     bumped[8] = bumped[8].wrapping_add(1);
     assert!(matches!(
-        DeltaJournal::from_bytes(&bumped),
+        DeltaJournal::recover(&bumped),
         Err(SnapshotError::UnsupportedVersion { found, supported })
             if found == JOURNAL_FORMAT_VERSION + 1 && supported == JOURNAL_FORMAT_VERSION
     ));
     let mut wrong_magic = bytes;
     wrong_magic[0] = b'X';
     assert!(matches!(
-        DeltaJournal::from_bytes(&wrong_magic),
+        DeltaJournal::recover(&wrong_magic),
         Err(SnapshotError::BadMagic)
     ));
 }
@@ -172,30 +200,32 @@ fn version_bumps_and_bad_magic_are_rejected() {
 fn replay_order_tampering_is_rejected() {
     let (_, journal, _) = journal_fixture();
 
+    // Each tampered journal keeps only the records before the break, and
+    // the break is reported as a malformed chain.
+    let broken_after = |tampered: &DeltaJournal, valid: usize| {
+        let (prefix, reason) = DeltaJournal::recover(&tampered.to_bytes()).unwrap();
+        assert!(
+            matches!(reason, Some(SnapshotError::Malformed(_))),
+            "{reason:?}"
+        );
+        assert_eq!(prefix.records[..], journal.records[..valid]);
+    };
+
     // Swapped records: each is checksum-valid, but the seq/fingerprint
-    // chain breaks.
+    // chain breaks at the first.
     let mut swapped = journal.clone();
     swapped.records.swap(0, 1);
-    assert!(matches!(
-        DeltaJournal::from_bytes(&swapped.to_bytes()),
-        Err(SnapshotError::Malformed(_))
-    ));
+    broken_after(&swapped, 0);
 
     // A dropped middle record breaks the chain the same way.
     let mut gapped = journal.clone();
     gapped.records.remove(1);
-    assert!(matches!(
-        DeltaJournal::from_bytes(&gapped.to_bytes()),
-        Err(SnapshotError::Malformed(_))
-    ));
+    broken_after(&gapped, 1);
 
     // A record whose parent fingerprint was rewired to the wrong lineage.
-    let mut rewired = journal;
+    let mut rewired = journal.clone();
     rewired.records[2].parent_fingerprint ^= 1;
-    assert!(matches!(
-        DeltaJournal::from_bytes(&rewired.to_bytes()),
-        Err(SnapshotError::Malformed(_))
-    ));
+    broken_after(&rewired, 2);
 }
 
 #[test]
@@ -208,14 +238,14 @@ fn append_record_to_builds_the_same_file_incrementally() {
     for record in &journal.records {
         DeltaJournal::append_record_to(&path, journal.base_fingerprint, record).unwrap();
     }
-    let loaded = DeltaJournal::load(&path).unwrap();
+    let loaded = whole(DeltaJournal::load_recovering(&path));
     assert_eq!(loaded, journal);
 
     // Atomic full save (the compaction path) overwrites with an empty
     // journal rooted at the new base.
     let compacted = DeltaJournal::new(journal.tip());
     compacted.save(&path).unwrap();
-    let loaded = DeltaJournal::load(&path).unwrap();
+    let loaded = whole(DeltaJournal::load_recovering(&path));
     assert!(loaded.is_empty());
     assert_eq!(loaded.base_fingerprint, journal.tip());
 
@@ -227,8 +257,11 @@ fn append_record_to_builds_the_same_file_incrementally() {
     }
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-    let (recovered, dropped) = DeltaJournal::load_recovering(&path).unwrap();
-    assert!(dropped);
+    let (recovered, reason) = DeltaJournal::load_recovering(&path).unwrap();
+    assert!(
+        matches!(reason, Some(SnapshotError::Truncated)),
+        "{reason:?}"
+    );
     assert_eq!(recovered.len(), 2);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use wikimatch_suite::adversarial::{adversarial_pt_en, AdversarialFlavor};
-use wikimatch_suite::{wiki_corpus, wiki_text, wikimatch};
+use wikimatch_suite::{wiki_corpus, wikimatch};
 
 use wiki_corpus::{Dataset, SyntheticConfig};
 use wikimatch::{ComputeMode, MatchEngine, SimilarityTable, WikiMatchConfig};
@@ -299,54 +299,6 @@ fn alignment_clusters_match_the_golden_values() {
                 "{name} {label}: alignment clusters diverged from the captured seed \
                  (found {found:#018x}, golden {golden:#018x})"
             );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The interned (shared-arena, integer-compare) merge walk and the
-    /// string-compare fallback walk are the same function: for every
-    /// attribute vector of a randomly drawn corpus, re-hosting the vector on
-    /// a private arena (forcing the string path) reproduces every cosine
-    /// bit for bit.
-    #[test]
-    fn interned_and_string_walks_agree_on_random_corpora(seed in 0u64..1_000) {
-        let engine = MatchEngine::builder(Dataset::vn_en(&config_with(seed, 4))).build();
-        for pairing in &engine.dataset().types.clone() {
-            let schema = engine.schema(&pairing.type_id).unwrap();
-            // Rebuild every value vector on its own private arena: pairwise
-            // ops between rebuilt vectors must take the resolved-term path.
-            let detached: Vec<_> = schema
-                .attributes
-                .iter()
-                .map(|a| {
-                    let entries = a
-                        .translated_values
-                        .iter()
-                        .map(|(t, w)| (t.to_string(), w))
-                        .collect();
-                    wiki_text::TermVector::from_sorted_entries(entries)
-                        .expect("iter output is term-sorted")
-                })
-                .collect();
-            for p in 0..schema.len() {
-                for q in (p + 1)..schema.len() {
-                    let interned = schema.attributes[p]
-                        .translated_values
-                        .cosine(&schema.attributes[q].translated_values);
-                    let string_path = detached[p].cosine(&detached[q]);
-                    prop_assert_eq!(
-                        interned.to_bits(),
-                        string_path.to_bits(),
-                        "type {} pair ({}, {})",
-                        &pairing.type_id,
-                        p,
-                        q
-                    );
-                }
-            }
         }
     }
 }
